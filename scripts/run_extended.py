@@ -32,8 +32,10 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--cache", type=Path, required=True)
     parser.add_argument("--budget-ms", type=float, default=20_000.0,
-                        help="per-graph wall budget; ~25k members make the "
-                        "full sweep an overnight job even at the default")
+                        help="per-graph wall budget; most order-15 members "
+                        "need more than the default to solve exactly, so a "
+                        "pass takes about 25k times the budget and leaves "
+                        "those members unsolved")
     parser.add_argument("--budget-nodes", type=int, default=None)
     parser.add_argument("--report", type=Path, default=None)
     parser.add_argument("--skip-hunt", action="store_true",

@@ -38,8 +38,9 @@ class Limits:
 
     target_value stops a sweep as soon as some member witnesses that many
     colors (the result is then a certified lower bound, complete=False).
-    total_millis caps the whole sweep's wall time (sequential sweeps only);
-    members not reached stay unsolved.
+    total_millis caps the whole sweep's wall time; members not reached stay
+    unsolved.  Both make a sweep sequential, so ar_class rejects them with
+    jobs > 1.
     """
 
     max_nodes: int | None = None
@@ -80,9 +81,10 @@ class CacheMismatch(RuntimeError):
 class ResultCache:
     """Append-only JSON-lines store of EXACT solver results.
 
-    Keyed by (canonical graph6, k).  Corrupt or non-EXACT lines are skipped
-    with a warning; appends are one line per result so concurrent readers
-    always see whole records.
+    Keyed by (canonical graph6, k).  Non-EXACT lines are skipped; corrupt
+    lines, and EXACT lines whose witness does not verify at exactly their
+    value, are skipped with a warning.  Appends are one line per result so
+    concurrent readers always see whole records.
     """
 
     def __init__(self, path: str | Path):
@@ -100,7 +102,10 @@ class ResultCache:
                     continue
                 try:
                     result = ArResult.from_json(json.loads(line))
+                    corrupt = result.mode == EXACT and not _certified(result)
                 except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+                    corrupt = True
+                if corrupt:
                     warnings.warn(
                         f"{self.path}:{lineno}: skipping corrupt cache line"
                     )
@@ -121,6 +126,15 @@ class ResultCache:
         self.entries[(result.graph6, result.k)] = result
         with self.path.open("a") as handle:
             handle.write(result.dumps() + "\n")
+
+
+def _certified(result: ArResult) -> bool:
+    """The result's witness verifies at exactly its value; only k = 1, whose
+    value is 0, has no witness."""
+    if result.witness is None:
+        return result.k == 1 and result.value == 0
+    g = graph6_decode(result.graph6)
+    return verify_certificate(g, result.witness, result.k, result.value).ok
 
 
 def _solve_worker(args: tuple[str, int, int | None, float | None]) -> ArResult:
@@ -158,14 +172,23 @@ def ar_class(
 
     Requires 2k <= n so every class member actually contains a k-matching.
     With a target_value limit the sweep runs sequentially and stops at the
-    first member witnessing the target.  A fraction of cache hits is
-    re-solved and compared (raising CacheMismatch on disagreement).
+    first member witnessing the target.  target_value and total_millis
+    need a sequential sweep, so either one with jobs > 1 is a ValueError.
+    A fraction of cache hits is re-solved and compared (raising
+    CacheMismatch on disagreement).
     """
     if not 2 * k <= n <= MAX_CLASS_N:
         raise ValueError(
             f"class query needs 2k <= n <= {MAX_CLASS_N}; got n={n}, k={k}"
         )
     limits = limits or Limits()
+    if jobs > 1 and (
+        limits.target_value is not None or limits.total_millis is not None
+    ):
+        raise ValueError(
+            "a target value or a total time limit runs the sweep "
+            f"sequentially; got jobs={jobs}"
+        )
     members = _class_members(n)
     results: dict[str, ArResult] = {}
 
@@ -196,7 +219,7 @@ def ar_class(
                 cache.put(result)
             if result.value >= limits.target_value:
                 break
-    elif jobs > 1 and todo and limits.total_millis is None:
+    elif jobs > 1 and todo:
         work = [(g6, k, limits.max_nodes, limits.max_millis) for g6 in todo]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for result in pool.map(_solve_worker, work):
@@ -453,12 +476,4 @@ def emit_table(
 
 def verify_class_result(result: ClassResult) -> bool:
     """Re-check every witness in a class result without trusting the solver."""
-    for entry in result.results:
-        if entry.witness is None:
-            if entry.value != 0:
-                return False
-            continue
-        g = graph6_decode(entry.graph6)
-        if not verify_certificate(g, entry.witness, entry.k, entry.value).ok:
-            return False
-    return True
+    return all(_certified(entry) for entry in result.results)

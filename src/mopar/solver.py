@@ -8,6 +8,13 @@ edges lie in k distinct classes), merging one of its class pairs per
 child; the class count only decreases, giving the bound.  A transposition
 table on the partition normal form removes merge-order symmetry.
 
+Search state is Python ints over matching ids (the lexicographic order of
+`iterate_k_matchings`): each class keeps the mask of matchings that touch
+it, and the violated matchings form one mask.  Merging classes a and b
+satisfies exactly `msets[a] & msets[b]`, so the child's violated mask is
+`violated & ~(msets[a] & msets[b])`.  Every node branches on its lowest
+violated id, and the packing bound and the greedy seed read the same masks.
+
 An independent oracle enumerates every set partition of the edge list
 (restricted-growth strings with rainbow pruning) for graphs with few
 edges.
@@ -15,12 +22,11 @@ edges.
 
 from __future__ import annotations
 
-import heapq
 import json
 import time
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 from .graphs import Graph, graph6_encode, iter_bits
 from .matchings import iterate_k_matchings, matching_number
@@ -32,9 +38,6 @@ LOWER_BOUND = "LOWER_BOUND"
 MAX_K = 8
 BRUTE_FORCE_MAX_EDGES = 10
 
-# deterministic cap on how many violated matchings the branching heuristic
-# scores per node; the full set is still tracked for correctness
-SELECT_SCAN = 16
 # deterministic cap on how many violated matchings the greedy seed samples
 # when counting class-pair frequencies
 SEED_SAMPLE = 512
@@ -157,37 +160,50 @@ def ar_brute_force(g: Graph, k: int) -> int:
     return best
 
 
-def seed_incumbent(g: Graph, k: int) -> EdgeColoring:
+def _matching_masks(g: Graph, k: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The k-matchings of g in lexicographic order, and for each edge the
+    mask of the matching ids that contain it."""
+    matchings = list(iterate_k_matchings(g, k))
+    touch = [0] * g.edge_count
+    for mid, matching in enumerate(matchings):
+        bit = 1 << mid
+        for e in matching:
+            touch[e] |= bit
+    return matchings, touch
+
+
+def seed_incumbent(
+    g: Graph,
+    k: int,
+    *,
+    _masks: tuple[list[tuple[int, ...]], list[int]] | None = None,
+) -> EdgeColoring:
     """Greedy rainbow-free coloring: repeatedly merge the class pair occurring
-    in the most violated k-matchings (sampled deterministically)."""
+    in the most violated k-matchings (sampled deterministically).
+
+    `_masks` is `_matching_masks(g, k)` when ar_exact has built it already,
+    so a solve enumerates the k-matchings once.
+    """
     _validate(g, k)
     if k == 1:
         raise ValueError("every coloring has a rainbow 1-matching")
     m = g.edge_count
-    matchings = list(iterate_k_matchings(g, k))
-    cls = list(range(m))
+    matchings, msets = _masks or _matching_masks(g, k)
     if not matchings:
         return _all_distinct(m)
-
-    touch: dict[int, set[int]] = {e: set() for e in range(m)}
-    for mid, matching in enumerate(matchings):
-        for e in matching:
-            touch[e].add(mid)
-    msets = {e: frozenset(touch[e]) for e in range(m)}
-    violated = set(range(len(matchings)))
+    cls = list(range(m))
+    msets = list(msets)
+    violated = (1 << len(matchings)) - 1
 
     while violated:
-        sample = heapq.nsmallest(SEED_SAMPLE, violated)
         freq: Counter[tuple[int, int]] = Counter()
-        for mid in sample:
+        for mid in islice(iter_bits(violated), SEED_SAMPLE):
             roots = sorted({cls[e] for e in matchings[mid]})
             for pair in combinations(roots, 2):
                 freq[pair] += 1
         (a, b), _ = min(freq.items(), key=lambda item: (-item[1], item[0]))
-        satisfied = msets[a] & msets[b]
-        violated -= satisfied
-        msets[a] = msets[a] | msets[b]
-        del msets[b]
+        violated &= ~(msets[a] & msets[b])
+        msets[a] |= msets[b]
         for e in range(m):
             if cls[e] == b:
                 cls[e] = a
@@ -197,18 +213,14 @@ def seed_incumbent(g: Graph, k: int) -> EdgeColoring:
 class _Search:
     def __init__(
         self,
-        g: Graph,
-        k: int,
+        matchings: list[tuple[int, ...]],
         max_nodes: int | None,
         max_millis: float | None,
         floor: int,
         stop_at: int | None,
         tt_capacity: int,
     ):
-        self.g = g
-        self.k = k
-        self.matchings = list(iterate_k_matchings(g, k))
-        self.m = g.edge_count
+        self.matchings = matchings
         self.max_nodes = max_nodes
         self.max_millis = max_millis
         self.floor = floor
@@ -219,7 +231,6 @@ class _Search:
         self.start = time.perf_counter()
         self.best_value = 0
         self.best_coloring: tuple[int, ...] | None = None
-        self.tried: list[tuple[int, int]] = []
 
     def elapsed_ms(self) -> float:
         return (time.perf_counter() - self.start) * 1000.0
@@ -242,60 +253,36 @@ class _Search:
             if self.stop_at is not None and count >= self.stop_at:
                 raise _Stop
 
-    def _select(self, cls: list[int], violated: set[int]) -> int:
-        """Violated matching to branch on: fewest class pairs not yet tried
-        on this path, ties by lexicographic matching order."""
-        mapped = set()
-        for x, y in self.tried:
-            cx, cy = cls[x], cls[y]
-            if cx != cy:
-                mapped.add((cx, cy) if cx < cy else (cy, cx))
-        if not mapped:
-            return min(violated)  # every score ties; lexicographic first wins
-        matchings = self.matchings
-        best_mid = -1
-        best_hits = -1
-        for mid in heapq.nsmallest(SELECT_SCAN, violated):
-            rset = {cls[e] for e in matchings[mid]}
-            hits = 0
-            for pa, pb in mapped:
-                if pa in rset and pb in rset:
-                    hits += 1
-            if hits > best_hits:
-                best_hits = hits
-                best_mid = mid
-        return best_mid
-
-    def _prunable(self, cls: list[int], violated: set[int], need: int) -> bool:
+    def _prunable(
+        self, cls: list[int], msets: list[int], violated: int, need: int
+    ) -> bool:
         """True when at least `need` more merges are provably required.
 
         Greedy packing of violated matchings with pairwise disjoint class
-        sets: a partition block resolving t of them holds >= 2t classes and
-        so spends >= t merges, hence any feasible coarsening loses at least
-        one class per packed matching.
+        sets, in ascending id order: a partition block resolving t of them
+        holds >= 2t classes and so spends >= t merges, hence any feasible
+        coarsening loses at least one class per packed matching.  A matching
+        meets class c iff its id is in msets[c], so dropping the masks of a
+        packed matching's classes leaves exactly the candidates disjoint
+        from it.
         """
         matchings = self.matchings
         packed = 0
-        used: set[int] = set()
-        for mid in violated:
-            mt = matchings[mid]
-            for e in mt:
-                if cls[e] in used:
-                    break
-            else:
-                for e in mt:
-                    used.add(cls[e])
-                packed += 1
-                if packed >= need:
-                    return True
+        cand = violated
+        while cand:
+            packed += 1
+            if packed >= need:
+                return True
+            for e in matchings[(cand & -cand).bit_length() - 1]:
+                cand &= ~msets[cls[e]]
         return False
 
     def run(
         self,
         cls: list[int],
         members: list[int],
-        msets: list[frozenset[int] | None],
-        violated: set[int],
+        msets: list[int],
+        violated: int,
         count: int,
     ) -> None:
         # class labels are canonical (each class is named by its least edge),
@@ -316,39 +303,30 @@ class _Search:
         bound = max(self.best_value, self.floor)
         if count - 1 <= bound:
             return
-        if self._prunable(cls, violated, count - bound):
+        if self._prunable(cls, msets, violated, count - bound):
             return
 
-        mid = self._select(cls, violated)
-        roots = sorted({cls[e] for e in self.matchings[mid]})
-        mark = len(self.tried)
+        mid = (violated & -violated).bit_length() - 1
+        roots = sorted(cls[e] for e in self.matchings[mid])
         for a, b in combinations(roots, 2):
-            msa, msb = msets[a], msets[b]
-            child_violated = violated - (msa & msb)
-            if not child_violated:
-                # feasible one merge away: record without building the child
-                child_cls = list(cls)
-                for e in iter_bits(members[b]):
-                    child_cls[e] = a
-                self._record(child_cls, count - 1)
-                self.tried.append((a, b))
-                continue
-            if count - 2 <= max(self.best_value, self.floor):
+            child_violated = violated & ~(msets[a] & msets[b])
+            if child_violated and count - 2 <= max(self.best_value, self.floor):
                 # the child could neither branch nor be a leaf
-                self.tried.append((a, b))
                 continue
             child_cls = list(cls)
             for e in iter_bits(members[b]):
                 child_cls[e] = a
+            if not child_violated:
+                # feasible one merge away: record without building the child
+                self._record(child_cls, count - 1)
+                continue
             child_members = list(members)
             child_members[a] = members[a] | members[b]
             child_members[b] = 0
             child_msets = list(msets)
-            child_msets[a] = msa | msb
-            child_msets[b] = None
+            child_msets[a] = msets[a] | msets[b]
+            child_msets[b] = 0
             self.run(child_cls, child_members, child_msets, child_violated, count - 1)
-            self.tried.append((a, b))
-        del self.tried[mark:]
 
 
 def ar_exact(
@@ -379,27 +357,22 @@ def ar_exact(
     if matching_number(g) < k:
         return ArResult(g6, k, m, EXACT, _all_distinct(m), 0, _ms(start))
 
-    seed = seed_incumbent(g, k)
+    matchings, touch = masks = _matching_masks(g, k)
+    seed = seed_incumbent(g, k, _masks=masks)
     if stop_at is not None and seed.num_colors >= stop_at:
         return ArResult(g6, k, seed.num_colors, LOWER_BOUND, seed, 0, _ms(start))
-    search = _Search(g, k, max_nodes, max_millis, floor, stop_at, tt_capacity)
+    search = _Search(matchings, max_nodes, max_millis, floor, stop_at, tt_capacity)
     search.best_value = seed.num_colors
     search.best_coloring = seed.colors
     search.start = start
-
-    matchings = search.matchings
-    touch: dict[int, set[int]] = {e: set() for e in range(m)}
-    for mid, matching in enumerate(matchings):
-        for e in matching:
-            touch[e].add(mid)
 
     completed = False
     try:
         search.run(
             list(range(m)),
             [1 << e for e in range(m)],
-            [frozenset(touch[e]) for e in range(m)],
-            set(range(len(matchings))),
+            touch,
+            (1 << len(matchings)) - 1,
             m,
         )
         completed = True

@@ -79,6 +79,13 @@ def test_ar_class_target(capsys):
     assert json.loads(out)["value"] >= 14
 
 
+def test_ar_class_target_rejects_jobs(capsys):
+    code, out, err = run(capsys, "ar-class", "--n", "10", "--k", "5",
+                         "--jobs", "2", "--target", "14")
+    assert code == 1 and out == ""
+    assert "sequentially" in err and "Traceback" not in err
+
+
 def test_extended_requires_cache(capsys):
     code, _, err = run(capsys, "ar-class", "--n", "10", "--k", "5", "--extended")
     assert code == 1 and "--cache" in err

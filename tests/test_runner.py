@@ -99,14 +99,48 @@ def test_cache_audit_detects_tampering(tmp_path):
     path = tmp_path / "cache.jsonl"
     cache = ResultCache(path)
     ar_class(6, 3, cache=cache)
-    # tamper with every cached value
+    # replace every cached value by a weaker one whose one-class witness
+    # still verifies, so only the audit's recomputation can catch it
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     for data in lines:
-        data["value"] += 1
+        data["value"] = data["witness"]["num_colors"] = 1
+        data["witness"]["colors"] = [0] * len(data["witness"]["colors"])
     path.write_text("\n".join(json.dumps(d) for d in lines) + "\n")
     tampered = ResultCache(path)
+    assert len(tampered.entries) == len(lines)
     with pytest.raises(CacheMismatch):
         ar_class(6, 3, cache=tampered, audit_fraction=1.0)
+
+
+def test_cache_skips_lines_whose_witness_fails(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    first = ar_class(6, 3, cache=ResultCache(path))
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    lines[0]["value"] += 1  # the witness no longer has that many colors
+    path.write_text("\n".join(json.dumps(d) for d in lines) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cache = ResultCache(path)
+    assert [str(w.message).endswith("skipping corrupt cache line")
+            for w in caught] == [True]
+    assert (lines[0]["graph"], 3) not in cache.entries
+    assert len(cache.entries) == len(lines) - 1
+    second = ar_class(6, 3, cache=cache, audit_fraction=0.0)
+    assert cache.hits == len(lines) - 1  # the tampered member is solved again
+    assert [r.value for r in second.results] == [r.value for r in first.results]
+    assert verify_class_result(second)
+
+
+def test_cache_keeps_k1_lines_without_witness(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    ar_class(4, 1, cache=ResultCache(path))
+    assert len(ResultCache(path).entries) == 1
+
+
+def test_sequential_limits_reject_jobs():
+    for limits in (Limits(target_value=14), Limits(total_millis=1000.0)):
+        with pytest.raises(ValueError, match="jobs=2"):
+            ar_class(10, 5, limits=limits, jobs=2)
 
 
 # ---------------------------------------------------------------------------

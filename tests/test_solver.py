@@ -92,8 +92,34 @@ def _oracle_corpus():
 
 def test_oracle_equivalence_small_corpus():
     for g in _oracle_corpus():
-        for k in (2, 3):
+        for k in (2, 3, 4):
             assert ar_exact(g, k).value == ar_brute_force(g, k)
+
+
+def test_transposition_table_eviction_keeps_values():
+    for g in enumerate_mops(8):
+        full = ar_exact(g, 4)
+        tiny = ar_exact(g, 4, tt_capacity=1)
+        assert tiny.mode == EXACT and tiny.value == full.value
+        assert verify_certificate(g, tiny.witness, 4, tiny.value).ok
+
+
+def test_floor_boundary_every_member_9_4():
+    # the search is complete only above the floor: floor v-1 finds and
+    # proves the value v; floor v proves nothing beats v but finds no
+    # witness at v, so it is EXACT only when the greedy seed reaches v
+    lower_bounds = 0
+    for g in enumerate_mops(9):
+        v = ar_exact(g, 4).value
+        below = ar_exact(g, 4, floor=v - 1)
+        assert below.mode == EXACT and below.value == v
+        at = ar_exact(g, 4, floor=v)
+        seed = seed_incumbent(g, 4).num_colors
+        assert at.value == seed <= v
+        assert at.mode == (EXACT if seed == v else LOWER_BOUND)
+        assert verify_certificate(g, at.witness, 4, at.value).ok
+        lower_bounds += at.mode == LOWER_BOUND
+    assert lower_bounds > 0
 
 
 def test_monotonicity_in_k():
