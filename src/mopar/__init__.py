@@ -12,8 +12,6 @@ from .graphs import (
     Graph6Error,
     bipartition_of,
     canonical_form,
-    cut_edges,
-    degree_stats,
     graph6_decode,
     graph6_encode,
 )
@@ -25,15 +23,10 @@ from .matchings import (
     tutte_berge_certificate,
 )
 from .mops import (
-    K4,
-    K23,
     Triangulation,
     bipartite_outerplanar_corpus,
     enumerate_mops,
     enumerate_triangulations,
-    find_minor,
-    has_minor,
-    is_outerplanar,
 )
 from .rainbow import (
     EdgeColoring,
@@ -49,7 +42,6 @@ from .runner import (
     Limits,
     ResultCache,
     ar_class,
-    check_bounds,
     emit_table,
     lemma_bipartite_check,
 )
@@ -59,14 +51,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArResult", "Bipartition", "BoundCheck", "CanonicalForm", "ClassResult",
-    "EdgeColoring", "Graph", "Graph6Error", "K23", "K4", "LemmaReport",
-    "Limits", "RainbowWitness", "ResultCache", "Triangulation",
-    "TutteBergeCertificate", "VerifyResult", "ar_brute_force", "ar_class",
-    "ar_exact", "bipartite_outerplanar_corpus", "bipartition_of",
-    "canonical_form", "check_bounds", "cut_edges", "degree_stats",
+    "EdgeColoring", "Graph", "Graph6Error", "LemmaReport", "Limits",
+    "RainbowWitness", "ResultCache", "Triangulation", "TutteBergeCertificate",
+    "VerifyResult", "ar_brute_force", "ar_class", "ar_exact",
+    "bipartite_outerplanar_corpus", "bipartition_of", "canonical_form",
     "emit_table", "enumerate_mops", "enumerate_triangulations",
-    "find_minor", "find_rainbow_matching", "graph6_decode", "graph6_encode",
-    "has_minor", "is_factor_critical", "is_outerplanar",
-    "iterate_k_matchings", "lemma_bipartite_check", "matching_number",
-    "seed_incumbent", "tutte_berge_certificate", "verify_certificate",
+    "find_rainbow_matching", "graph6_decode", "graph6_encode",
+    "is_factor_critical", "iterate_k_matchings", "lemma_bipartite_check",
+    "matching_number", "seed_incumbent", "tutte_berge_certificate",
+    "verify_certificate",
 ]

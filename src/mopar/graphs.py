@@ -10,13 +10,9 @@ that list.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterable, Iterator
 
 MAX_VERTICES = 32
-
-# vertex counts up to which the canonical labeling is cheap enough for bulk use
-CANONICAL_SAFE_N = 12
 
 
 class Graph6Error(ValueError):
@@ -33,13 +29,6 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def mask_of(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
 
 
 class Graph:
@@ -105,16 +94,6 @@ class Graph:
         """Subgraph on the same vertex set keeping only the given edges."""
         return Graph.from_edges(self.n, [self.edges[i] for i in edge_indices])
 
-    def induced(self, mask: int) -> tuple[Graph, tuple[int, ...]]:
-        """Induced subgraph on the masked vertices, plus the old labels in order."""
-        keep = tuple(iter_bits(mask))
-        pos = {v: i for i, v in enumerate(keep)}
-        adj = [0] * len(keep)
-        for v in keep:
-            for u in iter_bits(self.adj[v] & mask):
-                adj[pos[v]] |= 1 << pos[u]
-        return Graph(len(keep), adj), keep
-
     def relabel(self, perm: Iterable[int]) -> Graph:
         """New graph where old vertex v becomes perm[v]."""
         perm = tuple(perm)
@@ -132,28 +111,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={list(self.edges)})"
-
-
-def degree_stats(g: Graph) -> tuple[int, int, tuple[int, ...]]:
-    """(min degree, max degree, sorted degree sequence)."""
-    degs = tuple(sorted(g.degree(v) for v in range(g.n)))
-    return degs[0], degs[-1], degs
-
-
-def _as_mask(g: Graph, vertices: int | Iterable[int]) -> int:
-    m = vertices if isinstance(vertices, int) else mask_of(vertices)
-    if m & ~g.vertex_mask:
-        raise ValueError("vertex set references vertices outside the graph")
-    return m
-
-
-def cut_edges(g: Graph, side_a: int | Iterable[int], side_b: int | Iterable[int]) -> int:
-    """Number of edges with one endpoint in each side; the sides must be disjoint."""
-    a = _as_mask(g, side_a)
-    b = _as_mask(g, side_b)
-    if a & b:
-        raise ValueError("cut sides overlap")
-    return sum((g.adj[v] & b).bit_count() for v in iter_bits(a))
 
 
 @dataclass(frozen=True)
@@ -249,7 +206,7 @@ def canonical_form(g: Graph) -> CanonicalForm:
 
     Exhaustive over refinement-compatible labelings, with discovered
     automorphisms used to prune symmetric branches.  Exact at any size;
-    intended for n <= CANONICAL_SAFE_N where it is uniformly fast.
+    intended for n <= 12 where it is uniformly fast.
     """
     n, adj = g.n, g.adj
     if n == 1:
@@ -330,25 +287,6 @@ def canonical_form(g: Graph) -> CanonicalForm:
         perm[v] = new_label
     canon = g.relabel(perm)
     return CanonicalForm(tuple(perm), graph6_encode(canon))
-
-
-def brute_force_isomorphic(a: Graph, b: Graph) -> bool:
-    """Isomorphism by trying every permutation; test oracle for tiny graphs."""
-    if a.n != b.n or a.edge_count != b.edge_count:
-        return False
-    target = b.adj
-    for perm in permutations(range(a.n)):
-        ok = True
-        for v in range(a.n):
-            img = 0
-            for u in iter_bits(a.adj[v]):
-                img |= 1 << perm[u]
-            if img != target[perm[v]]:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,17 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import random
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
-from .graphs import Graph, canonical_form, graph6_decode
+from .graphs import canonical_form, graph6_decode
 from .mops import bipartite_outerplanar_corpus, enumerate_mops
 from .rainbow import verify_certificate
 from .solver import EXACT, ArResult, ar_exact
@@ -137,25 +140,23 @@ def _certified(result: ArResult) -> bool:
     return verify_certificate(g, result.witness, result.k, result.value).ok
 
 
-def _solve_worker(args: tuple[str, int, int | None, float | None]) -> ArResult:
-    graph6, k, max_nodes, max_millis = args
+def _solve(graph6: str, k: int, limits: Limits) -> ArResult:
+    """Solve one class member; with a target, a floor-pruned hunt for it."""
+    target = limits.target_value
     return ar_exact(
-        graph6_decode(graph6), k, max_nodes=max_nodes, max_millis=max_millis
+        graph6_decode(graph6), k,
+        max_nodes=limits.max_nodes, max_millis=limits.max_millis,
+        floor=0 if target is None else target - 1, stop_at=target,
     )
 
 
-def _class_members(n: int) -> list[tuple[str, Graph]]:
-    """(canonical graph6, canonically relabeled graph), sorted by the string.
+def _class_members(n: int) -> list[str]:
+    """Canonical graph6 of every class member, sorted.
 
     Solving the canonical labeling makes witness edge indices, cache keys,
     and per-graph results all refer to one labeling of each class member.
     """
-    members = []
-    for g in enumerate_mops(n):
-        form = canonical_form(g)
-        members.append((form.graph6, g.relabel(form.permutation)))
-    members.sort(key=lambda pair: pair[0])
-    return members
+    return sorted(canonical_form(g).graph6 for g in enumerate_mops(n))
 
 
 def ar_class(
@@ -170,18 +171,24 @@ def ar_class(
     """ar over all maximal outerplanar graphs of order n, for matchings of
     size k.
 
-    Requires 2k <= n so every class member actually contains a k-matching.
-    With a target_value limit the sweep runs sequentially and stops at the
-    first member witnessing the target.  target_value and total_millis
-    need a sequential sweep, so either one with jobs > 1 is a ValueError.
-    A fraction of cache hits is re-solved and compared (raising
-    CacheMismatch on disagreement).
+    Requires 2k <= n so every class member actually contains a k-matching,
+    and jobs >= 1.  Members are taken in canonical order: a cached result
+    as it is, any other solved in this process (jobs=1) or in a pool of
+    `jobs` processes.  A target_value limit makes each solve a floor-pruned
+    hunt and stops solving at the first member witnessing the target;
+    total_millis stops solving once the sweep has run that long.  Both need
+    a sequential sweep, so either one with jobs > 1 is a ValueError.
+    A fraction of the results read from the cache is re-solved and compared
+    (raising CacheMismatch on disagreement); results solved by this call
+    are not.  `mop ar-class --extended` sets the fraction to 0.
     """
     if not 2 * k <= n <= MAX_CLASS_N:
         raise ValueError(
             f"class query needs 2k <= n <= {MAX_CLASS_N}; got n={n}, k={k}"
         )
     limits = limits or Limits()
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1; got jobs={jobs}")
     if jobs > 1 and (
         limits.target_value is not None or limits.total_millis is not None
     ):
@@ -190,66 +197,38 @@ def ar_class(
             f"sequentially; got jobs={jobs}"
         )
     members = _class_members(n)
-    results: dict[str, ArResult] = {}
-
-    todo = [g6 for g6, _ in members if cache is None or cache.get(g6, k) is None]
+    cached: dict[str, ArResult] = {}
     if cache is not None:
-        for g6, _ in members:
-            hit = cache.entries.get((g6, k))
-            if hit is not None:
-                results[g6] = hit
+        cached = {g6: hit for g6 in members if (hit := cache.get(g6, k))}
+    todo = [g6 for g6 in members if g6 not in cached]
+    solve = partial(_solve, k=k, limits=limits)
 
-    graph_of = dict(members)
+    target = limits.target_value
+    deadline = math.inf
+    if limits.total_millis is not None:
+        deadline = time.perf_counter() + limits.total_millis / 1000.0
 
-    if limits.target_value is not None:
-        # sequential hunt: floor-pruned searches, stop at the target
-        floor = limits.target_value - 1
-        for g6, member in members:
-            if g6 in results:
-                if results[g6].value >= limits.target_value:
-                    break
-                continue
-            result = ar_exact(
-                member, k,
-                max_nodes=limits.max_nodes, max_millis=limits.max_millis,
-                floor=floor, stop_at=limits.target_value,
-            )
-            results[g6] = result
-            if cache is not None:
-                cache.put(result)
-            if result.value >= limits.target_value:
-                break
-    elif jobs > 1 and todo:
-        work = [(g6, k, limits.max_nodes, limits.max_millis) for g6 in todo]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for result in pool.map(_solve_worker, work):
-                results[result.graph6] = result
+    ordered: list[ArResult] = []
+    reached = False
+    with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
+        fresh = pool.map(solve, todo) if pool else map(solve, todo)
+        for g6 in members:
+            result = cached.get(g6)
+            if result is None:
+                if reached or time.perf_counter() > deadline:
+                    continue
+                result = next(fresh)
                 if cache is not None:
                     cache.put(result)
-    else:
-        sweep_start = time.perf_counter()
-        for g6 in todo:
-            if (
-                limits.total_millis is not None
-                and (time.perf_counter() - sweep_start) * 1000.0
-                > limits.total_millis
-            ):
-                break
-            result = ar_exact(
-                graph_of[g6], k,
-                max_nodes=limits.max_nodes, max_millis=limits.max_millis,
-            )
-            results[g6] = result
-            if cache is not None:
-                cache.put(result)
+            ordered.append(result)
+            reached = reached or (target is not None and result.value >= target)
 
     if cache is not None and audit_fraction > 0:
-        _audit_cache(cache, members, k, audit_fraction)
+        _audit_cache(cached, len(members), k, audit_fraction)
 
-    ordered = [results[g6] for g6, _ in members if g6 in results]
     value = max(r.value for r in ordered) if ordered else 0
     solved = {r.graph6 for r in ordered if r.mode == EXACT}
-    unsolved = [g6 for g6, _ in members if g6 not in solved]
+    unsolved = [g6 for g6 in members if g6 not in solved]
     argmax = sorted(
         r.graph6 for r in ordered if r.value == value and r.mode == EXACT
     )
@@ -262,20 +241,16 @@ def ar_class(
 
 
 def _audit_cache(
-    cache: ResultCache,
-    members: list[tuple[str, Graph]],
-    k: int,
-    fraction: float,
+    hits: dict[str, ArResult], member_count: int, k: int, fraction: float
 ) -> None:
-    hits = [g6 for g6, _ in members if (g6, k) in cache.entries]
+    """Re-solve a seeded sample of the cache hits, in canonical order."""
     if not hits:
         return
-    rng = random.Random(f"audit:{k}:{len(members)}")
+    rng = random.Random(f"audit:{k}:{member_count}")
     sample_size = max(1, int(len(hits) * fraction))
-    graph_of = dict(members)
-    for g6 in rng.sample(hits, min(sample_size, len(hits))):
-        fresh = ar_exact(graph_of[g6], k)
-        cached = cache.entries[(g6, k)]
+    for g6 in rng.sample(list(hits), min(sample_size, len(hits))):
+        fresh = ar_exact(graph6_decode(g6), k)
+        cached = hits[g6]
         if fresh.value != cached.value:
             raise CacheMismatch(
                 f"cache says ar={cached.value} but recomputation gives "
@@ -342,18 +317,6 @@ def evaluate_bounds(n: int, k: int, value: int, complete: bool) -> BoundCheck:
         value=value, complete=complete,
         lower_verdict=lower_verdict, upper_verdict=upper_verdict,
     )
-
-
-def check_bounds(
-    n: int,
-    k: int,
-    *,
-    limits: Limits | None = None,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
-) -> BoundCheck:
-    result = ar_class(n, k, limits=limits, jobs=jobs, cache=cache)
-    return evaluate_bounds(n, k, result.value, result.complete)
 
 
 # ---------------------------------------------------------------------------

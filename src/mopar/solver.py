@@ -37,6 +37,8 @@ LOWER_BOUND = "LOWER_BOUND"
 
 MAX_K = 8
 BRUTE_FORCE_MAX_EDGES = 10
+# partitions the transposition table keeps, least recently seen evicted first
+TT_CAPACITY = 1 << 17
 
 # deterministic cap on how many violated matchings the greedy seed samples
 # when counting class-pair frequencies
@@ -218,7 +220,6 @@ class _Search:
         max_millis: float | None,
         floor: int,
         stop_at: int | None,
-        tt_capacity: int,
     ):
         self.matchings = matchings
         self.max_nodes = max_nodes
@@ -226,7 +227,6 @@ class _Search:
         self.floor = floor
         self.stop_at = stop_at
         self.tt: OrderedDict[tuple[int, ...], None] = OrderedDict()
-        self.tt_capacity = tt_capacity
         self.nodes = 0
         self.start = time.perf_counter()
         self.best_value = 0
@@ -294,7 +294,7 @@ class _Search:
             tt.move_to_end(key)
             return
         tt[key] = None
-        if len(tt) > self.tt_capacity:
+        if len(tt) > TT_CAPACITY:
             tt.popitem(last=False)
 
         if not violated:
@@ -337,7 +337,6 @@ def ar_exact(
     max_millis: float | None = None,
     floor: int = 0,
     stop_at: int | None = None,
-    tt_capacity: int = 1 << 17,
 ) -> ArResult:
     """Exact ar(G, M_k) with a verifying witness coloring.
 
@@ -361,7 +360,7 @@ def ar_exact(
     seed = seed_incumbent(g, k, _masks=masks)
     if stop_at is not None and seed.num_colors >= stop_at:
         return ArResult(g6, k, seed.num_colors, LOWER_BOUND, seed, 0, _ms(start))
-    search = _Search(matchings, max_nodes, max_millis, floor, stop_at, tt_capacity)
+    search = _Search(matchings, max_nodes, max_millis, floor, stop_at)
     search.best_value = seed.num_colors
     search.best_coloring = seed.colors
     search.start = start

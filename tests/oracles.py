@@ -1,15 +1,18 @@
-"""Independent brute-force oracles the production code is checked against.
+"""Independent oracles and the graph helpers that only tests use.
 
-Everything here favors obviousness over speed: full permutation
+The brute-force oracles favor obviousness over speed: full permutation
 isomorphism, branch-set enumeration for minors by assigning every vertex
 to every part, the Catalan recurrence, and the raw minimum of the
-matching formula over all vertex subsets.
+matching formula over all vertex subsets.  Beside them are degree and cut
+helpers and an exact outerplanarity test through the forbidden minors K_4
+and K_{2,3}, which checks that every enumerated MOP is outerplanar.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
+from typing import Iterable, Iterator
 
 from mopar.graphs import Graph, iter_bits
 from mopar.matchings import components, formula_value
@@ -109,3 +112,218 @@ def random_connected_graph(rng: random.Random, n: int) -> Graph:
 def random_graph(rng: random.Random, n: int, p: float = 0.4) -> Graph:
     edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
     return Graph.from_edges(n, edges)
+
+
+# ---------------------------------------------------------------------------
+# graph helpers
+# ---------------------------------------------------------------------------
+
+def mask_of(vertices: Iterable[int]) -> int:
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
+
+
+def degree_stats(g: Graph) -> tuple[int, int, tuple[int, ...]]:
+    """(min degree, max degree, sorted degree sequence)."""
+    degs = tuple(sorted(g.degree(v) for v in range(g.n)))
+    return degs[0], degs[-1], degs
+
+
+def _as_mask(g: Graph, vertices: int | Iterable[int]) -> int:
+    m = vertices if isinstance(vertices, int) else mask_of(vertices)
+    if m & ~g.vertex_mask:
+        raise ValueError("vertex set references vertices outside the graph")
+    return m
+
+
+def cut_edges(g: Graph, side_a: int | Iterable[int], side_b: int | Iterable[int]) -> int:
+    """Number of edges with one endpoint in each side; the sides must be disjoint."""
+    a = _as_mask(g, side_a)
+    b = _as_mask(g, side_b)
+    if a & b:
+        raise ValueError("cut sides overlap")
+    return sum((g.adj[v] & b).bit_count() for v in iter_bits(a))
+
+
+def brute_force_isomorphic(a: Graph, b: Graph) -> bool:
+    """Isomorphism by trying every permutation; for tiny graphs."""
+    if a.n != b.n or a.edge_count != b.edge_count:
+        return False
+    target = b.adj
+    for perm in permutations(range(a.n)):
+        ok = True
+        for v in range(a.n):
+            img = 0
+            for u in iter_bits(a.adj[v]):
+                img |= 1 << perm[u]
+            if img != target[perm[v]]:
+                ok = False
+                break
+        if ok:
+            return True
+    return False
+
+
+# ---------------------------------------------------------------------------
+# minors
+# ---------------------------------------------------------------------------
+#
+# Both forbidden patterns have maximum degree 3, so a minor is present  iff a
+# subdivision is: K_{2,3} reduces to two vertices joined by three internally
+# disjoint paths of length >= 2, and K_4 to four branch vertices joined by six
+# internally disjoint paths.  Witnesses are reassembled into disjoint
+# connected branch sets (vertex bitmasks).
+
+K4 = "K4"
+K23 = "K2,3"
+
+
+def _three_disjoint_paths(g: Graph, s: int, t: int) -> list[list[int]] | None:
+    # unit vertex capacities via standard vertex splitting; the direct edge
+    # s-t is ignored so every returned path has length >= 2
+    n = g.n
+    cap: dict[tuple[int, int], int] = {}
+
+    def nodes_out(v: int) -> int:
+        return 2 * v + 1
+
+    def nodes_in(v: int) -> int:
+        return 2 * v
+
+    for v in range(n):
+        cap[(nodes_in(v), nodes_out(v))] = 1 if v not in (s, t) else 3
+    for u, v in g.edges:
+        if {u, v} == {s, t}:
+            continue
+        cap[(nodes_out(u), nodes_in(v))] = 1
+        cap[(nodes_out(v), nodes_in(u))] = 1
+
+    flow: dict[tuple[int, int], int] = {}
+    source, sink = nodes_out(s), nodes_in(t)
+
+    def residual(a: int, b: int) -> int:
+        return cap.get((a, b), 0) - flow.get((a, b), 0) + flow.get((b, a), 0)
+
+    def augment() -> bool:
+        prev = {source: source}
+        queue = [source]
+        while queue:
+            a = queue.pop(0)
+            if a == sink:
+                break
+            for b in range(2 * n):
+                if b not in prev and residual(a, b) > 0:
+                    prev[b] = a
+                    queue.append(b)
+        if sink not in prev:
+            return False
+        b = sink
+        while b != source:
+            a = prev[b]
+            if flow.get((b, a), 0) > 0:
+                flow[(b, a)] -= 1
+            else:
+                flow[(a, b)] = flow.get((a, b), 0) + 1
+            b = a
+        return True
+
+    found = 0
+    while found < 3 and augment():
+        found += 1
+    if found < 3:
+        return None
+
+    # decompose the flow into three vertex-disjoint paths
+    paths = []
+    succ: dict[int, list[int]] = {}
+    for (a, b), f in flow.items():
+        if f > 0:
+            succ.setdefault(a, []).append(b)
+    for _ in range(3):
+        path = [s]
+        node = source
+        while node != sink:
+            node = succ[node].pop()
+            if node % 2 == 0 and node != sink:
+                path.append(node // 2)
+        path.append(t)
+        paths.append(path)
+    return paths
+
+
+def _find_k23(g: Graph) -> list[int] | None:
+    for s, t in combinations(range(g.n), 2):
+        paths = _three_disjoint_paths(g, s, t)
+        if paths is not None:
+            interiors = [sum(1 << v for v in p[1:-1]) for p in paths]
+            return [1 << s, 1 << t] + interiors
+    return None
+
+
+def _enumerate_paths(g: Graph, s: int, t: int, banned: int) -> Iterator[int]:
+    """Masks of simple s-t paths whose interior avoids `banned`."""
+    t_bit = 1 << t
+
+    def walk(v: int, used: int) -> Iterator[int]:
+        if g.adj[v] >> t & 1:
+            yield used | t_bit
+        for u in iter_bits(g.adj[v] & ~banned & ~used & ~t_bit):
+            yield from walk(u, used | 1 << u)
+
+    yield from walk(s, 1 << s)
+
+
+def _find_k4(g: Graph) -> list[int] | None:
+    n = g.n
+    pair_order = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+    for quad in combinations(range(n), 4):
+        qmask = sum(1 << v for v in quad)
+
+        def connect(idx: int, used: int, interiors: dict[tuple[int, int], int]):
+            if idx == 6:
+                return dict(interiors)
+            a, b = pair_order[idx]
+            s, t = quad[a], quad[b]
+            banned = (qmask & ~(1 << s) & ~(1 << t)) | (used & ~(1 << s) & ~(1 << t))
+            for pmask in _enumerate_paths(g, s, t, banned):
+                interior = pmask & ~(1 << s) & ~(1 << t)
+                interiors[pair_order[idx]] = interior
+                res = connect(idx + 1, used | pmask, interiors)
+                if res is not None:
+                    return res
+                del interiors[pair_order[idx]]
+            return None
+
+        model = connect(0, qmask, {})
+        if model is not None:
+            # fold path interiors into branch sets: each path's interior is
+            # absorbed by its lexicographically first endpoint's branch set
+            sets = [1 << v for v in quad]
+            for (a, _b), interior in model.items():
+                sets[a] |= interior
+            return sets
+    return None
+
+
+def find_minor(g: Graph, pattern: str) -> list[int] | None:
+    """Branch-set witness (disjoint connected vertex masks) or None.
+
+    For K_{2,3} the first two masks are the degree-3 side; for K_4 all four
+    masks are pairwise adjacent.
+    """
+    if pattern == K4:
+        return _find_k4(g)
+    if pattern == K23:
+        return _find_k23(g)
+    raise ValueError(f"unsupported minor pattern {pattern!r}")
+
+
+def has_minor(g: Graph, pattern: str) -> bool:
+    return find_minor(g, pattern) is not None
+
+
+def is_outerplanar(g: Graph) -> bool:
+    """True iff g has neither a K_4 minor nor a K_{2,3} minor."""
+    return not has_minor(g, K4) and not has_minor(g, K23)

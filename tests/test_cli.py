@@ -86,6 +86,18 @@ def test_ar_class_target_rejects_jobs(capsys):
     assert "sequentially" in err and "Traceback" not in err
 
 
+def test_jobs_below_one_is_an_error(capsys, tmp_path):
+    for argv in (
+        ("ar-class", "--n", "8", "--k", "3", "--jobs", "0"),
+        ("table", "--n", "6..6", "--k", "2..2", "--jobs", "0",
+         "--out", str(tmp_path / "t.csv")),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "jobs=0" in err and "Traceback" not in err
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_extended_requires_cache(capsys):
     code, _, err = run(capsys, "ar-class", "--n", "10", "--k", "5", "--extended")
     assert code == 1 and "--cache" in err

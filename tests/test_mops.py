@@ -7,23 +7,28 @@ from mopar.graphs import (
     Graph,
     bipartition_of,
     canonical_form,
-    degree_stats,
     iter_bits,
 )
 from mopar.matchings import components
 from mopar.mops import (
-    K4,
-    K23,
     TRIANGULATION_FORMAT_HEADER,
     Triangulation,
     bipartite_outerplanar_corpus,
     enumerate_mops,
     enumerate_triangulations,
+)
+from oracles import (
+    K4,
+    K4_EDGES,
+    K23,
+    K23_EDGES,
+    branch_set_minor,
+    catalan_recurrence,
+    degree_stats,
     find_minor,
     has_minor,
     is_outerplanar,
 )
-from oracles import K23_EDGES, K4_EDGES, branch_set_minor, catalan_recurrence
 
 GRID23 = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)])
 

@@ -3,6 +3,7 @@ import warnings
 
 import pytest
 
+from mopar import runner
 from mopar.graphs import graph6_decode
 from mopar.rainbow import verify_certificate
 from mopar.runner import (
@@ -14,7 +15,6 @@ from mopar.runner import (
     ResultCache,
     ar_class,
     build_table,
-    check_bounds,
     emit_table,
     evaluate_bounds,
     lemma_bipartite_check,
@@ -48,13 +48,24 @@ def test_class_results_in_canonical_order_and_witnesses_verify():
         assert verify_certificate(g, entry.witness, 3, entry.value).ok
 
 
-def test_parallel_matches_sequential():
-    seq = ar_class(7, 3, jobs=1)
-    par = ar_class(7, 3, jobs=2)
+def _cache_lines(path):
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    for data in lines:
+        del data["elapsed_ms"]
+    return lines
+
+
+def test_parallel_matches_sequential(tmp_path):
+    seq = ar_class(7, 3, jobs=1, cache=ResultCache(tmp_path / "seq.jsonl"))
+    par = ar_class(7, 3, jobs=2, cache=ResultCache(tmp_path / "par.jsonl"))
     assert seq.value == par.value
     assert [r.graph6 for r in seq.results] == [r.graph6 for r in par.results]
     assert [r.value for r in seq.results] == [r.value for r in par.results]
     assert [r.witness for r in seq.results] == [r.witness for r in par.results]
+    assert [r.nodes for r in seq.results] == [r.nodes for r in par.results]
+    assert _cache_lines(tmp_path / "seq.jsonl") == _cache_lines(
+        tmp_path / "par.jsonl"
+    )
 
 
 def test_target_mode_stops_early_with_witness():
@@ -141,6 +152,57 @@ def test_sequential_limits_reject_jobs():
     for limits in (Limits(target_value=14), Limits(total_millis=1000.0)):
         with pytest.raises(ValueError, match="jobs=2"):
             ar_class(10, 5, limits=limits, jobs=2)
+    for jobs in (0, -2):
+        with pytest.raises(ValueError, match=f"jobs={jobs}"):
+            ar_class(10, 5, jobs=jobs)
+
+
+def _count_solves(monkeypatch) -> list:
+    calls = []
+    solve = runner.ar_exact
+
+    def counted(g, k, **kwargs):
+        calls.append(g)
+        return solve(g, k, **kwargs)
+
+    monkeypatch.setattr(runner, "ar_exact", counted)
+    return calls
+
+
+def test_cold_sweep_solves_each_member_once(tmp_path, monkeypatch):
+    calls = _count_solves(monkeypatch)
+    result = ar_class(
+        8, 4, cache=ResultCache(tmp_path / "cache.jsonl"), audit_fraction=1.0
+    )
+    # the audit samples only cache hits, and a cold cache has none
+    assert result.complete and len(calls) == len(result.results)
+
+
+def test_target_stops_at_cached_member_in_order(tmp_path, monkeypatch):
+    path = tmp_path / "cache.jsonl"
+    cold = ar_class(8, 3, cache=ResultCache(path))
+    values = [r.value for r in cold.results]
+    assert set(values[:9]) == {6, 7} and values[9] == 8
+    dropped = {r.graph6 for r in cold.results[:9]} | {cold.results[10].graph6}
+    lines = [
+        line for line in path.read_text().splitlines()
+        if json.loads(line)["graph"] not in dropped
+    ]
+    path.write_text("\n".join(lines) + "\n")
+
+    calls = _count_solves(monkeypatch)
+    hunt = ar_class(
+        8, 3, limits=Limits(target_value=8), cache=ResultCache(path),
+        audit_fraction=0.0,
+    )
+    # members 0-8 are solved, cached member 9 reaches the target, member 10
+    # is left unsolved and the later cached members are still reported
+    assert len(calls) == 9
+    assert hunt.value == 8 and len(hunt.results) == 11
+    assert [r.graph6 for r in hunt.results] == (
+        [r.graph6 for r in cold.results[:10] + cold.results[11:]]
+    )
+    assert hunt.unsolved[-1] == cold.results[10].graph6
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +210,8 @@ def test_sequential_limits_reject_jobs():
 # ---------------------------------------------------------------------------
 
 def test_bound_check_examples():
-    check = check_bounds(7, 3)
+    result = ar_class(7, 3)
+    check = evaluate_bounds(7, 3, result.value, result.complete)
     assert check.value == 7
     assert check.lower == 7 and check.upper == 10
     assert check.lower_verdict == HOLDS and check.upper_verdict == HOLDS

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from mopar import solver
 from mopar.graphs import Graph, graph6_decode
 from mopar.matchings import matching_number
 from mopar.mops import enumerate_mops
@@ -96,11 +97,13 @@ def test_oracle_equivalence_small_corpus():
             assert ar_exact(g, k).value == ar_brute_force(g, k)
 
 
-def test_transposition_table_eviction_keeps_values():
-    for g in enumerate_mops(8):
-        full = ar_exact(g, 4)
-        tiny = ar_exact(g, 4, tt_capacity=1)
-        assert tiny.mode == EXACT and tiny.value == full.value
+def test_transposition_table_eviction_keeps_values(monkeypatch):
+    mops = enumerate_mops(8)
+    values = [ar_exact(g, 4).value for g in mops]
+    monkeypatch.setattr(solver, "TT_CAPACITY", 1)
+    for g, value in zip(mops, values):
+        tiny = ar_exact(g, 4)
+        assert tiny.mode == EXACT and tiny.value == value
         assert verify_certificate(g, tiny.witness, 4, tiny.value).ok
 
 
