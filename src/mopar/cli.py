@@ -19,6 +19,7 @@ from .mops import (
 )
 from .rainbow import certificate_from_json, verify_certificate
 from .runner import (
+    CacheMismatch,
     Limits,
     ResultCache,
     ar_class,
@@ -215,6 +216,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except Graph6Error as exc:
         print(f"graph6 error: {exc}", file=sys.stderr)
+        return FAIL
+    except CacheMismatch as exc:
+        print(f"cache mismatch: {exc}", file=sys.stderr)
         return FAIL
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,9 +4,12 @@ A surjective c-coloring of E(G) without a rainbow k-matching is the same
 thing as a partition of the edge set into c classes in which every
 k-matching has two edges in one class.  The solver starts from the
 all-singleton partition and branches on a violated k-matching (one whose
-edges lie in k distinct classes), merging one of its class pairs per
-child; the class count only decreases, giving the bound.  A transposition
-table on the partition normal form removes merge-order symmetry.
+edges lie in k distinct classes); the class count only decreases, giving
+the bound.  Branching is merge-or-apart: child i merges the i-th class pair
+of the matching that is not yet kept apart, and keeps every earlier pair
+apart, in that child and in all later siblings.  Any coarsening that fixes
+the matching merges some first pair, so the children cover it; they are
+disjoint, so no partition is visited twice.
 
 Search state is Python ints over matching ids (the lexicographic order of
 `iterate_k_matchings`): each class keeps the mask of matchings that touch
@@ -14,6 +17,8 @@ it, and the violated matchings form one mask.  Merging classes a and b
 satisfies exactly `msets[a] & msets[b]`, so the child's violated mask is
 `violated & ~(msets[a] & msets[b])`.  Every node branches on its lowest
 violated id, and the packing bound and the greedy seed read the same masks.
+The apart pairs are one mask per class over class labels, merged like
+`msets`; a pair marked apart is never a child.
 
 An independent oracle enumerates every set partition of the edge list
 (restricted-growth strings with rainbow pruning) for graphs with few
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 import json
 import time
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, islice
 
@@ -37,8 +42,6 @@ LOWER_BOUND = "LOWER_BOUND"
 
 MAX_K = 8
 BRUTE_FORCE_MAX_EDGES = 10
-# partitions the transposition table keeps, least recently seen evicted first
-TT_CAPACITY = 1 << 17
 
 # deterministic cap on how many violated matchings the greedy seed samples
 # when counting class-pair frequencies
@@ -212,6 +215,15 @@ def seed_incumbent(
     return EdgeColoring.from_sequence(cls)
 
 
+def _renamed(cls: list[int], edges: int, a: int) -> list[int]:
+    """A copy of the class labels with every edge in the mask `edges` put
+    in class a."""
+    child = list(cls)
+    for e in iter_bits(edges):
+        child[e] = a
+    return child
+
+
 class _Search:
     def __init__(
         self,
@@ -226,7 +238,6 @@ class _Search:
         self.max_millis = max_millis
         self.floor = floor
         self.stop_at = stop_at
-        self.tt: OrderedDict[tuple[int, ...], None] = OrderedDict()
         self.nodes = 0
         self.start = time.perf_counter()
         self.best_value = 0
@@ -282,21 +293,13 @@ class _Search:
         cls: list[int],
         members: list[int],
         msets: list[int],
+        apart: list[int],
         violated: int,
         count: int,
     ) -> None:
-        # class labels are canonical (each class is named by its least edge),
-        # so cls itself is the transposition-table key
+        # class labels are canonical (each class is named by its least edge);
+        # this node owns `apart` and marks each finished sibling pair in it
         self._tick()
-        key = tuple(cls)
-        tt = self.tt
-        if key in tt:
-            tt.move_to_end(key)
-            return
-        tt[key] = None
-        if len(tt) > TT_CAPACITY:
-            tt.popitem(last=False)
-
         if not violated:
             self._record(cls, count)
             return
@@ -309,24 +312,35 @@ class _Search:
         mid = (violated & -violated).bit_length() - 1
         roots = sorted(cls[e] for e in self.matchings[mid])
         for a, b in combinations(roots, 2):
-            child_violated = violated & ~(msets[a] & msets[b])
-            if child_violated and count - 2 <= max(self.best_value, self.floor):
-                # the child could neither branch nor be a leaf
+            if apart[a] >> b & 1:
                 continue
-            child_cls = list(cls)
-            for e in iter_bits(members[b]):
-                child_cls[e] = a
+            child_violated = violated & ~(msets[a] & msets[b])
             if not child_violated:
                 # feasible one merge away: record without building the child
-                self._record(child_cls, count - 1)
-                continue
-            child_members = list(members)
-            child_members[a] = members[a] | members[b]
-            child_members[b] = 0
-            child_msets = list(msets)
-            child_msets[a] = msets[a] | msets[b]
-            child_msets[b] = 0
-            self.run(child_cls, child_members, child_msets, child_violated, count - 1)
+                if count - 1 > self.best_value:
+                    self._record(_renamed(cls, members[b], a), count - 1)
+            elif count - 2 > max(self.best_value, self.floor):
+                child_members = list(members)
+                child_members[a] = members[a] | members[b]
+                child_members[b] = 0
+                child_msets = list(msets)
+                child_msets[a] = msets[a] | msets[b]
+                child_msets[b] = 0
+                # b's apart partners become a's, and a takes b's row
+                row = apart[b]
+                child_apart = list(apart)
+                child_apart[a] |= row
+                child_apart[b] = 0
+                for x in iter_bits(row):
+                    child_apart[x] = child_apart[x] & ~(1 << b) | 1 << a
+                self.run(
+                    _renamed(cls, members[b], a), child_members, child_msets,
+                    child_apart, child_violated, count - 1,
+                )
+            # later siblings keep this pair apart, whether its child was
+            # searched, recorded as a leaf or cut by the bound
+            apart[a] |= 1 << b
+            apart[b] |= 1 << a
 
 
 def ar_exact(
@@ -371,6 +385,7 @@ def ar_exact(
             list(range(m)),
             [1 << e for e in range(m)],
             touch,
+            [0] * m,
             (1 << len(matchings)) - 1,
             m,
         )

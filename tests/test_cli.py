@@ -72,6 +72,24 @@ def test_ar_class_command(capsys, tmp_path):
     assert full["value"] == 7 and len(full["results"]) == 3
 
 
+def test_ar_class_cache_mismatch_exit_code(capsys, tmp_path):
+    cache = tmp_path / "c.jsonl"
+    code, _, _ = run(capsys, "ar-class", "--n", "6", "--k", "3",
+                     "--cache", str(cache))
+    assert code == 0
+    # a weaker value whose one-class witness still verifies on load, so
+    # only the audit's recomputation can catch it
+    lines = [json.loads(line) for line in cache.read_text().splitlines()]
+    for data in lines:
+        data["value"] = data["witness"]["num_colors"] = 1
+        data["witness"]["colors"] = [0] * len(data["witness"]["colors"])
+    cache.write_text("\n".join(json.dumps(d) for d in lines) + "\n")
+    code, out, err = run(capsys, "ar-class", "--n", "6", "--k", "3",
+                         "--cache", str(cache))
+    assert code == 1 and out == ""
+    assert err.startswith("cache mismatch: ") and "Traceback" not in err
+
+
 def test_ar_class_target(capsys):
     code, out, _ = run(capsys, "ar-class", "--n", "10", "--k", "5",
                        "--target", "14")

@@ -94,17 +94,30 @@ def _oracle_corpus():
 def test_oracle_equivalence_small_corpus():
     for g in _oracle_corpus():
         for k in (2, 3, 4):
-            assert ar_exact(g, k).value == ar_brute_force(g, k)
+            value = ar_brute_force(g, k)
+            assert ar_exact(g, k).value == value
+            # a floor prunes some siblings before they are marked apart
+            below = ar_exact(g, k, floor=value - 1)
+            assert below.value == value and below.mode == EXACT
 
 
-def test_transposition_table_eviction_keeps_values(monkeypatch):
-    mops = enumerate_mops(8)
-    values = [ar_exact(g, 4).value for g in mops]
-    monkeypatch.setattr(solver, "TT_CAPACITY", 1)
-    for g, value in zip(mops, values):
-        tiny = ar_exact(g, 4)
-        assert tiny.mode == EXACT and tiny.value == value
-        assert verify_certificate(g, tiny.witness, 4, tiny.value).ok
+def test_search_never_revisits_a_partition(monkeypatch):
+    run = solver._Search.run
+    keys: list[tuple[int, ...]] = []
+
+    def recording_run(self, cls, *args):
+        keys.append(tuple(cls))
+        return run(self, cls, *args)
+
+    monkeypatch.setattr(solver._Search, "run", recording_run)
+    # (10, 4) is the smallest cell where a lost apart row shows as a revisit
+    for n, k in ((8, 3), (8, 4), (9, 4), (10, 4)):
+        for g in enumerate_mops(n):
+            keys.clear()
+            result = ar_exact(g, k)
+            assert len(set(keys)) == len(keys)
+            assert result.mode == EXACT
+            assert verify_certificate(g, result.witness, k, result.value).ok
 
 
 def test_floor_boundary_every_member_9_4():
