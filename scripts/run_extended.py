@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Resumable order-15 sweep for 5-matchings: the heavy, opt-in computation.
 
-Strategy: first certify the lower direction (some member admitting 19
-colors with no rainbow 5-matching), then grind the full class with a
-per-graph budget, caching every EXACT result so interrupted runs resume
-where they stopped.  Exit code 0 means the class value was computed
+Strategy: first certify the lower direction with a target hunt (some
+member admitting 19 colors with no rainbow 5-matching).  The hunt's search
+on that member is complete, so its exact value is cached and the second
+phase, which grinds the full class with a per-graph budget, takes it from
+the cache.  Every EXACT result is cached, so interrupted runs resume where
+they stopped.  Exit code 0 means the class value was computed
 exactly; 2 means the run is still incomplete (re-run to continue).
 
 Example:

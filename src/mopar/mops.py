@@ -2,8 +2,8 @@
 
 A maximal outerplanar graph (MOP) of order n >= 3 is a triangulation of
 the convex n-gon, so labeled enumeration is the Catalan recursion and
-isomorphism collapses to the dihedral action on diagonal sets (the outer
-Hamiltonian cycle is unique for n >= 4).
+isomorphism collapses to the dihedral action on the polygon (the outer
+Hamiltonian cycle is unique for n >= 4), keyed by quiddity sequences.
 """
 
 from __future__ import annotations
@@ -71,20 +71,20 @@ def enumerate_triangulations(n: int) -> Iterator[Triangulation]:
 
 
 def _dihedral_key(n: int, diagonals: Iterable[tuple[int, int]]) -> tuple:
-    """Least image of the diagonal set under the 2n rotations/reflections."""
-    diag = list(diagonals)
-    best = None
-    for r in range(n):
-        for flip in (False, True):
-            img = []
-            for a, b in diag:
-                x = (n - a + r) % n if flip else (a + r) % n
-                y = (n - b + r) % n if flip else (b + r) % n
-                img.append((x, y) if x < y else (y, x))
-            img = tuple(sorted(img))
-            if best is None or img < best:
-                best = img
-    return best
+    """Least rotation or reversal of the quiddity sequence.
+
+    The quiddity sequence counts the triangles at each polygon vertex (1
+    plus the diagonals ending there) and determines the triangulation
+    (Conway and Coxeter, 1973), so two triangulations share a key exactly
+    when a rotation or reflection of the polygon maps one onto the other.
+    """
+    quiddity = [1] * n
+    for a, b in diagonals:
+        quiddity[a] += 1
+        quiddity[b] += 1
+    forward = quiddity + quiddity
+    backward = forward[::-1]
+    return tuple(min(w[r:r + n] for w in (forward, backward) for r in range(n)))
 
 
 def enumerate_mops(n: int) -> list[Graph]:
@@ -112,8 +112,9 @@ def bipartite_outerplanar_corpus(n_max: int) -> Iterator[Graph]:
 
     Every outerplanar graph of order n is a spanning subgraph of some MOP of
     order n, so the corpus is the bipartite edge subsets of all MOPs,
-    deduplicated by canonical form.  Disconnected graphs and isolated
-    vertices are included.
+    deduplicated by canonical form.  A labeled subgraph that an earlier
+    host or subset already gave is skipped before any of that work.
+    Disconnected graphs and isolated vertices are included.
     """
     if not 2 <= n_max <= MAX_CORPUS_N:
         raise ValueError(f"corpus bound {n_max} outside 2..{MAX_CORPUS_N}")
@@ -123,12 +124,16 @@ def bipartite_outerplanar_corpus(n_max: int) -> Iterator[Graph]:
         else:
             hosts = enumerate_mops(n)
         seen: set[str] = set()
+        labeled: set[tuple[int, ...]] = set()
         for host in hosts:
             m = host.edge_count
             for subset in range(1 << m):
                 sub = host.spanning_subgraph(
                     [i for i in range(m) if subset >> i & 1]
                 )
+                if sub.adj in labeled:
+                    continue
+                labeled.add(sub.adj)
                 if bipartition_of(sub) is None:
                     continue
                 key = canonical_form(sub).graph6

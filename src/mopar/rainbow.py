@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .graphs import Graph, graph6_decode, graph6_encode
 
@@ -157,10 +157,31 @@ def certificate_to_json(g: Graph, k: int, coloring: EdgeColoring) -> dict:
     }
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _field(data: dict, key: str, valid: Callable[[object], bool], what: str):
+    if key not in data:
+        raise ValueError(f"certificate has no {key!r} field")
+    if not valid(data[key]):
+        raise ValueError(f"certificate field {key!r} must be {what}")
+    return data[key]
+
+
 def certificate_from_json(data: dict) -> tuple[Graph, int, EdgeColoring]:
-    g = graph6_decode(data["graph"])
-    coloring = EdgeColoring(tuple(data["colors"]), data["num_colors"])
-    return g, data["k"], coloring
+    """Parse a coloring certificate; a missing or wrongly typed field is a
+    ValueError naming it."""
+    if not isinstance(data, dict):
+        raise ValueError("certificate must be a JSON object")
+    graph = _field(data, "graph", lambda v: isinstance(v, str), "a graph6 string")
+    k = _field(data, "k", _is_int, "an integer")
+    colors = _field(
+        data, "colors", lambda v: isinstance(v, list) and all(map(_is_int, v)),
+        "a list of integers",
+    )
+    num_colors = _field(data, "num_colors", _is_int, "an integer")
+    return graph6_decode(graph), k, EdgeColoring(tuple(colors), num_colors)
 
 
 def dump_certificate(g: Graph, k: int, coloring: EdgeColoring) -> str:

@@ -39,8 +39,10 @@ UNKNOWN = "UNKNOWN"
 class Limits:
     """Per-graph and sweep-level resource limits; None means unlimited.
 
-    target_value stops a sweep as soon as some member witnesses that many
-    colors (the result is then a certified lower bound, complete=False).
+    target_value solves each member only above target_value - 1 and stops
+    the sweep at the first member that reaches the target; that member's
+    search is complete, so it comes back EXACT, and the class value is a
+    certified lower bound (complete=False unless every member was solved).
     total_millis caps the whole sweep's wall time; members not reached stay
     unsolved.  Both make a sweep sequential, so ar_class rejects them with
     jobs > 1.
@@ -141,12 +143,12 @@ def _certified(result: ArResult) -> bool:
 
 
 def _solve(graph6: str, k: int, limits: Limits) -> ArResult:
-    """Solve one class member; with a target, a floor-pruned hunt for it."""
+    """Solve one class member; with a target, only above target - 1."""
     target = limits.target_value
     return ar_exact(
         graph6_decode(graph6), k,
         max_nodes=limits.max_nodes, max_millis=limits.max_millis,
-        floor=0 if target is None else target - 1, stop_at=target,
+        floor=0 if target is None else target - 1,
     )
 
 
@@ -174,13 +176,15 @@ def ar_class(
     Requires 2k <= n so every class member actually contains a k-matching,
     and jobs >= 1.  Members are taken in canonical order: a cached result
     as it is, any other solved in this process (jobs=1) or in a pool of
-    `jobs` processes.  A target_value limit makes each solve a floor-pruned
-    hunt and stops solving at the first member witnessing the target;
-    total_millis stops solving once the sweep has run that long.  Both need
-    a sequential sweep, so either one with jobs > 1 is a ValueError.
-    A fraction of the results read from the cache is re-solved and compared
-    (raising CacheMismatch on disagreement); results solved by this call
-    are not.  `mop ar-class --extended` sets the fraction to 0.
+    `jobs` processes.  A target_value limit makes each solve a complete
+    search above target_value - 1 and stops solving at the first member
+    reaching the target, which is then EXACT and cached; total_millis
+    stops solving once the sweep has run that long.  Both need a
+    sequential sweep, so either one with jobs > 1 is a ValueError.
+    A fraction of the results read from the cache is re-solved above its
+    cached value (raising CacheMismatch if a coloring with more colors
+    exists); results solved by this call are not.  `mop ar-class
+    --extended` sets the fraction to 0.
     """
     if not 2 * k <= n <= MAX_CLASS_N:
         raise ValueError(
@@ -243,18 +247,22 @@ def ar_class(
 def _audit_cache(
     hits: dict[str, ArResult], member_count: int, k: int, fraction: float
 ) -> None:
-    """Re-solve a seeded sample of the cache hits, in canonical order."""
+    """Re-solve a seeded sample of the cache hits above their cached value.
+
+    The witness checked on load proves ar >= the cached value, so the audit
+    re-checks only ar <= it: a search above that floor must find nothing.
+    """
     if not hits:
         return
     rng = random.Random(f"audit:{k}:{member_count}")
     sample_size = max(1, int(len(hits) * fraction))
     for g6 in rng.sample(list(hits), min(sample_size, len(hits))):
-        fresh = ar_exact(graph6_decode(g6), k)
         cached = hits[g6]
-        if fresh.value != cached.value:
+        fresh = ar_exact(graph6_decode(g6), k, floor=cached.value)
+        if fresh.value > cached.value:
             raise CacheMismatch(
-                f"cache says ar={cached.value} but recomputation gives "
-                f"{fresh.value} for {g6!r}, k={k}"
+                f"cache says ar={cached.value} but recomputation finds "
+                f"{fresh.value} colors for {g6!r}, k={k}"
             )
 
 

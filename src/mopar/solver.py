@@ -32,6 +32,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, islice
+from typing import Sequence
 
 from .graphs import Graph, graph6_encode, iter_bits
 from .matchings import iterate_k_matchings, matching_number
@@ -52,10 +53,12 @@ SEED_SAMPLE = 512
 class ArResult:
     """Solver output: the witness always verifies at exactly `value` colors.
 
-    mode EXACT means the value is proved optimal; LOWER_BOUND means a budget
-    (or an explicit stop threshold) ended the search early and `value` is the
-    best witnessed coloring so far.  For k = 1 no rainbow-free coloring
-    exists at all, so value is 0 and the witness is None.
+    mode EXACT means the value is proved optimal; LOWER_BOUND means `value`
+    is the best witnessed coloring but not proved optimal, either because a
+    budget ended the search or because the search proved only that nothing
+    beats the floor, which the witness does not reach.  For k = 1 no
+    rainbow-free coloring exists at all, so value is 0 and the witness is
+    None.
     """
 
     graph6: str
@@ -107,10 +110,6 @@ def _ms(start: float) -> float:
 
 
 class _Budget(Exception):
-    pass
-
-
-class _Stop(Exception):
     pass
 
 
@@ -231,17 +230,17 @@ class _Search:
         max_nodes: int | None,
         max_millis: float | None,
         floor: int,
-        stop_at: int | None,
+        start: float,
+        seed: EdgeColoring,
     ):
         self.matchings = matchings
         self.max_nodes = max_nodes
         self.max_millis = max_millis
         self.floor = floor
-        self.stop_at = stop_at
+        self.start = start
         self.nodes = 0
-        self.start = time.perf_counter()
-        self.best_value = 0
-        self.best_coloring: tuple[int, ...] | None = None
+        self.best_value = seed.num_colors
+        self.best_coloring: Sequence[int] = seed.colors
 
     def elapsed_ms(self) -> float:
         return (time.perf_counter() - self.start) * 1000.0
@@ -256,13 +255,6 @@ class _Search:
             and self.elapsed_ms() > self.max_millis
         ):
             raise _Budget
-
-    def _record(self, cls: list[int], count: int) -> None:
-        if count > self.best_value:
-            self.best_value = count
-            self.best_coloring = tuple(cls)
-            if self.stop_at is not None and count >= self.stop_at:
-                raise _Stop
 
     def _prunable(
         self, cls: list[int], msets: list[int], violated: int, need: int
@@ -300,9 +292,6 @@ class _Search:
         # class labels are canonical (each class is named by its least edge);
         # this node owns `apart` and marks each finished sibling pair in it
         self._tick()
-        if not violated:
-            self._record(cls, count)
-            return
         bound = max(self.best_value, self.floor)
         if count - 1 <= bound:
             return
@@ -318,7 +307,8 @@ class _Search:
             if not child_violated:
                 # feasible one merge away: record without building the child
                 if count - 1 > self.best_value:
-                    self._record(_renamed(cls, members[b], a), count - 1)
+                    self.best_value = count - 1
+                    self.best_coloring = _renamed(cls, members[b], a)
             elif count - 2 > max(self.best_value, self.floor):
                 child_members = list(members)
                 child_members[a] = members[a] | members[b]
@@ -350,15 +340,16 @@ def ar_exact(
     max_nodes: int | None = None,
     max_millis: float | None = None,
     floor: int = 0,
-    stop_at: int | None = None,
 ) -> ArResult:
     """Exact ar(G, M_k) with a verifying witness coloring.
 
-    `floor` prunes the search below a known lower bound: the result is only
-    EXACT if a witness at or above the floor was found (otherwise the best
-    witnessed coloring is returned as LOWER_BOUND).  `stop_at` ends the
-    search as soon as a coloring with that many classes is witnessed.
-    Budgets degrade the mode to LOWER_BOUND, never to a wrong answer.
+    Every call is a complete search above `floor`: it finds a coloring with
+    more than `floor` colors whenever one exists, and the best of them is
+    the value.  When none exists the seed's coloring is returned, EXACT if
+    it reaches the floor and LOWER_BOUND otherwise; either way ar(G, M_k)
+    is then proved to be at most `floor`.  Only a budget (`max_nodes`,
+    `max_millis`) ends the search early, and it degrades the mode to
+    LOWER_BOUND, never to a wrong answer.
     """
     _validate(g, k)
     start = time.perf_counter()
@@ -371,14 +362,10 @@ def ar_exact(
         return ArResult(g6, k, m, EXACT, _all_distinct(m), 0, _ms(start))
 
     matchings, touch = masks = _matching_masks(g, k)
-    seed = seed_incumbent(g, k, _masks=masks)
-    if stop_at is not None and seed.num_colors >= stop_at:
-        return ArResult(g6, k, seed.num_colors, LOWER_BOUND, seed, 0, _ms(start))
-    search = _Search(matchings, max_nodes, max_millis, floor, stop_at)
-    search.best_value = seed.num_colors
-    search.best_coloring = seed.colors
-    search.start = start
-
+    search = _Search(
+        matchings, max_nodes, max_millis, floor, start,
+        seed_incumbent(g, k, _masks=masks),
+    )
     completed = False
     try:
         search.run(
@@ -390,10 +377,9 @@ def ar_exact(
             m,
         )
         completed = True
-    except (_Budget, _Stop):
+    except _Budget:
         pass
 
-    assert search.best_coloring is not None
     witness = EdgeColoring.from_sequence(search.best_coloring)
     exact = completed and search.best_value >= floor
     return ArResult(

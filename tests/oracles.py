@@ -2,8 +2,9 @@
 
 The brute-force oracles favor obviousness over speed: full permutation
 isomorphism, branch-set enumeration for minors by assigning every vertex
-to every part, the Catalan recurrence, and the raw minimum of the
-matching formula over all vertex subsets.  Beside them are degree and cut
+to every part, the Catalan recurrence, the raw minimum of the matching
+formula over all vertex subsets, and the least dihedral image of a
+triangulation's diagonal set.  Beside them are degree and cut
 helpers and an exact outerplanarity test through the forbidden minors K_4
 and K_{2,3}, which checks that every enumerated MOP is outerplanar.
 """
@@ -76,6 +77,24 @@ def branch_set_minor(g: Graph, parts: int, pattern_edges: list[tuple[int, int]])
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 K23_EDGES = [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]
+
+
+def diagonal_dihedral_key(n: int, diagonals: Iterable[tuple[int, int]]) -> tuple:
+    """Least image of a triangulation's diagonal set under the 2n rotations
+    and reflections of the polygon: the reference for the quiddity key."""
+    diag = list(diagonals)
+    best = None
+    for r in range(n):
+        for flip in (False, True):
+            img = []
+            for a, b in diag:
+                x = (n - a + r) % n if flip else (a + r) % n
+                y = (n - b + r) % n if flip else (b + r) % n
+                img.append((x, y) if x < y else (y, x))
+            img = tuple(sorted(img))
+            if best is None or img < best:
+                best = img
+    return best
 
 
 def tutte_berge_minimum(g: Graph) -> int:

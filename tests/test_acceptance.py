@@ -124,6 +124,7 @@ def test_criterion_06_extended_order_fifteen(tmp_path):
 def test_criterion_07_bipartite_edge_bound():
     report = lemma_bipartite_check(8)
     assert report.ok, f"violations: {report.violations}"
+    assert report.checked == 276
     for n in range(2, 9):
         assert report.tight.get(n), f"no tight graph of order {n}"
     # independent spot audit of the minimized side

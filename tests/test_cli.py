@@ -146,6 +146,18 @@ def test_verify_command(capsys, tmp_path):
     assert json.loads(out)["reason"] == "RAINBOW_FOUND"
 
 
+def test_verify_rejects_malformed_certificate(capsys, tmp_path):
+    cert = tmp_path / "cert.json"
+    for data, field in (({}, "'graph'"), (
+        {"graph": "Cr", "k": 2, "colors": 5, "num_colors": 1}, "'colors'"
+    )):
+        cert.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", "--cert", str(cert))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and field in err
+        assert "Traceback" not in err
+
+
 def test_lemma_command(capsys):
     code, out, _ = run(capsys, "lemma-bipartite", "--max-n", "4")
     assert code == 0

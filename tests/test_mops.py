@@ -25,6 +25,7 @@ from oracles import (
     branch_set_minor,
     catalan_recurrence,
     degree_stats,
+    diagonal_dihedral_key,
     find_minor,
     has_minor,
     is_outerplanar,
@@ -73,12 +74,21 @@ def test_mop_isomorphism_class_counts(n, expected):
     assert len(enumerate_mops(n)) == expected
 
 
-@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("n", range(3, 12))
 def test_dihedral_dedup_agrees_with_canonical_form(n):
-    by_canon = {
-        canonical_form(t.graph()).graph6 for t in enumerate_triangulations(n)
-    }
+    triangulations = list(enumerate_triangulations(n))
     mops = enumerate_mops(n)
+    # the quiddity key picks the same representatives, in the same order,
+    # as the least dihedral image of the diagonal set
+    seen = set()
+    reference = []
+    for tri in triangulations:
+        key = diagonal_dihedral_key(n, tri.diagonals)
+        if key not in seen:
+            seen.add(key)
+            reference.append(tri.graph())
+    assert mops == reference
+    by_canon = {canonical_form(t.graph()).graph6 for t in triangulations}
     assert len(by_canon) == len(mops)
     assert {canonical_form(g).graph6 for g in mops} == by_canon
 

@@ -4,7 +4,7 @@ import warnings
 import pytest
 
 from mopar import runner
-from mopar.graphs import graph6_decode
+from mopar.graphs import graph6_decode, graph6_encode
 from mopar.rainbow import verify_certificate
 from mopar.runner import (
     HOLDS,
@@ -21,6 +21,7 @@ from mopar.runner import (
     render_table,
     verify_class_result,
 )
+from mopar.solver import EXACT, ar_exact
 
 
 def test_class_values_small():
@@ -77,6 +78,25 @@ def test_target_mode_stops_early_with_witness():
     assert verify_certificate(g, top.witness, 5, top.value).ok
 
 
+def test_class_values_five_matchings():
+    # complete sweeps, so these are exact class values
+    for n, value in ((10, 15), (11, 16)):
+        result = ar_class(n, 5)
+        assert result.complete and result.value == value
+        assert verify_class_result(result)
+
+
+def test_target_hit_is_exact_and_cached(tmp_path):
+    cache = ResultCache(tmp_path / "cache.jsonl")
+    hunt = ar_class(10, 5, limits=Limits(target_value=14), cache=cache)
+    hit = hunt.results[-1]
+    # the hit member's search above the floor ran to the end, so its value
+    # is exact and the cache keeps it
+    assert hit.value >= 14 and hit.mode == EXACT
+    assert cache.entries[(hit.graph6, 5)] == hit
+    assert hit.value == ar_exact(graph6_decode(hit.graph6), 5).value
+
+
 def test_budget_marks_incomplete():
     result = ar_class(8, 4, limits=Limits(max_nodes=3))
     assert not result.complete
@@ -121,6 +141,24 @@ def test_cache_audit_detects_tampering(tmp_path):
     assert len(tampered.entries) == len(lines)
     with pytest.raises(CacheMismatch):
         ar_class(6, 3, cache=tampered, audit_fraction=1.0)
+
+
+def test_audit_searches_above_each_cached_value(tmp_path, monkeypatch):
+    path = tmp_path / "cache.jsonl"
+    ar_class(8, 4, cache=ResultCache(path))
+    cache = ResultCache(path)
+    floors = []
+    solve = runner.ar_exact
+
+    def recorded(g, k, **kwargs):
+        floors.append((graph6_encode(g), kwargs["floor"]))
+        return solve(g, k, **kwargs)
+
+    monkeypatch.setattr(runner, "ar_exact", recorded)
+    ar_class(8, 4, cache=cache, audit_fraction=1.0)
+    # every member is a cache hit, and each is re-solved above its value
+    assert len(floors) == len(cache.entries)
+    assert all(floor == cache.entries[(g6, 4)].value for g6, floor in floors)
 
 
 def test_cache_skips_lines_whose_witness_fails(tmp_path):

@@ -191,14 +191,6 @@ def test_floor_mode_hunts_witnesses_above_floor():
         assert too_high.mode == LOWER_BOUND
 
 
-def test_stop_at_returns_early_with_witness():
-    g = enumerate_mops(9)[0]
-    result = ar_exact(g, 4, stop_at=5)
-    assert result.value >= 5
-    assert result.mode == LOWER_BOUND
-    assert verify_certificate(g, result.witness, 4, result.value).ok
-
-
 def test_seed_incumbent_contract():
     for n, k in ((6, 3), (8, 4), (10, 5)):
         for g in enumerate_mops(n)[:8]:
