@@ -74,22 +74,16 @@ def _cmd_ar(args: argparse.Namespace) -> int:
 
 def _cmd_ar_class(args: argparse.Namespace) -> int:
     cache = ResultCache(args.cache) if args.cache else None
-    limits = Limits(
-        max_nodes=args.budget_nodes,
-        max_millis=args.budget_ms,
-        target_value=args.target,
-    )
+    limits = Limits(max_nodes=args.budget_nodes, max_millis=args.budget_ms)
     if args.extended:
         if cache is None:
             print("--extended requires --cache for resumability", file=sys.stderr)
             return FAIL
         if limits.max_nodes is None and limits.max_millis is None:
-            limits = Limits(
-                max_nodes=None, max_millis=60_000.0, target_value=args.target
-            )
+            limits = Limits(max_millis=60_000.0)
     result = ar_class(
         args.n, args.k, limits=limits, jobs=args.jobs, cache=cache,
-        audit_fraction=0.0 if args.extended else 0.05,
+        audit_fraction=0.0 if args.extended else 0.05, floor=args.floor,
     )
     summary = {
         "n": result.n,
@@ -177,8 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="heavy-sweep mode: per-graph budget, resumable cache")
     p.add_argument("--budget-ms", type=float, default=None)
     p.add_argument("--budget-nodes", type=int, default=None)
-    p.add_argument("--target", type=int, default=None,
-                   help="stop once some member witnesses this many colors")
+    p.add_argument("--floor", type=int, default=0,
+                   help="search each member only above this many colors; "
+                   "complete only if the class value reaches it")
     p.add_argument("--out", default=None, help="write full per-graph JSON here")
     p.set_defaults(func=_cmd_ar_class)
 

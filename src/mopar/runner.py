@@ -39,18 +39,14 @@ UNKNOWN = "UNKNOWN"
 class Limits:
     """Per-graph and sweep-level resource limits; None means unlimited.
 
-    target_value solves each member only above target_value - 1 and stops
-    the sweep at the first member that reaches the target; that member's
-    search is complete, so it comes back EXACT, and the class value is a
-    certified lower bound (complete=False unless every member was solved).
-    total_millis caps the whole sweep's wall time; members not reached stay
-    unsolved.  Both make a sweep sequential, so ar_class rejects them with
-    jobs > 1.
+    A per-graph budget (max_nodes, max_millis) that ends a search leaves
+    that member's upper bound unknown.  total_millis caps the whole
+    sweep's wall time; members not reached stay unsolved.  It makes a
+    sweep sequential, so ar_class rejects it with jobs > 1.
     """
 
     max_nodes: int | None = None
     max_millis: float | None = None
-    target_value: int | None = None
     total_millis: float | None = None
 
 
@@ -84,11 +80,14 @@ class CacheMismatch(RuntimeError):
 
 
 class ResultCache:
-    """Append-only JSON-lines store of EXACT solver results.
+    """Append-only JSON-lines store of solver results with a proved upper
+    bound.
 
-    Keyed by (canonical graph6, k).  Non-EXACT lines are skipped; corrupt
-    lines, and EXACT lines whose witness does not verify at exactly their
-    value, are skipped with a warning.  Appends are one line per result so
+    Keyed by (canonical graph6, k); of the lines for one key the lowest
+    upper wins, and of those the highest value.  Results a budget ended
+    (upper None) are never written.  Corrupt lines, and lines whose
+    witness does not verify at exactly their value or whose upper is below
+    it, are skipped with a warning.  Appends are one line per result so
     concurrent readers always see whole records.
     """
 
@@ -107,7 +106,9 @@ class ResultCache:
                     continue
                 try:
                     result = ArResult.from_json(json.loads(line))
-                    corrupt = result.mode == EXACT and not _certified(result)
+                    corrupt = result.upper is not None and not (
+                        result.upper >= result.value and _certified(result)
+                    )
                 except (json.JSONDecodeError, KeyError, TypeError, ValueError):
                     corrupt = True
                 if corrupt:
@@ -115,20 +116,30 @@ class ResultCache:
                         f"{self.path}:{lineno}: skipping corrupt cache line"
                     )
                     continue
-                if result.mode != EXACT:
-                    continue
-                self.entries[(result.graph6, result.k)] = result
+                if result.upper is not None:
+                    self._keep(result)
 
-    def get(self, graph6: str, k: int) -> ArResult | None:
+    def _keep(self, result: ArResult) -> None:
+        key = (result.graph6, result.k)
+        held = self.entries.get(key)
+        if held is None or (
+            (result.upper, -result.value) < (held.upper, -held.value)
+        ):
+            self.entries[key] = result
+
+    def get(self, graph6: str, k: int, floor: int = 0) -> ArResult | None:
+        """The cached result for the member if it settles the member above
+        `floor`: it is EXACT, or proves ar <= floor."""
         found = self.entries.get((graph6, k))
-        if found is not None:
-            self.hits += 1
+        if found is None or not (found.mode == EXACT or found.upper <= floor):
+            return None
+        self.hits += 1
         return found
 
     def put(self, result: ArResult) -> None:
-        if result.mode != EXACT:
+        if result.upper is None:
             return
-        self.entries[(result.graph6, result.k)] = result
+        self._keep(result)
         with self.path.open("a") as handle:
             handle.write(result.dumps() + "\n")
 
@@ -142,13 +153,11 @@ def _certified(result: ArResult) -> bool:
     return verify_certificate(g, result.witness, result.k, result.value).ok
 
 
-def _solve(graph6: str, k: int, limits: Limits) -> ArResult:
-    """Solve one class member; with a target, only above target - 1."""
-    target = limits.target_value
+def _solve(graph6: str, k: int, limits: Limits, floor: int) -> ArResult:
     return ar_exact(
         graph6_decode(graph6), k,
         max_nodes=limits.max_nodes, max_millis=limits.max_millis,
-        floor=0 if target is None else target - 1,
+        floor=floor,
     )
 
 
@@ -169,22 +178,25 @@ def ar_class(
     jobs: int = 1,
     cache: ResultCache | None = None,
     audit_fraction: float = 0.05,
+    floor: int = 0,
 ) -> ClassResult:
     """ar over all maximal outerplanar graphs of order n, for matchings of
     size k.
 
     Requires 2k <= n so every class member actually contains a k-matching,
-    and jobs >= 1.  Members are taken in canonical order: a cached result
-    as it is, any other solved in this process (jobs=1) or in a pool of
-    `jobs` processes.  A target_value limit makes each solve a complete
-    search above target_value - 1 and stops solving at the first member
-    reaching the target, which is then EXACT and cached; total_millis
-    stops solving once the sweep has run that long.  Both need a
-    sequential sweep, so either one with jobs > 1 is a ValueError.
-    A fraction of the results read from the cache is re-solved above its
-    cached value (raising CacheMismatch if a coloring with more colors
-    exists); results solved by this call are not.  `mop ar-class
-    --extended` sets the fraction to 0.
+    and jobs >= 1.  Every member is a complete search above `floor`, so it
+    ends EXACT or proved to have ar <= floor, unless a per-graph budget
+    stops it.  Members are taken in canonical order: a cached result that
+    settles the member above `floor` as it is, any other solved in this
+    process (jobs=1) or in a pool of `jobs` processes.  The sweep is
+    complete when every member's upper bound is at most the class value,
+    so a floor at or above the class value leaves it incomplete.
+    total_millis stops solving once the sweep has run that long; it needs
+    a sequential sweep, so with jobs > 1 it is a ValueError.  A fraction
+    of the results read from the cache is re-solved above its cached upper
+    bound (raising CacheMismatch if a coloring with more colors exists);
+    results solved by this call are not.  `mop ar-class --extended` sets
+    the fraction to 0.
     """
     if not 2 * k <= n <= MAX_CLASS_N:
         raise ValueError(
@@ -193,51 +205,45 @@ def ar_class(
     limits = limits or Limits()
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1; got jobs={jobs}")
-    if jobs > 1 and (
-        limits.target_value is not None or limits.total_millis is not None
-    ):
+    if jobs > 1 and limits.total_millis is not None:
         raise ValueError(
-            "a target value or a total time limit runs the sweep "
-            f"sequentially; got jobs={jobs}"
+            f"a total time limit runs the sweep sequentially; got jobs={jobs}"
         )
     members = _class_members(n)
     cached: dict[str, ArResult] = {}
     if cache is not None:
-        cached = {g6: hit for g6 in members if (hit := cache.get(g6, k))}
+        cached = {
+            g6: hit for g6 in members if (hit := cache.get(g6, k, floor))
+        }
     todo = [g6 for g6 in members if g6 not in cached]
-    solve = partial(_solve, k=k, limits=limits)
+    solve = partial(_solve, k=k, limits=limits, floor=floor)
 
-    target = limits.target_value
     deadline = math.inf
     if limits.total_millis is not None:
         deadline = time.perf_counter() + limits.total_millis / 1000.0
 
     ordered: list[ArResult] = []
-    reached = False
     with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
         fresh = pool.map(solve, todo) if pool else map(solve, todo)
         for g6 in members:
             result = cached.get(g6)
             if result is None:
-                if reached or time.perf_counter() > deadline:
+                if time.perf_counter() > deadline:
                     continue
                 result = next(fresh)
                 if cache is not None:
                     cache.put(result)
             ordered.append(result)
-            reached = reached or (target is not None and result.value >= target)
 
     if cache is not None and audit_fraction > 0:
         _audit_cache(cached, len(members), k, audit_fraction)
 
     value = max(r.value for r in ordered) if ordered else 0
-    solved = {r.graph6 for r in ordered if r.mode == EXACT}
-    unsolved = [g6 for g6 in members if g6 not in solved]
-    argmax = sorted(
-        r.graph6 for r in ordered if r.value == value and r.mode == EXACT
-    )
-    if not argmax:
-        argmax = sorted(r.graph6 for r in ordered if r.value == value)
+    settled = {
+        r.graph6 for r in ordered if r.upper is not None and r.upper <= value
+    }
+    unsolved = [g6 for g6 in members if g6 not in settled]
+    argmax = sorted(r.graph6 for r in ordered if r.value == value)
     return ClassResult(
         n=n, k=k, value=value, argmax=argmax, results=ordered,
         complete=not unsolved, unsolved=unsolved,
@@ -247,10 +253,9 @@ def ar_class(
 def _audit_cache(
     hits: dict[str, ArResult], member_count: int, k: int, fraction: float
 ) -> None:
-    """Re-solve a seeded sample of the cache hits above their cached value.
-
-    The witness checked on load proves ar >= the cached value, so the audit
-    re-checks only ar <= it: a search above that floor must find nothing.
+    """Re-solve a seeded sample of the cache hits above their cached upper
+    bound: a search above that floor must find nothing.  The witness
+    checked on load already proves the lower direction.
     """
     if not hits:
         return
@@ -258,10 +263,10 @@ def _audit_cache(
     sample_size = max(1, int(len(hits) * fraction))
     for g6 in rng.sample(list(hits), min(sample_size, len(hits))):
         cached = hits[g6]
-        fresh = ar_exact(graph6_decode(g6), k, floor=cached.value)
-        if fresh.value > cached.value:
+        fresh = ar_exact(graph6_decode(g6), k, floor=cached.upper)
+        if fresh.value > cached.upper:
             raise CacheMismatch(
-                f"cache says ar={cached.value} but recomputation finds "
+                f"cache says ar<={cached.upper} but recomputation finds "
                 f"{fresh.value} colors for {g6!r}, k={k}"
             )
 

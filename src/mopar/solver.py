@@ -51,29 +51,34 @@ SEED_SAMPLE = 512
 
 @dataclass
 class ArResult:
-    """Solver output: the witness always verifies at exactly `value` colors.
+    """Solver output: proved bounds value <= ar(G, M_k) <= upper.
 
-    mode EXACT means the value is proved optimal; LOWER_BOUND means `value`
-    is the best witnessed coloring but not proved optimal, either because a
-    budget ended the search or because the search proved only that nothing
-    beats the floor, which the witness does not reach.  For k = 1 no
-    rainbow-free coloring exists at all, so value is 0 and the witness is
-    None.
+    The witness always verifies at exactly `value` colors.  `upper` is the
+    bound the search proved: the value itself, or the floor a completed
+    search found nothing above, or None when a budget ended the search.
+    `mode` is EXACT when upper == value and LOWER_BOUND otherwise; JSON
+    carries both.  For k = 1 no rainbow-free coloring exists at all, so
+    value is 0 and the witness is None.
     """
 
     graph6: str
     k: int
     value: int
-    mode: str
+    upper: int | None
     witness: EdgeColoring | None
     nodes: int
     elapsed_ms: float
+
+    @property
+    def mode(self) -> str:
+        return EXACT if self.upper == self.value else LOWER_BOUND
 
     def to_json(self) -> dict:
         data = {
             "graph": self.graph6,
             "k": self.k,
             "value": self.value,
+            "upper": self.upper,
             "mode": self.mode,
             "witness": None,
             "nodes": self.nodes,
@@ -90,13 +95,18 @@ class ArResult:
 
     @staticmethod
     def from_json(data: dict) -> ArResult:
+        """Read `to_json` output.  A line without "upper" predates the
+        field; only EXACT results were written then, at upper = value."""
         witness = None
         if data["witness"] is not None:
             witness = EdgeColoring(
                 tuple(data["witness"]["colors"]), data["witness"]["num_colors"]
             )
+        upper = data.get(
+            "upper", data["value"] if data["mode"] == EXACT else None
+        )
         return ArResult(
-            data["graph"], data["k"], data["value"], data["mode"],
+            data["graph"], data["k"], data["value"], upper,
             witness, data["nodes"], data["elapsed_ms"],
         )
 
@@ -345,11 +355,11 @@ def ar_exact(
 
     Every call is a complete search above `floor`: it finds a coloring with
     more than `floor` colors whenever one exists, and the best of them is
-    the value.  When none exists the seed's coloring is returned, EXACT if
-    it reaches the floor and LOWER_BOUND otherwise; either way ar(G, M_k)
-    is then proved to be at most `floor`.  Only a budget (`max_nodes`,
-    `max_millis`) ends the search early, and it degrades the mode to
-    LOWER_BOUND, never to a wrong answer.
+    the value.  When none exists the seed's coloring is returned with
+    upper = floor, which is EXACT only if the seed reaches the floor; so a
+    completed search gives upper = max(value, floor).  Only a budget
+    (`max_nodes`, `max_millis`) ends the search early; it leaves
+    upper = None, never a wrong answer.
     """
     _validate(g, k)
     start = time.perf_counter()
@@ -357,16 +367,16 @@ def ar_exact(
     m = g.edge_count
 
     if k == 1:
-        return ArResult(g6, k, 0, EXACT, None, 0, _ms(start))
+        return ArResult(g6, k, 0, 0, None, 0, _ms(start))
     if matching_number(g) < k:
-        return ArResult(g6, k, m, EXACT, _all_distinct(m), 0, _ms(start))
+        return ArResult(g6, k, m, m, _all_distinct(m), 0, _ms(start))
 
     matchings, touch = masks = _matching_masks(g, k)
     search = _Search(
         matchings, max_nodes, max_millis, floor, start,
         seed_incumbent(g, k, _masks=masks),
     )
-    completed = False
+    upper = None
     try:
         search.run(
             list(range(m)),
@@ -376,13 +386,11 @@ def ar_exact(
             (1 << len(matchings)) - 1,
             m,
         )
-        completed = True
+        upper = max(search.best_value, floor)
     except _Budget:
         pass
 
     witness = EdgeColoring.from_sequence(search.best_coloring)
-    exact = completed and search.best_value >= floor
     return ArResult(
-        g6, k, search.best_value, EXACT if exact else LOWER_BOUND,
-        witness, search.nodes, _ms(start),
+        g6, k, search.best_value, upper, witness, search.nodes, _ms(start),
     )

@@ -81,7 +81,7 @@ def test_ar_class_cache_mismatch_exit_code(capsys, tmp_path):
     # only the audit's recomputation can catch it
     lines = [json.loads(line) for line in cache.read_text().splitlines()]
     for data in lines:
-        data["value"] = data["witness"]["num_colors"] = 1
+        data["value"] = data["upper"] = data["witness"]["num_colors"] = 1
         data["witness"]["colors"] = [0] * len(data["witness"]["colors"])
     cache.write_text("\n".join(json.dumps(d) for d in lines) + "\n")
     code, out, err = run(capsys, "ar-class", "--n", "6", "--k", "3",
@@ -90,18 +90,25 @@ def test_ar_class_cache_mismatch_exit_code(capsys, tmp_path):
     assert err.startswith("cache mismatch: ") and "Traceback" not in err
 
 
-def test_ar_class_target(capsys):
+def test_ar_class_floor(capsys):
     code, out, _ = run(capsys, "ar-class", "--n", "10", "--k", "5",
-                       "--target", "14")
-    assert code == 2  # incomplete by design
-    assert json.loads(out)["value"] >= 14
+                       "--floor", "13")
+    summary = json.loads(out)
+    assert code == 0 and summary["complete"] and summary["value"] == 15
+    # a floor above the class value proves the bound but witnesses nothing
+    # that reaches it, so the sweep is incomplete by design
+    code, out, _ = run(capsys, "ar-class", "--n", "10", "--k", "5",
+                       "--floor", "16")
+    summary = json.loads(out)
+    assert code == 2 and not summary["complete"] and summary["value"] <= 15
 
 
-def test_ar_class_target_rejects_jobs(capsys):
-    code, out, err = run(capsys, "ar-class", "--n", "10", "--k", "5",
-                         "--jobs", "2", "--target", "14")
-    assert code == 1 and out == ""
-    assert "sequentially" in err and "Traceback" not in err
+def test_ar_class_floor_runs_in_pool(capsys):
+    argv = ("ar-class", "--n", "10", "--k", "5", "--floor", "13")
+    code, sequential, _ = run(capsys, *argv)
+    assert code == 0
+    code, pooled, err = run(capsys, *argv, "--jobs", "2")
+    assert code == 0 and err == "" and pooled == sequential
 
 
 def test_jobs_below_one_is_an_error(capsys, tmp_path):

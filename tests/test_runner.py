@@ -56,26 +56,22 @@ def _cache_lines(path):
     return lines
 
 
+def _class_json(result):
+    data = result.to_json()
+    for entry in data["results"]:
+        del entry["elapsed_ms"]
+    return data
+
+
 def test_parallel_matches_sequential(tmp_path):
-    seq = ar_class(7, 3, jobs=1, cache=ResultCache(tmp_path / "seq.jsonl"))
-    par = ar_class(7, 3, jobs=2, cache=ResultCache(tmp_path / "par.jsonl"))
-    assert seq.value == par.value
-    assert [r.graph6 for r in seq.results] == [r.graph6 for r in par.results]
-    assert [r.value for r in seq.results] == [r.value for r in par.results]
-    assert [r.witness for r in seq.results] == [r.witness for r in par.results]
-    assert [r.nodes for r in seq.results] == [r.nodes for r in par.results]
-    assert _cache_lines(tmp_path / "seq.jsonl") == _cache_lines(
-        tmp_path / "par.jsonl"
-    )
-
-
-def test_target_mode_stops_early_with_witness():
-    result = ar_class(10, 5, limits=Limits(target_value=14))
-    assert result.value >= 14
-    assert not result.complete and result.unsolved
-    top = max(result.results, key=lambda r: r.value)
-    g = graph6_decode(top.graph6)
-    assert verify_certificate(g, top.witness, 5, top.value).ok
+    for n, k, floor in ((7, 3, 0), (9, 4, 10)):
+        seq_path = tmp_path / f"seq-{n}-{floor}.jsonl"
+        par_path = tmp_path / f"par-{n}-{floor}.jsonl"
+        seq = ar_class(n, k, jobs=1, cache=ResultCache(seq_path), floor=floor)
+        par = ar_class(n, k, jobs=2, cache=ResultCache(par_path), floor=floor)
+        assert seq.complete
+        assert _class_json(seq) == _class_json(par)
+        assert _cache_lines(seq_path) == _cache_lines(par_path)
 
 
 def test_class_values_five_matchings():
@@ -86,15 +82,27 @@ def test_class_values_five_matchings():
         assert verify_class_result(result)
 
 
-def test_target_hit_is_exact_and_cached(tmp_path):
+def test_floor_sweep_argmax_is_exact_and_cached(tmp_path):
     cache = ResultCache(tmp_path / "cache.jsonl")
-    hunt = ar_class(10, 5, limits=Limits(target_value=14), cache=cache)
-    hit = hunt.results[-1]
-    # the hit member's search above the floor ran to the end, so its value
-    # is exact and the cache keeps it
-    assert hit.value >= 14 and hit.mode == EXACT
-    assert cache.entries[(hit.graph6, 5)] == hit
-    assert hit.value == ar_exact(graph6_decode(hit.graph6), 5).value
+    sweep = ar_class(10, 5, cache=cache, floor=13)
+    assert sweep.complete and sweep.value == 15
+    assert verify_class_result(sweep)
+    # every member's search above the floor ran to the end, so each is
+    # exact or proved to admit at most 13 colors, and the cache keeps both
+    for r in sweep.results:
+        assert r.upper == max(r.value, 13)
+        assert cache.entries[(r.graph6, 5)] == r
+    for g6 in sweep.argmax:
+        hit = cache.entries[(g6, 5)]
+        assert hit.mode == EXACT
+        assert hit.value == ar_exact(graph6_decode(g6), 5).value == 15
+
+
+def test_floor_above_class_value_never_claims_completeness():
+    sweep = ar_class(8, 3, floor=9)
+    assert not sweep.complete and sweep.value == 8
+    assert sweep.unsolved == [r.graph6 for r in sweep.results]
+    assert all(r.upper == 9 for r in sweep.results)
 
 
 def test_budget_marks_incomplete():
@@ -134,7 +142,7 @@ def test_cache_audit_detects_tampering(tmp_path):
     # still verifies, so only the audit's recomputation can catch it
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     for data in lines:
-        data["value"] = data["witness"]["num_colors"] = 1
+        data["value"] = data["upper"] = data["witness"]["num_colors"] = 1
         data["witness"]["colors"] = [0] * len(data["witness"]["colors"])
     path.write_text("\n".join(json.dumps(d) for d in lines) + "\n")
     tampered = ResultCache(path)
@@ -146,6 +154,7 @@ def test_cache_audit_detects_tampering(tmp_path):
 def test_audit_searches_above_each_cached_value(tmp_path, monkeypatch):
     path = tmp_path / "cache.jsonl"
     ar_class(8, 4, cache=ResultCache(path))
+    ar_class(9, 4, cache=ResultCache(path), floor=10)
     cache = ResultCache(path)
     floors = []
     solve = runner.ar_exact
@@ -156,9 +165,14 @@ def test_audit_searches_above_each_cached_value(tmp_path, monkeypatch):
 
     monkeypatch.setattr(runner, "ar_exact", recorded)
     ar_class(8, 4, cache=cache, audit_fraction=1.0)
-    # every member is a cache hit, and each is re-solved above its value
+    ar_class(9, 4, cache=cache, audit_fraction=1.0, floor=10)
+    # every member is a cache hit, and each is re-solved above its upper
+    # bound: its value when EXACT, the sweep's floor otherwise
     assert len(floors) == len(cache.entries)
-    assert all(floor == cache.entries[(g6, 4)].value for g6, floor in floors)
+    assert all(floor == cache.entries[(g6, 4)].upper for g6, floor in floors)
+    assert any(
+        floor > cache.entries[(g6, 4)].value for g6, floor in floors
+    )
 
 
 def test_cache_skips_lines_whose_witness_fails(tmp_path):
@@ -166,18 +180,48 @@ def test_cache_skips_lines_whose_witness_fails(tmp_path):
     first = ar_class(6, 3, cache=ResultCache(path))
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     lines[0]["value"] += 1  # the witness no longer has that many colors
+    lines[1]["upper"] -= 1  # an upper bound below the witnessed value
     path.write_text("\n".join(json.dumps(d) for d in lines) + "\n")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         cache = ResultCache(path)
     assert [str(w.message).endswith("skipping corrupt cache line")
-            for w in caught] == [True]
+            for w in caught] == [True, True]
     assert (lines[0]["graph"], 3) not in cache.entries
-    assert len(cache.entries) == len(lines) - 1
+    assert (lines[1]["graph"], 3) not in cache.entries
+    assert len(cache.entries) == len(lines) - 2
     second = ar_class(6, 3, cache=cache, audit_fraction=0.0)
-    assert cache.hits == len(lines) - 1  # the tampered member is solved again
+    assert cache.hits == len(lines) - 2  # the tampered members are solved again
     assert [r.value for r in second.results] == [r.value for r in first.results]
     assert verify_class_result(second)
+
+
+def test_cache_reads_lines_without_upper(tmp_path):
+    # cache lines written before results carried "upper" were all EXACT
+    path = tmp_path / "cache.jsonl"
+    result = ar_class(6, 3).results[0]
+    data = result.to_json()
+    del data["upper"]
+    path.write_text(json.dumps(data) + "\n")
+    cache = ResultCache(path)
+    assert cache.get(result.graph6, 3) == result and cache.hits == 1
+
+
+def test_cache_prefers_exact_line_in_either_order(tmp_path):
+    g6 = next(
+        g6 for g6 in ar_class(9, 4).argmax
+        if ar_exact(graph6_decode(g6), 4, floor=11).mode != EXACT
+    )
+    g = graph6_decode(g6)
+    exact = ar_exact(g, 4)
+    floor_lines = [ar_exact(g, 4, floor=f) for f in (exact.value, exact.value + 2)]
+    assert all(r.mode != EXACT and r.upper is not None for r in floor_lines)
+    for lines in ([exact, *floor_lines], [*floor_lines, exact]):
+        path = tmp_path / "cache.jsonl"
+        path.write_text("".join(r.dumps() + "\n" for r in lines))
+        cache = ResultCache(path)
+        assert cache.entries[(g6, 4)] == exact
+        assert cache.get(g6, 4) == exact
 
 
 def test_cache_keeps_k1_lines_without_witness(tmp_path):
@@ -187,9 +231,8 @@ def test_cache_keeps_k1_lines_without_witness(tmp_path):
 
 
 def test_sequential_limits_reject_jobs():
-    for limits in (Limits(target_value=14), Limits(total_millis=1000.0)):
-        with pytest.raises(ValueError, match="jobs=2"):
-            ar_class(10, 5, limits=limits, jobs=2)
+    with pytest.raises(ValueError, match="jobs=2"):
+        ar_class(10, 5, limits=Limits(total_millis=1000.0), jobs=2)
     for jobs in (0, -2):
         with pytest.raises(ValueError, match=f"jobs={jobs}"):
             ar_class(10, 5, jobs=jobs)
@@ -216,31 +259,25 @@ def test_cold_sweep_solves_each_member_once(tmp_path, monkeypatch):
     assert result.complete and len(calls) == len(result.results)
 
 
-def test_target_stops_at_cached_member_in_order(tmp_path, monkeypatch):
+def test_floor_cache_serves_floor_reruns(tmp_path, monkeypatch):
     path = tmp_path / "cache.jsonl"
-    cold = ar_class(8, 3, cache=ResultCache(path))
-    values = [r.value for r in cold.results]
-    assert set(values[:9]) == {6, 7} and values[9] == 8
-    dropped = {r.graph6 for r in cold.results[:9]} | {cold.results[10].graph6}
-    lines = [
-        line for line in path.read_text().splitlines()
-        if json.loads(line)["graph"] not in dropped
-    ]
-    path.write_text("\n".join(lines) + "\n")
+    first = ar_class(9, 4, cache=ResultCache(path), floor=10)
+    below = [r.graph6 for r in first.results if r.mode != EXACT]
+    assert below and all(
+        r.upper == 10 for r in first.results if r.mode != EXACT
+    )
 
     calls = _count_solves(monkeypatch)
-    hunt = ar_class(
-        8, 3, limits=Limits(target_value=8), cache=ResultCache(path),
-        audit_fraction=0.0,
-    )
-    # members 0-8 are solved, cached member 9 reaches the target, member 10
-    # is left unsolved and the later cached members are still reported
-    assert len(calls) == 9
-    assert hunt.value == 8 and len(hunt.results) == 11
-    assert [r.graph6 for r in hunt.results] == (
-        [r.graph6 for r in cold.results[:10] + cold.results[11:]]
-    )
-    assert hunt.unsolved[-1] == cold.results[10].graph6
+    again = ar_class(9, 4, cache=ResultCache(path), floor=10, audit_fraction=0.0)
+    assert calls == [] and _class_json(again) == _class_json(first)
+
+    # a floor-0 sweep takes the EXACT lines and re-solves only the members
+    # the floor-10 lines left below their floor
+    full = ar_class(9, 4, cache=ResultCache(path), audit_fraction=0.0)
+    assert [graph6_encode(g) for g in calls] == below
+    assert full.complete and full.value == first.value
+    assert all(r.mode == EXACT for r in full.results)
+    assert _class_json(full) == _class_json(ar_class(9, 4))
 
 
 # ---------------------------------------------------------------------------
