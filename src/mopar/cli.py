@@ -1,7 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 all checks pass, 1 a violation or verification failure was
-found, 2 a resource budget left the computation incomplete.
+found, 2 a resource budget left the computation incomplete.  `ar`,
+`ar-class` and `table` share one rule, `_exit_code`: a failure outranks
+an incomplete result.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .mops import (
 )
 from .rainbow import certificate_from_json, verify_certificate
 from .runner import (
+    VIOLATED,
     CacheMismatch,
     Limits,
     ResultCache,
@@ -26,10 +29,22 @@ from .runner import (
     emit_table,
     evaluate_bounds,
     lemma_bipartite_check,
+    verify_class_result,
 )
 from .solver import EXACT, ar_brute_force, ar_exact
 
 PASS, FAIL, INCOMPLETE = 0, 1, 2
+
+
+def _exit_code(ok: bool, complete: bool) -> int:
+    if not ok:
+        return FAIL
+    return PASS if complete else INCOMPLETE
+
+
+def _violated(bounds: dict) -> bool:
+    """A bound check (or table row) with a VIOLATED verdict."""
+    return VIOLATED in (bounds["lower_verdict"], bounds["upper_verdict"])
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -67,9 +82,12 @@ def _cmd_ar(args: argparse.Namespace) -> int:
     if args.oracle:
         payload["oracle_value"] = ar_brute_force(g, args.k)
     print(json.dumps(payload, sort_keys=True))
-    if args.oracle and payload["oracle_value"] != result.value:
-        return FAIL
-    return PASS if result.mode == EXACT else INCOMPLETE
+    ok = result.witness is None or verify_certificate(
+        g, result.witness, args.k, result.value
+    ).ok
+    if args.oracle:
+        ok = ok and payload["oracle_value"] == result.value
+    return _exit_code(ok, result.mode == EXACT)
 
 
 def _cmd_ar_class(args: argparse.Namespace) -> int:
@@ -90,6 +108,7 @@ def _cmd_ar_class(args: argparse.Namespace) -> int:
         "k": result.k,
         "value": result.value,
         "complete": result.complete,
+        "verified": verify_class_result(result),
         "argmax": result.argmax,
         "unsolved_count": len(result.unsolved),
         "bounds": evaluate_bounds(
@@ -101,18 +120,22 @@ def _cmd_ar_class(args: argparse.Namespace) -> int:
             json.dump(result.to_json(), handle, sort_keys=True, indent=2)
         summary["out"] = args.out
     print(json.dumps(summary, sort_keys=True))
-    return PASS if result.complete else INCOMPLETE
+    return _exit_code(
+        summary["verified"] and not _violated(summary["bounds"]), result.complete
+    )
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
     cache = ResultCache(args.cache) if args.cache else None
     limits = Limits(max_nodes=args.budget_nodes, max_millis=args.budget_ms)
-    path = emit_table(
+    rows = emit_table(
         _parse_range(args.n), _parse_range(args.k),
         args.out, args.format, limits=limits, jobs=args.jobs, cache=cache,
     )
-    print(f"wrote {path}")
-    return PASS
+    print(f"wrote {args.out}")
+    return _exit_code(
+        not any(map(_violated, rows)), all(row["complete"] for row in rows)
+    )
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -34,7 +34,7 @@ def iter_bits(mask: int) -> Iterator[int]:
 class Graph:
     """Immutable simple graph; vertices are 0..n-1."""
 
-    __slots__ = ("n", "adj", "edges", "_edge_index")
+    __slots__ = ("n", "adj", "edges")
 
     def __init__(self, n: int, adj: Iterable[int]):
         adj = tuple(adj)
@@ -57,7 +57,6 @@ class Graph:
         self.edges = tuple(
             (u, v) for u in range(n) for v in iter_bits(adj[u] >> (u + 1) << (u + 1))
         )
-        self._edge_index = {e: i for i, e in enumerate(self.edges)}
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -86,9 +85,8 @@ class Graph:
         return bool(self.adj[u] >> v & 1)
 
     def edge_index(self, u: int, v: int) -> int:
-        if u > v:
-            u, v = v, u
-        return self._edge_index[(u, v)]
+        """Position of edge uv in `edges`; ValueError if it is not an edge."""
+        return self.edges.index((min(u, v), max(u, v)))
 
     def spanning_subgraph(self, edge_indices: Iterable[int]) -> Graph:
         """Subgraph on the same vertex set keeping only the given edges."""

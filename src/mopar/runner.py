@@ -71,9 +71,6 @@ class ClassResult:
             "results": [r.to_json() for r in self.results],
         }
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
 
 class CacheMismatch(RuntimeError):
     """A cached value disagreed with a fresh recomputation."""
@@ -279,9 +276,12 @@ def _audit_cache(
 class BoundCheck:
     """Computed class value against the known general bounds.
 
-    lower = n + 2k - 6 applies whenever 2k <= n; upper = n + 4k - 9 applies
-    only for n >= 3k - 3 and is flagged VACUOUS when the trivial edge-count
-    cap 2n - 3 already implies it.
+    lower = n + 2k - 6 applies whenever 2k <= n.  upper = n + 4k - 9 applies
+    only for n >= 3k - 3, except that the paper's second theorem,
+    ar(O_n, M_5) = n + 4 for n >= 15, sharpens it to n + 4 there.  upper
+    is flagged VACUOUS when the trivial edge-count cap 2n - 3 already
+    implies it.  At k = 5 the lower bound is n + 4 too, so a complete sweep of an
+    order past 14 whose value is not n + 4 violates one of the two.
     """
 
     n: int
@@ -307,7 +307,7 @@ class BoundCheck:
 
 def evaluate_bounds(n: int, k: int, value: int, complete: bool) -> BoundCheck:
     lower = n + 2 * k - 6
-    upper = n + 4 * k - 9
+    upper = n + 4 if k == 5 and n >= 15 else n + 4 * k - 9
     cap = 2 * n - 3
     if k < 3:
         # the general lower bound is not claimed for 2-matchings, where the
@@ -439,7 +439,8 @@ def emit_table(
     limits: Limits | None = None,
     jobs: int = 1,
     cache: ResultCache | None = None,
-) -> Path:
+) -> list[dict]:
+    """Build the table, write it to out_path and return its rows."""
     out_path = Path(out_path)
     rows = build_table(n_range, k_range, limits=limits, jobs=jobs, cache=cache)
     text = render_table(rows, fmt)
@@ -447,7 +448,7 @@ def emit_table(
         out_path.write_text(text)
     except OSError as exc:
         raise OSError(f"cannot write table to {out_path}: {exc}") from exc
-    return out_path
+    return rows
 
 
 def verify_class_result(result: ClassResult) -> bool:

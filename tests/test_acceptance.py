@@ -92,8 +92,8 @@ def test_criterion_05_size_five_lower_bounds():
 
 @pytest.mark.extended
 def test_criterion_06_extended_order_fifteen(tmp_path):
-    # the exact class value needs a multi-hour sweep (use
-    # scripts/run_extended.py with a persistent cache for that); this
+    # the exact class value needs a multi-hour sweep (use `mop ar-class
+    # --n 15 --k 5 --floor 18 --extended --jobs N --cache <file>`); this
     # opt-in test runs the same floor-18 sweep inside an explicit wall
     # budget: the first member in canonical order reaches 19, which
     # certifies the lower direction, and whatever the budget leaves

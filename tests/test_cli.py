@@ -1,10 +1,18 @@
+import dataclasses
 import json
+import re
+import shlex
+from pathlib import Path
 
-from mopar.cli import main
+from mopar import cli
+from mopar.cli import build_parser, main
 from mopar.graphs import graph6_decode, graph6_encode
 from mopar.mops import enumerate_mops
 from mopar.rainbow import EdgeColoring, dump_certificate
+from mopar.runner import ClassResult, ar_class
 from mopar.solver import ar_exact
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -55,6 +63,21 @@ def test_ar_budget_exit_code(capsys):
     assert json.loads(out)["mode"] == "LOWER_BOUND"
 
 
+def _rainbow(result):
+    """The result with a witness in which every edge has its own color."""
+    m = len(result.witness.colors)
+    return dataclasses.replace(
+        result, value=m, upper=m, witness=EdgeColoring(tuple(range(m)), m)
+    )
+
+
+def test_ar_witness_failure_exit_code(capsys, monkeypatch):
+    g6 = graph6_encode(enumerate_mops(6)[0])
+    monkeypatch.setattr(cli, "ar_exact", lambda g, k, **kw: _rainbow(ar_exact(g, k)))
+    code, out, _ = run(capsys, "ar", "--graph", g6, "--k", "3")
+    assert code == 1 and json.loads(out)["mode"] == "EXACT"
+
+
 def test_ar_bad_graph6(capsys):
     code, _, err = run(capsys, "ar", "--graph", "~~~", "--k", "2")
     assert code == 1 and "graph6" in err
@@ -90,11 +113,37 @@ def test_ar_class_cache_mismatch_exit_code(capsys, tmp_path):
     assert err.startswith("cache mismatch: ") and "Traceback" not in err
 
 
+def test_ar_class_bound_violation_exit_code(capsys, monkeypatch):
+    # no witness to check, and a complete value above the order-15 bound n + 4
+    monkeypatch.setattr(
+        cli, "ar_class",
+        lambda n, k, **kw: ClassResult(n, k, n + 5, [], [], True, []),
+    )
+    code, out, _ = run(capsys, "ar-class", "--n", "15", "--k", "5")
+    summary = json.loads(out)
+    assert code == 1 and summary["verified"] and summary["complete"]
+    assert summary["bounds"]["upper_verdict"] == "VIOLATED"
+
+
+def test_ar_class_witness_failure_exit_code(capsys, monkeypatch):
+    def tampered(n, k, **kw):
+        result = ar_class(n, k, **kw)
+        result.results[-1] = _rainbow(result.results[-1])
+        return result
+
+    monkeypatch.setattr(cli, "ar_class", tampered)
+    code, out, _ = run(capsys, "ar-class", "--n", "6", "--k", "3")
+    summary = json.loads(out)
+    assert code == 1 and not summary["verified"] and summary["complete"]
+    assert "VIOLATED" not in summary["bounds"].values()
+
+
 def test_ar_class_floor(capsys):
     code, out, _ = run(capsys, "ar-class", "--n", "10", "--k", "5",
                        "--floor", "13")
     summary = json.loads(out)
     assert code == 0 and summary["complete"] and summary["value"] == 15
+    assert summary["verified"]
     # a floor above the class value proves the bound but witnesses nothing
     # that reaches it, so the sweep is incomplete by design
     code, out, _ = run(capsys, "ar-class", "--n", "10", "--k", "5",
@@ -136,6 +185,52 @@ def test_table_command(capsys, tmp_path):
     lines = out_path.read_text().splitlines()
     assert lines[0].startswith("n,k,")
     assert len(lines) == 4  # header + n in {4,5,6}
+
+
+def test_table_budget_exit_code(capsys, tmp_path):
+    out_path = tmp_path / "t.csv"
+    code, out, _ = run(capsys, "table", "--n", "8..8", "--k", "4..4",
+                       "--budget-nodes", "3", "--out", str(out_path))
+    assert code == 2 and "wrote" in out
+    header, row = out_path.read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["complete"] == "False"
+
+
+def test_table_bound_violation_exit_code(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(
+        cli, "emit_table",
+        lambda *a, **kw: [{"complete": True, "lower_verdict": "HOLDS",
+                           "upper_verdict": "VIOLATED"}],
+    )
+    code, _, _ = run(capsys, "table", "--n", "15..15", "--k", "5..5",
+                     "--out", str(tmp_path / "t.csv"))
+    assert code == 1
+
+
+def _readme_commands():
+    """Every `mop` command in the README's fenced blocks, continuations
+    joined and comments dropped, as an argument list."""
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(),
+                        re.MULTILINE | re.DOTALL)
+    text = "\n".join(blocks).replace("\\\n", " ")
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in text.splitlines()
+        if line.strip().startswith("mop ")
+    ]
+
+
+def test_readme_commands_parse():
+    parser = build_parser()
+    commands = _readme_commands()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            raise AssertionError(f"README: mop {shlex.join(argv)} does not parse")
+    # every subcommand is shown at least once
+    subcommands = parser._subparsers._group_actions[0].choices
+    assert {argv[0] for argv in commands} == set(subcommands)
 
 
 def test_verify_command(capsys, tmp_path):

@@ -9,7 +9,9 @@ from mopar.rainbow import verify_certificate
 from mopar.runner import (
     HOLDS,
     NOT_APPLICABLE,
+    UNKNOWN,
     VACUOUS,
+    VIOLATED,
     CacheMismatch,
     Limits,
     ResultCache,
@@ -301,6 +303,32 @@ def test_bound_check_examples():
 
     # the general lower bound is not a claim about 2-matchings
     assert evaluate_bounds(8, 2, 1, True).lower_verdict == NOT_APPLICABLE
+
+
+def test_five_matchings_past_order_fourteen_are_exactly_n_plus_four():
+    # ar(O_n, M_5) = n + 4 for n >= 15 replaces n + 4k - 9 = n + 11 there
+    exact = evaluate_bounds(15, 5, 19, True)
+    assert exact.lower == exact.upper == 19 and exact.trivial_cap == 27
+    assert exact.lower_verdict == exact.upper_verdict == HOLDS
+
+    above = evaluate_bounds(15, 5, 20, False)
+    assert above.upper_verdict == VIOLATED  # a verified witness is enough
+    below = evaluate_bounds(15, 5, 18, True)
+    assert below.lower_verdict == VIOLATED and below.upper_verdict == HOLDS
+    assert evaluate_bounds(15, 5, 18, False).lower_verdict == UNKNOWN
+    assert evaluate_bounds(15, 5, 19, False).upper_verdict == UNKNOWN
+
+    sixteen = evaluate_bounds(16, 5, 20, True)
+    assert sixteen.lower == sixteen.upper == 20
+    assert sixteen.upper_verdict == HOLDS
+    assert evaluate_bounds(16, 5, 21, True).upper_verdict == VIOLATED
+
+    # below order 15 the general bound stays, vacuous against 2n - 3
+    fourteen = evaluate_bounds(14, 5, 18, True)
+    assert fourteen.upper == 25 and fourteen.upper_verdict == VACUOUS
+    # other matching sizes keep n + 4k - 9
+    assert evaluate_bounds(15, 4, 17, True).upper == 22
+    assert evaluate_bounds(18, 6, 24, True).upper == 33
 
 
 def test_computed_cells_respect_bounds():
