@@ -452,5 +452,14 @@ def emit_table(
 
 
 def verify_class_result(result: ClassResult) -> bool:
-    """Re-check every witness in a class result without trusting the solver."""
-    return all(_certified(entry) for entry in result.results)
+    """Re-check every witness in a class result without trusting the
+    solver, and that the class value and argmax are what the members
+    attain: the value is their maximum (0 with no members), and every
+    argmax entry names a member at that value."""
+    attained = max((r.value for r in result.results), default=0)
+    at_value = {r.graph6 for r in result.results if r.value == result.value}
+    return (
+        result.value == attained
+        and all(g6 in at_value for g6 in result.argmax)
+        and all(_certified(entry) for entry in result.results)
+    )

@@ -11,14 +11,27 @@ apart, in that child and in all later siblings.  Any coarsening that fixes
 the matching merges some first pair, so the children cover it; they are
 disjoint, so no partition is visited twice.
 
+The bound is exact over class transversals.  Let a coarsening of a node's
+partition have c classes and no rainbow k-matching, and pick one
+representative class inside each of its blocks.  Every violated matching
+has two of its classes merged, at most one of them a representative, so
+the count - c other classes meet every violated matching: c <= count - tau
+for the fewest classes tau that do.  A node is cut once tau shows it
+cannot beat the incumbent, decided by a small hitting-set search that
+branches like the partition search (disjoint subtrees, each earlier class
+banned in later siblings) and prunes by a greedy packing of matchings with
+disjoint class sets.  At the root tau is the k-matching transversal
+number, so the first cut is ar(G, M_k) <= ex(G, M_k) = m - tau.  Nodes of
+both searches count against the budget.
+
 Search state is Python ints over matching ids (the lexicographic order of
 `iterate_k_matchings`): each class keeps the mask of matchings that touch
 it, and the violated matchings form one mask.  Merging classes a and b
 satisfies exactly `msets[a] & msets[b]`, so the child's violated mask is
 `violated & ~(msets[a] & msets[b])`.  Every node branches on its lowest
-violated id, and the packing bound and the greedy seed read the same masks.
-The apart pairs are one mask per class over class labels, merged like
-`msets`; a pair marked apart is never a child.
+violated id, and the transversal bound and the greedy seed read the same
+masks.  The apart pairs are one mask per class over class labels, merged
+like `msets`; a pair marked apart is never a child.
 
 An independent oracle enumerates every set partition of the edge list
 (restricted-growth strings with rainbow pruning) for graphs with few
@@ -269,25 +282,53 @@ class _Search:
     def _prunable(
         self, cls: list[int], msets: list[int], violated: int, need: int
     ) -> bool:
-        """True when at least `need` more merges are provably required.
+        """True when no `need - 1` classes meet every violated matching,
+        which proves that every feasible coarsening has at most
+        count - need classes.
 
-        Greedy packing of violated matchings with pairwise disjoint class
-        sets, in ascending id order: a partition block resolving t of them
-        holds >= 2t classes and so spends >= t merges, hence any feasible
-        coarsening loses at least one class per packed matching.  A matching
-        meets class c iff its id is in msets[c], so dropping the masks of a
-        packed matching's classes leaves exactly the candidates disjoint
-        from it.
+        Pick one representative class inside each of a coarsening's c
+        blocks: a violated matching has two of its classes in one block,
+        at most one of them a representative, so the count - c others meet
+        every violated matching, and c <= count - tau for the fewest such
+        classes tau.  At the root tau is the k-matching transversal number,
+        so the cut there is ar(G, M_k) <= ex(G, M_k) = m - tau.
         """
+        return not self._meets(cls, msets, violated, need - 1, 0)
+
+    def _meets(
+        self, cls: list[int], msets: list[int], unmet: int, budget: int,
+        banned: int,
+    ) -> bool:
+        """True when at most `budget` classes outside the mask `banned`
+        meet every matching in `unmet`.
+
+        Branches on the classes of the lowest unmet matching, banning each
+        in the later siblings, so subtrees are disjoint.  The bound is a
+        greedy packing of unmet matchings with pairwise disjoint class
+        sets, in ascending id order: each needs a class of its own.  A
+        matching meets class c iff its id is in msets[c], so dropping the
+        masks of a packed matching's classes leaves exactly the candidates
+        disjoint from it.
+        """
+        self._tick()
+        if not unmet:
+            return True
         matchings = self.matchings
         packed = 0
-        cand = violated
+        cand = unmet
         while cand:
             packed += 1
-            if packed >= need:
-                return True
+            if packed > budget:
+                return False
             for e in matchings[(cand & -cand).bit_length() - 1]:
                 cand &= ~msets[cls[e]]
+        for e in matchings[(unmet & -unmet).bit_length() - 1]:
+            c = cls[e]
+            if banned >> c & 1:
+                continue
+            if self._meets(cls, msets, unmet & ~msets[c], budget - 1, banned):
+                return True
+            banned |= 1 << c
         return False
 
     def run(

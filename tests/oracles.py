@@ -3,10 +3,12 @@
 The brute-force oracles favor obviousness over speed: full permutation
 isomorphism, branch-set enumeration for minors by assigning every vertex
 to every part, the Catalan recurrence, the raw minimum of the matching
-formula over all vertex subsets, and the least dihedral image of a
-triangulation's diagonal set.  Beside them are degree and cut
-helpers and an exact outerplanarity test through the forbidden minors K_4
-and K_{2,3}, which checks that every enumerated MOP is outerplanar.
+formula over all vertex subsets, the least dihedral image of a
+triangulation's diagonal set, and the fewest partition classes meeting a
+set of matchings by trying every set of classes.  Beside them are degree
+and cut helpers and an exact outerplanarity test through the forbidden
+minors K_4 and K_{2,3}, which checks that every enumerated MOP is
+outerplanar.
 """
 
 from __future__ import annotations
@@ -100,6 +102,21 @@ def diagonal_dihedral_key(n: int, diagonals: Iterable[tuple[int, int]]) -> tuple
 def tutte_berge_minimum(g: Graph) -> int:
     """min over every T of (n - o(G-T) + |T|) / 2, by full subset scan."""
     return min(formula_value(g, t)[1] for t in range(1 << g.n))
+
+
+def min_class_transversal(
+    cls: list[int], matchings: Iterable[Iterable[int]]
+) -> int:
+    """Fewest classes that meet every matching, where cls[e] is the class of
+    edge e: every set of classes, smallest first."""
+    hit_sets = [mask_of(cls[e] for e in matching) for matching in matchings]
+    classes = sorted(set(cls))
+    for size in range(len(classes) + 1):
+        for chosen in combinations(classes, size):
+            mask = mask_of(chosen)
+            if all(h & mask for h in hit_sets):
+                return size
+    raise ValueError("a matching has no edge")
 
 
 def greedy_maximal_matching_lower_bound(g: Graph) -> int:

@@ -10,9 +10,11 @@ from mopar.graphs import graph6_decode, graph6_encode
 from mopar.mops import enumerate_mops
 from mopar.rainbow import EdgeColoring, dump_certificate
 from mopar.runner import ClassResult, ar_class
-from mopar.solver import ar_exact
+from mopar.solver import ArResult, ar_exact, seed_incumbent
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+# the first order-15 member of the benchmark hunt (sample seed 1)
+HUNT_MEMBER = "N?AA??o`P@?PQ`BSaLw"
 
 
 def run(capsys, *argv):
@@ -114,14 +116,32 @@ def test_ar_class_cache_mismatch_exit_code(capsys, tmp_path):
 
 
 def test_ar_class_bound_violation_exit_code(capsys, monkeypatch):
-    # no witness to check, and a complete value above the order-15 bound n + 4
+    # one order-15 member whose greedy witness verifies at 16 colors, passed
+    # off as a complete sweep: below the lower bound n + 2k - 6 = 19
+    g6 = HUNT_MEMBER
+    seed = seed_incumbent(graph6_decode(g6), 5)
+    member = ArResult(g6, 5, seed.num_colors, seed.num_colors, seed, 0, 0.0)
+    monkeypatch.setattr(
+        cli, "ar_class",
+        lambda n, k, **kw: ClassResult(
+            n, k, member.value, [g6], [member], True, []),
+    )
+    code, out, _ = run(capsys, "ar-class", "--n", "15", "--k", "5")
+    summary = json.loads(out)
+    assert code == 1 and summary["verified"] and summary["complete"]
+    assert summary["value"] == 16
+    assert summary["bounds"]["lower_verdict"] == "VIOLATED"
+
+
+def test_ar_class_unattained_value_exit_code(capsys, monkeypatch):
+    # a complete value that no member attains is not verified
     monkeypatch.setattr(
         cli, "ar_class",
         lambda n, k, **kw: ClassResult(n, k, n + 5, [], [], True, []),
     )
     code, out, _ = run(capsys, "ar-class", "--n", "15", "--k", "5")
     summary = json.loads(out)
-    assert code == 1 and summary["verified"] and summary["complete"]
+    assert code == 1 and not summary["verified"] and summary["complete"]
     assert summary["bounds"]["upper_verdict"] == "VIOLATED"
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -13,6 +14,7 @@ from mopar.runner import (
     VACUOUS,
     VIOLATED,
     CacheMismatch,
+    ClassResult,
     Limits,
     ResultCache,
     ar_class,
@@ -39,6 +41,20 @@ def test_class_refuses_small_n():
         ar_class(5, 3)  # n < 2k
     with pytest.raises(ValueError):
         ar_class(17, 2)
+
+
+def test_verify_class_result_checks_value_and_argmax():
+    result = ar_class(6, 3)
+    assert verify_class_result(result)
+    # a value no member attains, above or below the members' maximum
+    for value in (result.value + 1, result.value - 1):
+        assert not verify_class_result(dataclasses.replace(result, value=value))
+    # an argmax entry that names a member below the value, or no member
+    below = next(r.graph6 for r in result.results if r.value < result.value)
+    for argmax in ([below], result.argmax + ["EEjw"]):
+        assert not verify_class_result(dataclasses.replace(result, argmax=argmax))
+    assert not verify_class_result(ClassResult(15, 5, 20, [], [], True, []))
+    assert verify_class_result(ClassResult(15, 5, 0, [], [], False, []))
 
 
 def test_class_results_in_canonical_order_and_witnesses_verify():

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from mopar import solver
-from mopar.graphs import Graph, graph6_decode
-from mopar.matchings import matching_number
+from mopar.graphs import Graph, graph6_decode, graph6_encode
+from mopar.matchings import iterate_k_matchings, matching_number
 from mopar.mops import enumerate_mops
 from mopar.rainbow import verify_certificate
 from mopar.solver import (
@@ -15,9 +15,11 @@ from mopar.solver import (
     ar_exact,
     seed_incumbent,
 )
+from oracles import min_class_transversal
 
 K3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
 P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+HUNT_MEMBER = "N?AA??o`P@?PQ`BSaLw"
 
 
 def test_unique_mop4_value_three():
@@ -118,6 +120,75 @@ def test_search_never_revisits_a_partition(monkeypatch):
             assert len(set(keys)) == len(keys)
             assert result.mode == EXACT
             assert verify_certificate(g, result.witness, k, result.value).ok
+
+
+def _random_partition(rng, m, merges):
+    # canonical labels: each class is named by its least edge
+    cls = list(range(m))
+    for _ in range(merges):
+        a, b = sorted(rng.sample(sorted(set(cls)), 2))
+        cls = [a if c == b else c for c in cls]
+    return cls
+
+
+def test_prunable_is_the_exact_class_transversal_bound():
+    rng = random.Random(9)
+    for n, k in ((8, 3), (9, 4)):
+        for g in enumerate_mops(n):
+            m = g.edge_count
+            matchings, touch = solver._matching_masks(g, k)
+            search = solver._Search(
+                matchings, None, None, 0, 0.0, solver._all_distinct(m)
+            )
+            for _ in range(3):
+                cls = _random_partition(rng, m, rng.randrange(m - 1))
+                msets = [0] * m
+                for e in range(m):
+                    msets[cls[e]] |= touch[e]
+                violated = [
+                    mid for mid, matching in enumerate(matchings)
+                    if len({cls[e] for e in matching}) == k
+                ]
+                tau = min_class_transversal(
+                    cls, [matchings[mid] for mid in violated]
+                )
+                mask = sum(1 << mid for mid in violated)
+                for need in range(1, len(set(cls)) + 2):
+                    assert search._prunable(cls, msets, mask, need) == (
+                        tau >= need
+                    ), (graph6_encode(g), cls, need)
+
+
+def test_brute_force_never_exceeds_edges_less_transversal():
+    # ar(G, M_k) <= ex(G, M_k) = m - tau, tau the k-matching transversal
+    for g in _oracle_corpus():
+        m = g.edge_count
+        for k in (2, 3, 4):
+            matchings = list(iterate_k_matchings(g, k))
+            tau = min_class_transversal(list(range(m)), matchings)
+            assert ar_brute_force(g, k) <= m - tau
+
+
+def test_transversal_bound_settles_hunt_member_at_root(monkeypatch):
+    # the first member of the benchmark hunt (sample seed 1): the root's
+    # transversal search proves ar <= 19, so the partition search stops there
+    g = graph6_decode(HUNT_MEMBER)
+    run = solver._Search.run
+    calls = []
+
+    def counting_run(self, *args):
+        calls.append(None)
+        return run(self, *args)
+
+    monkeypatch.setattr(solver._Search, "run", counting_run)
+    result = ar_exact(g, 5, floor=19)
+    assert len(calls) == 1
+    assert (result.value, result.upper) == (16, 19)
+    assert verify_certificate(g, result.witness, 5, 16).ok
+    # a budget that runs out inside the transversal search claims nothing
+    cut = ar_exact(g, 5, floor=19, max_nodes=50)
+    assert cut.upper is None and cut.value == 16
+    assert verify_certificate(g, cut.witness, 5, 16).ok
 
 
 def test_floor_boundary_every_member_9_4():
