@@ -30,8 +30,10 @@ it, and the violated matchings form one mask.  Merging classes a and b
 satisfies exactly `msets[a] & msets[b]`, so the child's violated mask is
 `violated & ~(msets[a] & msets[b])`.  Every node branches on its lowest
 violated id, and the transversal bound and the greedy seed read the same
-masks.  The apart pairs are one mask per class over class labels, merged
-like `msets`; a pair marked apart is never a child.
+masks: the seed counts the sampled violated matchings that hold both
+classes a and b as `(sample & msets[a] & msets[b]).bit_count()`.  The
+apart pairs are one mask per class over class labels, merged like
+`msets`; a pair marked apart is never a child.
 
 An independent oracle enumerates every set partition of the edge list
 (restricted-growth strings with rainbow pruning) for graphs with few
@@ -42,13 +44,13 @@ from __future__ import annotations
 
 import json
 import time
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, islice
 from typing import Sequence
 
 from .graphs import Graph, graph6_encode, iter_bits
-from .matchings import iterate_k_matchings, matching_number
+# not called here; the benchmark tracer patches solver.matching_number by name
+from .matchings import iterate_k_matchings, matching_number  # noqa: F401
 from .rainbow import EdgeColoring
 
 EXACT = "EXACT"
@@ -206,7 +208,13 @@ def seed_incumbent(
     _masks: tuple[list[tuple[int, ...]], list[int]] | None = None,
 ) -> EdgeColoring:
     """Greedy rainbow-free coloring: repeatedly merge the class pair occurring
-    in the most violated k-matchings (sampled deterministically).
+    in the most violated k-matchings, ties to the least pair.
+
+    The sample is the lowest SEED_SAMPLE violated ids.  A matching id is in
+    msets[c] exactly when the matching has an edge in class c, so pair
+    (a, b) occurs in `(sample & msets[a] & msets[b]).bit_count()` sampled
+    matchings; a class whose own count cannot beat the best pair so far
+    is skipped.
 
     `_masks` is `_matching_masks(g, k)` when ar_exact has built it already,
     so a solve enumerates the k-matchings once.
@@ -220,15 +228,25 @@ def seed_incumbent(
         return _all_distinct(m)
     cls = list(range(m))
     msets = list(msets)
+    live = list(range(m))
     violated = (1 << len(matchings)) - 1
 
     while violated:
-        freq: Counter[tuple[int, int]] = Counter()
-        for mid in islice(iter_bits(violated), SEED_SAMPLE):
-            roots = sorted({cls[e] for e in matchings[mid]})
-            for pair in combinations(roots, 2):
-                freq[pair] += 1
-        (a, b), _ = min(freq.items(), key=lambda item: (-item[1], item[0]))
+        sample = violated
+        if violated.bit_count() > SEED_SAMPLE:
+            last = next(islice(iter_bits(violated), SEED_SAMPLE - 1, None))
+            sample &= (2 << last) - 1
+        best = 0
+        for i, a in enumerate(live):
+            sa = sample & msets[a]
+            if sa.bit_count() <= best:
+                continue
+            for b in live[i + 1:]:
+                count = (sa & msets[b]).bit_count()
+                if count > best:
+                    best, pair = count, (a, b)
+        a, b = pair
+        live.remove(b)
         violated &= ~(msets[a] & msets[b])
         msets[a] |= msets[b]
         for e in range(m):
@@ -409,10 +427,10 @@ def ar_exact(
 
     if k == 1:
         return ArResult(g6, k, 0, 0, None, 0, _ms(start))
-    if matching_number(g) < k:
+    matchings, touch = masks = _matching_masks(g, k)
+    if not matchings:
         return ArResult(g6, k, m, m, _all_distinct(m), 0, _ms(start))
 
-    matchings, touch = masks = _matching_masks(g, k)
     search = _Search(
         matchings, max_nodes, max_millis, floor, start,
         seed_incumbent(g, k, _masks=masks),

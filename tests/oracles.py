@@ -5,20 +5,23 @@ isomorphism, branch-set enumeration for minors by assigning every vertex
 to every part, the Catalan recurrence, the raw minimum of the matching
 formula over all vertex subsets, the least dihedral image of a
 triangulation's diagonal set, and the fewest partition classes meeting a
-set of matchings by trying every set of classes.  Beside them are degree
-and cut helpers and an exact outerplanarity test through the forbidden
-minors K_4 and K_{2,3}, which checks that every enumerated MOP is
-outerplanar.
+set of matchings by trying every set of classes.  The greedy seed has a
+counting twin that recounts every class pair with a Counter after each
+merge.  Beside them are degree and cut helpers and an exact
+outerplanarity test through the forbidden minors K_4 and K_{2,3}, which
+checks that every enumerated MOP is outerplanar.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import combinations, permutations
+from collections import Counter
+from itertools import combinations, islice, permutations
 from typing import Iterable, Iterator
 
 from mopar.graphs import Graph, iter_bits
-from mopar.matchings import components, formula_value
+from mopar.matchings import components, formula_value, iterate_k_matchings
+from mopar.rainbow import EdgeColoring
 
 
 def catalan_recurrence(m: int) -> int:
@@ -117,6 +120,36 @@ def min_class_transversal(
             if all(h & mask for h in hit_sets):
                 return size
     raise ValueError("a matching has no edge")
+
+
+def counting_seed(g: Graph, k: int) -> EdgeColoring:
+    """The greedy seed by explicit pair counting: after every merge, count
+    each class pair over the lowest 512 violated k-matchings with a
+    Counter, and merge the most frequent pair, ties to the least."""
+    m = g.edge_count
+    matchings = list(iterate_k_matchings(g, k))
+    if not matchings:
+        return EdgeColoring(tuple(range(m)), m)
+    msets = [0] * m
+    for mid, matching in enumerate(matchings):
+        for e in matching:
+            msets[e] |= 1 << mid
+    cls = list(range(m))
+    violated = (1 << len(matchings)) - 1
+
+    while violated:
+        freq: Counter[tuple[int, int]] = Counter()
+        for mid in islice(iter_bits(violated), 512):
+            roots = sorted({cls[e] for e in matchings[mid]})
+            for pair in combinations(roots, 2):
+                freq[pair] += 1
+        (a, b), _ = min(freq.items(), key=lambda item: (-item[1], item[0]))
+        violated &= ~(msets[a] & msets[b])
+        msets[a] |= msets[b]
+        for e in range(m):
+            if cls[e] == b:
+                cls[e] = a
+    return EdgeColoring.from_sequence(cls)
 
 
 def greedy_maximal_matching_lower_bound(g: Graph) -> int:

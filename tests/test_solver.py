@@ -15,7 +15,7 @@ from mopar.solver import (
     ar_exact,
     seed_incumbent,
 )
-from oracles import min_class_transversal
+from oracles import counting_seed, min_class_transversal
 
 K3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
 P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -274,6 +274,30 @@ def test_seed_never_beats_exact():
     for g in enumerate_mops(8)[:6]:
         seed = seed_incumbent(g, 4)
         assert seed.num_colors <= ar_exact(g, 4).value
+
+
+# order-15 members: the benchmark hunt's two (sample seed 1) and eight
+# more (sample seed 3); seven of them tell a seed without the 512 cap
+# from one with it, which no smaller member here does
+ORDER_15_MEMBERS = (
+    HUNT_MEMBER, "N??cA?CE?COTOQCSdfw", "N?`@?_??KP?g?dX`bNo",
+    "N?`?O?cC`@?HasPJAIw", "N?IA?O@??G_QdAOhFNw", "N?AA??o`PPGWCIAb_iw",
+    "N?`@?aG@_P?@PD?ZEYw", "N??C@OEOA?aAKP_i@nw", "N?HC?O?_gG?DTA?|FHw",
+    "N?AA??g`P@A@CP@shTw",
+)
+
+
+def test_seed_equals_counting_oracle():
+    # the popcount seed merges the same pairs as recounting with a Counter
+    cases = [
+        (g, k)
+        for n, ks in ((8, (2, 3, 4)), (9, (3, 4)), (10, (3, 4, 5)), (11, (5,)))
+        for g in enumerate_mops(n)
+        for k in ks
+    ]
+    cases += [(graph6_decode(s), 5) for s in ORDER_15_MEMBERS]
+    for g, k in cases:
+        assert seed_incumbent(g, k) == counting_seed(g, k)
 
 
 def test_result_json_round_trip():
