@@ -24,7 +24,7 @@ from pathlib import Path
 from .graphs import canonical_form, graph6_decode
 from .mops import bipartite_outerplanar_corpus, enumerate_mops
 from .rainbow import verify_certificate
-from .solver import EXACT, ArResult, ar_exact
+from .solver import EXACT, ArResult, ar_exact, check_budgets
 
 MAX_CLASS_N = 16
 
@@ -42,12 +42,19 @@ class Limits:
     A per-graph budget (max_nodes, max_millis) that ends a search leaves
     that member's upper bound unknown.  total_millis caps the whole
     sweep's wall time; members not reached stay unsolved.  It makes a
-    sweep sequential, so ar_class rejects it with jobs > 1.
+    sweep sequential, so ar_class rejects it with jobs > 1.  A negative
+    limit is a ValueError.
     """
 
     max_nodes: int | None = None
     max_millis: float | None = None
     total_millis: float | None = None
+
+    def __post_init__(self) -> None:
+        check_budgets(
+            max_nodes=self.max_nodes, max_millis=self.max_millis,
+            total_millis=self.total_millis,
+        )
 
 
 @dataclass

@@ -19,10 +19,12 @@ the count - c other classes meet every violated matching: c <= count - tau
 for the fewest classes tau that do.  A node is cut once tau shows it
 cannot beat the incumbent, decided by a small hitting-set search that
 branches like the partition search (disjoint subtrees, each earlier class
-banned in later siblings) and prunes by a greedy packing of matchings with
-disjoint class sets.  At the root tau is the k-matching transversal
-number, so the first cut is ar(G, M_k) <= ex(G, M_k) = m - tau.  Nodes of
-both searches count against the budget.
+banned in later siblings) and prunes by a greedy packing of matchings
+whose unbanned classes are disjoint; only those classes may be chosen, so
+a packed matching with every class banned ends its hitting-set node at
+once.  At the root nothing is banned and tau is the k-matching
+transversal number, so the first cut is ar(G, M_k) <= ex(G, M_k) = m -
+tau.  Nodes of both searches count against the budget.
 
 Search state is Python ints over matching ids (the lexicographic order of
 `iterate_k_matchings`): each class keeps the mask of matchings that touch
@@ -45,7 +47,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations
 from typing import Sequence
 
 from .graphs import Graph, graph6_encode, iter_bits
@@ -145,6 +147,13 @@ def _validate(g: Graph, k: int) -> None:
         raise ValueError("graph has no edges")
 
 
+def check_budgets(**budgets: float | None) -> None:
+    """Raise ValueError for a negative budget; None means unlimited."""
+    for name, budget in budgets.items():
+        if budget is not None and budget < 0:
+            raise ValueError(f"{name} must not be negative; got {budget}")
+
+
 def _all_distinct(m: int) -> EdgeColoring:
     return EdgeColoring(tuple(range(m)), m)
 
@@ -201,6 +210,22 @@ def _matching_masks(g: Graph, k: int) -> tuple[list[tuple[int, ...]], list[int]]
     return matchings, touch
 
 
+def _lowest_bits(mask: int, count: int) -> int:
+    """The lowest `count` set bits of mask (all of them if it has fewer):
+    its shortest prefix holding that many, found by bisection on the
+    prefix length."""
+    if mask.bit_count() <= count:
+        return mask
+    lo, hi = count, mask.bit_length()
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (mask & ((1 << mid) - 1)).bit_count() < count:
+            lo = mid + 1
+        else:
+            hi = mid
+    return mask & ((1 << lo) - 1)
+
+
 def seed_incumbent(
     g: Graph,
     k: int,
@@ -232,10 +257,7 @@ def seed_incumbent(
     violated = (1 << len(matchings)) - 1
 
     while violated:
-        sample = violated
-        if violated.bit_count() > SEED_SAMPLE:
-            last = next(islice(iter_bits(violated), SEED_SAMPLE - 1, None))
-            sample &= (2 << last) - 1
+        sample = _lowest_bits(violated, SEED_SAMPLE)
         best = 0
         for i, a in enumerate(live):
             sa = sample & msets[a]
@@ -322,11 +344,13 @@ class _Search:
 
         Branches on the classes of the lowest unmet matching, banning each
         in the later siblings, so subtrees are disjoint.  The bound is a
-        greedy packing of unmet matchings with pairwise disjoint class
-        sets, in ascending id order: each needs a class of its own.  A
-        matching meets class c iff its id is in msets[c], so dropping the
-        masks of a packed matching's classes leaves exactly the candidates
-        disjoint from it.
+        greedy packing of unmet matchings, in ascending id order, whose
+        unbanned class sets are pairwise disjoint: only unbanned classes
+        may be chosen, so each needs a class of its own.  A matching meets
+        class c iff its id is in msets[c], so dropping the masks of a
+        packed matching's unbanned classes leaves exactly the candidates
+        that share none of them.  A packed matching with every class
+        banned can never be met, which ends the node.
         """
         self._tick()
         if not unmet:
@@ -338,8 +362,14 @@ class _Search:
             packed += 1
             if packed > budget:
                 return False
+            before = cand
             for e in matchings[(cand & -cand).bit_length() - 1]:
-                cand &= ~msets[cls[e]]
+                c = cls[e]
+                if not banned >> c & 1:
+                    cand &= ~msets[c]
+            if cand == before:
+                # no unbanned class dropped the matching itself
+                return False
         for e in matchings[(unmet & -unmet).bit_length() - 1]:
             c = cls[e]
             if banned >> c & 1:
@@ -418,9 +448,10 @@ def ar_exact(
     upper = floor, which is EXACT only if the seed reaches the floor; so a
     completed search gives upper = max(value, floor).  Only a budget
     (`max_nodes`, `max_millis`) ends the search early; it leaves
-    upper = None, never a wrong answer.
+    upper = None, never a wrong answer.  A negative budget is a ValueError.
     """
     _validate(g, k)
+    check_budgets(max_nodes=max_nodes, max_millis=max_millis)
     start = time.perf_counter()
     g6 = graph6_encode(g)
     m = g.edge_count

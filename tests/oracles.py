@@ -5,9 +5,9 @@ isomorphism, branch-set enumeration for minors by assigning every vertex
 to every part, the Catalan recurrence, the raw minimum of the matching
 formula over all vertex subsets, the least dihedral image of a
 triangulation's diagonal set, and the fewest partition classes meeting a
-set of matchings by trying every set of classes.  The greedy seed has a
-counting twin that recounts every class pair with a Counter after each
-merge.  Beside them are degree and cut helpers and an exact
+set of matchings by trying every set of unbanned classes.  The greedy seed
+has a counting twin that recounts every class pair with a Counter after
+each merge.  Beside them are degree and cut helpers and an exact
 outerplanarity test through the forbidden minors K_4 and K_{2,3}, which
 checks that every enumerated MOP is outerplanar.
 """
@@ -108,18 +108,20 @@ def tutte_berge_minimum(g: Graph) -> int:
 
 
 def min_class_transversal(
-    cls: list[int], matchings: Iterable[Iterable[int]]
-) -> int:
-    """Fewest classes that meet every matching, where cls[e] is the class of
-    edge e: every set of classes, smallest first."""
+    cls: list[int], matchings: Iterable[Iterable[int]], banned: int = 0
+) -> int | None:
+    """Fewest classes outside the mask `banned` that meet every matching,
+    where cls[e] is the class of edge e: every set of those classes,
+    smallest first.  None when no set does, as when a matching has every
+    class banned."""
     hit_sets = [mask_of(cls[e] for e in matching) for matching in matchings]
-    classes = sorted(set(cls))
+    classes = [c for c in sorted(set(cls)) if not banned >> c & 1]
     for size in range(len(classes) + 1):
         for chosen in combinations(classes, size):
             mask = mask_of(chosen)
             if all(h & mask for h in hit_sets):
                 return size
-    raise ValueError("a matching has no edge")
+    return None
 
 
 def counting_seed(g: Graph, k: int) -> EdgeColoring:

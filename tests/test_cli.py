@@ -192,6 +192,21 @@ def test_jobs_below_one_is_an_error(capsys, tmp_path):
     assert not (tmp_path / "t.csv").exists()
 
 
+def test_negative_budget_is_an_error(capsys, tmp_path):
+    for argv in (
+        ("ar", "--graph", HUNT_MEMBER, "--k", "5", "--budget-ms", "-1"),
+        ("ar", "--graph", HUNT_MEMBER, "--k", "5", "--budget-nodes", "-3"),
+        ("ar-class", "--n", "8", "--k", "3", "--budget-nodes", "-1"),
+        ("ar-class", "--n", "8", "--k", "3", "--budget-ms", "-1"),
+        ("table", "--n", "6..6", "--k", "2..2", "--budget-nodes", "-1",
+         "--out", str(tmp_path / "t.csv")),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "must not be negative" in err
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_extended_requires_cache(capsys):
     code, _, err = run(capsys, "ar-class", "--n", "10", "--k", "5", "--extended")
     assert code == 1 and "--cache" in err

@@ -129,6 +129,12 @@ def test_budget_marks_incomplete():
     assert result.unsolved
 
 
+def test_negative_limits_are_an_error():
+    for limit in ("max_nodes", "max_millis", "total_millis"):
+        with pytest.raises(ValueError, match=limit):
+            Limits(**{limit: -5})
+
+
 # ---------------------------------------------------------------------------
 # cache
 # ---------------------------------------------------------------------------

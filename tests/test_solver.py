@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +9,7 @@ from mopar.graphs import Graph, graph6_decode, graph6_encode
 from mopar.matchings import iterate_k_matchings, matching_number
 from mopar.mops import enumerate_mops
 from mopar.rainbow import verify_certificate
+from mopar.runner import _class_members
 from mopar.solver import (
     EXACT,
     LOWER_BOUND,
@@ -20,6 +23,7 @@ from oracles import counting_seed, min_class_transversal
 K3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
 P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 HUNT_MEMBER = "N?AA??o`P@?PQ`BSaLw"
+MEMBER_VALUES = Path(__file__).resolve().parent / "member_values.json"
 
 
 def test_unique_mop4_value_three():
@@ -133,6 +137,7 @@ def _random_partition(rng, m, merges):
 
 def test_prunable_is_the_exact_class_transversal_bound():
     rng = random.Random(9)
+    unmeetable = 0
     for n, k in ((8, 3), (9, 4)):
         for g in enumerate_mops(n):
             m = g.edge_count
@@ -157,6 +162,24 @@ def test_prunable_is_the_exact_class_transversal_bound():
                     assert search._prunable(cls, msets, mask, need) == (
                         tau >= need
                     ), (graph6_encode(g), cls, need)
+                # _meets under bans: only unbanned classes may meet a
+                # matching, and a matching with every class banned is never met
+                classes = sorted(set(cls))
+                for p in (0.2, 0.5, 0.9):
+                    banned = sum(1 << c for c in classes if rng.random() < p)
+                    if not banned:
+                        continue
+                    least = min_class_transversal(
+                        cls, [matchings[mid] for mid in violated], banned
+                    )
+                    unmeetable += least is None
+                    for budget in range(len(classes) + 1):
+                        assert search._meets(
+                            cls, msets, mask, budget, banned
+                        ) == (least is not None and least <= budget), (
+                            graph6_encode(g), cls, banned, budget
+                        )
+    assert unmeetable
 
 
 def test_brute_force_never_exceeds_edges_less_transversal():
@@ -222,6 +245,19 @@ def test_value_equals_edge_count_iff_no_matching():
             assert (result.value == g.edge_count) == (matching_number(g) < k)
 
 
+def test_every_member_value_matches_fixture():
+    # floor-0 values of every class member, in _class_members order, from
+    # an earlier solver: a cut that lowers any member, not just a class
+    # argmax, shows here
+    pinned = json.loads(MEMBER_VALUES.read_text())
+    assert sum(map(len, pinned.values())) == 443
+    for cell, values in pinned.items():
+        n, k = map(int, cell.split(","))
+        solved = [ar_exact(graph6_decode(g6), k) for g6 in _class_members(n)]
+        assert [r.value for r in solved] == values, cell
+        assert all(r.mode == EXACT for r in solved), cell
+
+
 def test_every_exact_witness_verifies():
     for n, k in ((6, 2), (6, 3), (7, 3), (8, 4)):
         for g in enumerate_mops(n):
@@ -247,6 +283,15 @@ def test_budget_degrades_to_lower_bound():
     assert verify_certificate(g, result.witness, 4, result.value).ok
     full = ar_exact(g, 4)
     assert result.value <= full.value
+
+
+def test_negative_budget_is_an_error():
+    g = enumerate_mops(9)[0]
+    for budget in ({"max_nodes": -1}, {"max_millis": -0.5}):
+        with pytest.raises(ValueError, match="must not be negative"):
+            ar_exact(g, 4, **budget)
+    # a zero budget is honoured: it ends the search at once
+    assert ar_exact(g, 4, max_nodes=0).upper is None
 
 
 def test_floor_mode_hunts_witnesses_above_floor():
