@@ -48,15 +48,16 @@ class Graph:
                 raise ValueError(f"row {v} references vertices >= {n}")
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
+        edges = []
         for v, row in enumerate(adj):
             for u in iter_bits(row):
                 if not adj[u] >> v & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
+                if u > v:
+                    edges.append((v, u))
         self.n = n
         self.adj = adj
-        self.edges = tuple(
-            (u, v) for u in range(n) for v in iter_bits(adj[u] >> (u + 1) << (u + 1))
-        )
+        self.edges = tuple(edges)
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:

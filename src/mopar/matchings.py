@@ -52,20 +52,31 @@ def matching_number(g: Graph, within: int | None = None) -> int:
 
 def iterate_k_matchings(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
     """All matchings of size exactly k as ascending edge-index tuples, in
-    lexicographic order."""
+    lexicographic order.
+
+    A partial matching that still needs `left` edges from edges i.. stops
+    once those edges cover fewer than 2 * left unused vertices (which also
+    stops it when fewer than `left` edges remain); that subtree holds no
+    matching of size k, so nothing yielded changes.
+    """
     if k < 1:
         raise ValueError("matching size must be >= 1")
     edges = g.edges
     m = len(edges)
     vmask = [1 << u | 1 << v for u, v in edges]
+    # free[i]: the vertices covered by edges i..m-1
+    free = [0] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        free[i] = free[i + 1] | vmask[i]
 
     def extend(start: int, used: int, picked: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        depth = len(picked)
-        if depth == k:
+        left = k - len(picked)
+        if left == 0:
             yield picked
             return
-        # not enough edges left to finish
-        for i in range(start, m - (k - depth) + 1):
+        for i in range(start, m):
+            if (free[i] & ~used).bit_count() < 2 * left:
+                return
             if vmask[i] & used:
                 continue
             yield from extend(i + 1, used | vmask[i], picked + (i,))

@@ -3,13 +3,16 @@
 A maximal outerplanar graph (MOP) of order n >= 3 is a triangulation of
 the convex n-gon, so labeled enumeration is the Catalan recursion and
 isomorphism collapses to the dihedral action on the polygon (the outer
-Hamiltonian cycle is unique for n >= 4), keyed by quiddity sequences.
+Hamiltonian cycle is unique for n >= 4).  A triangulation is fixed by its
+quiddity sequence, so the classes are grown directly as sequences by ear
+insertion, one per least rotation or reversal, and only the class
+representatives are built as graphs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .graphs import Graph, canonical_form, bipartition_of
 
@@ -70,37 +73,78 @@ def enumerate_triangulations(n: int) -> Iterator[Triangulation]:
         yield Triangulation(n, tuple(sorted(diag)))
 
 
-def _dihedral_key(n: int, diagonals: Iterable[tuple[int, int]]) -> tuple:
-    """Least rotation or reversal of the quiddity sequence.
+def _dihedral_key(quiddity: bytes) -> bytes:
+    """Least rotation or reversal of a quiddity sequence.
 
-    The quiddity sequence counts the triangles at each polygon vertex (1
-    plus the diagonals ending there) and determines the triangulation
-    (Conway and Coxeter, 1973), so two triangulations share a key exactly
-    when a rotation or reflection of the polygon maps one onto the other.
+    The quiddity sequence counts the triangles at each polygon vertex and
+    determines the triangulation (Conway and Coxeter, 1973), so two
+    triangulations share a key exactly when a rotation or reflection of the
+    polygon maps one onto the other.  The least image starts at a smallest
+    entry, so only those rotations are compared.  Sequences are bytes (no
+    entry exceeds n - 2): smaller than tuples, and freed outright where
+    freed tuples would stay on CPython's tuple free lists.
     """
-    quiddity = [1] * n
-    for a, b in diagonals:
-        quiddity[a] += 1
-        quiddity[b] += 1
+    n = len(quiddity)
+    low = min(quiddity)
     forward = quiddity + quiddity
     backward = forward[::-1]
-    return tuple(min(w[r:r + n] for w in (forward, backward) for r in range(n)))
+    return min(
+        w[r:r + n] for w in (forward, backward) for r in range(n) if w[r] == low
+    )
+
+
+def _polygon_graph(quiddity: bytes) -> Graph:
+    """The triangulation of the polygon 0..n-1 with this quiddity sequence.
+
+    Clipping a vertex of quiddity 1 cuts off an ear: its two neighbours
+    gain a diagonal and lose a triangle each.  The walk around the shrinking
+    polygon steps back after each clip, since the left neighbour may have
+    become an ear, and stops when a triangle is left.
+    """
+    n = len(quiddity)
+    q = list(quiddity)
+    ring = list(range(n))
+    adj = [1 << (v - 1) % n | 1 << (v + 1) % n for v in range(n)]
+    j = 0
+    while len(ring) > 3:
+        if q[ring[j]] == 1:
+            a, b = ring[j - 1], ring[(j + 1) % len(ring)]
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+            q[a] -= 1
+            q[b] -= 1
+            del ring[j]
+            j = (j - 1) % len(ring)
+        else:
+            j = (j + 1) % len(ring)
+    return Graph(n, adj)
 
 
 def enumerate_mops(n: int) -> list[Graph]:
     """One representative per isomorphism class of maximal outerplanar graphs.
 
-    Representatives keep the polygon labeling (vertices 0..n-1 in outer-cycle
-    order), taken from the first triangulation found in each dihedral class.
+    Classes grow by ear insertion from the triangle 1, 1, 1: every
+    triangulation of order n >= 4 has an ear, and cutting it off leaves one
+    of order n - 1, so inserting a 1 between each pair of cyclic neighbours
+    (each gaining a triangle) of every order n - 1 class reaches every order
+    n class.  Each representative is the polygon 0..n-1 labeled by its
+    dihedral key, in ascending key order.
     """
-    seen = set()
-    out = []
-    for tri in enumerate_triangulations(n):
-        key = _dihedral_key(n, tri.diagonals)
-        if key not in seen:
-            seen.add(key)
-            out.append(tri.graph())
-    return out
+    if not 3 <= n <= MAX_ENUM_N:
+        raise ValueError(f"polygon size {n} outside 3..{MAX_ENUM_N}")
+    level = {bytes((1, 1, 1))}
+    for _ in range(n - 3):
+        grown = set()
+        for q in level:
+            for i in range(len(q)):
+                # rotate so the ear goes after the last entry, before the first
+                r = bytearray(q[i + 1:] + q[:i + 1])
+                r[0] += 1
+                r[-1] += 1
+                r.append(1)
+                grown.add(_dihedral_key(bytes(r)))
+        level = grown
+    return [_polygon_graph(q) for q in sorted(level)]
 
 
 # ---------------------------------------------------------------------------

@@ -86,18 +86,34 @@ def iterate_rainbow_matchings(
     """All k-matchings with pairwise distinct colors, lexicographically.
 
     `colors` may be any per-edge label sequence; only equality matters.
-    Color-seen pruning happens during matching extension, not after.
+    Color-seen pruning happens during matching extension, not after.  A
+    partial matching that still needs `left` edges from edges i.. stops
+    once those edges cover fewer than 2 * left unused vertices or carry
+    fewer than `left` unseen colors: that subtree holds no rainbow
+    k-matching, so nothing yielded changes.
     """
     edges = g.edges
     m = len(edges)
     vmask = [1 << u | 1 << v for u, v in edges]
     cbit = [1 << c for c in colors]
+    # free[i], hues[i]: the vertices covered and colors used by edges i..m-1
+    free = [0] * (m + 1)
+    hues = [0] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        free[i] = free[i + 1] | vmask[i]
+        hues[i] = hues[i + 1] | cbit[i]
 
     def extend(start: int, used: int, seen: int, picked: tuple[int, ...]):
-        if len(picked) == k:
+        left = k - len(picked)
+        if left == 0:
             yield picked
             return
-        for i in range(start, m - (k - len(picked)) + 1):
+        for i in range(start, m):
+            if (
+                (free[i] & ~used).bit_count() < 2 * left
+                or (hues[i] & ~seen).bit_count() < left
+            ):
+                return
             if vmask[i] & used or cbit[i] & seen:
                 continue
             yield from extend(i + 1, used | vmask[i], seen | cbit[i], picked + (i,))

@@ -3,8 +3,9 @@
 The brute-force oracles favor obviousness over speed: full permutation
 isomorphism, branch-set enumeration for minors by assigning every vertex
 to every part, the Catalan recurrence, the raw minimum of the matching
-formula over all vertex subsets, the least dihedral image of a
-triangulation's diagonal set, and the fewest partition classes meeting a
+formula over all vertex subsets, every k-subset of edges filtered to the
+(rainbow) matchings, the least dihedral image of a triangulation's
+diagonal set, and the fewest partition classes meeting a
 set of matchings by trying every set of unbanned classes.  The greedy seed
 has a counting twin that recounts every class pair with a Counter after
 each merge.  Beside them are degree and cut helpers and an exact
@@ -17,7 +18,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from itertools import combinations, islice, permutations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from mopar.graphs import Graph, iter_bits
 from mopar.matchings import components, formula_value, iterate_k_matchings
@@ -183,6 +184,37 @@ def random_connected_graph(rng: random.Random, n: int) -> Graph:
 def random_graph(rng: random.Random, n: int, p: float = 0.4) -> Graph:
     edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
     return Graph.from_edges(n, edges)
+
+
+def scattered_graph(rng: random.Random) -> Graph:
+    """Random graph of two or three components plus isolated vertices, with
+    the vertices shuffled so the isolated ones fall anywhere."""
+    edges = []
+    n = 0
+    for _ in range(rng.randint(2, 3)):
+        size = rng.randint(2, 4)
+        block = range(n, n + size)
+        edges += [(u, v) for u, v in combinations(block, 2) if rng.random() < 0.7]
+        n += size
+    n += rng.randint(1, 3)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph.from_edges(n, edges).relabel(perm)
+
+
+def k_matchings_by_filter(
+    g: Graph, k: int, colors: Sequence[int] | None = None
+) -> list[tuple[int, ...]]:
+    """Every k-subset of edge indices, in lexicographic order, whose edges
+    are pairwise disjoint (and, given colors, pairwise distinctly colored)."""
+    out = []
+    for subset in combinations(range(g.edge_count), k):
+        if len({v for e in subset for v in g.edges[e]}) != 2 * k:
+            continue
+        if colors is not None and len({colors[e] for e in subset}) != k:
+            continue
+        out.append(subset)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,7 @@ from pathlib import Path
 
 from mopar import cli
 from mopar.cli import build_parser, main
-from mopar.graphs import graph6_decode, graph6_encode
-from mopar.mops import enumerate_mops
+from mopar.graphs import graph6_decode
 from mopar.rainbow import EdgeColoring, dump_certificate
 from mopar.runner import ClassResult, ar_class
 from mopar.solver import ArResult, ar_exact, seed_incumbent
@@ -15,6 +14,8 @@ from mopar.solver import ArResult, ar_exact, seed_incumbent
 README = Path(__file__).resolve().parent.parent / "README.md"
 # the first order-15 member of the benchmark hunt (sample seed 1)
 HUNT_MEMBER = "N?AA??o`P@?PQ`BSaLw"
+# polygon fans: every diagonal ends at vertex 0
+FAN4, FAN5, FAN6, FAN9 = "C|", "D|c", "E|eG", "H|eKKE@"
 
 
 def run(capsys, *argv):
@@ -48,8 +49,7 @@ def test_enumerate_labeled_format(capsys):
 
 
 def test_ar_command_with_oracle(capsys):
-    g6 = graph6_encode(enumerate_mops(4)[0])
-    code, out, _ = run(capsys, "ar", "--graph", g6, "--k", "2", "--oracle")
+    code, out, _ = run(capsys, "ar", "--graph", FAN4, "--k", "2", "--oracle")
     assert code == 0
     data = json.loads(out)
     assert data["value"] == 3 and data["oracle_value"] == 3
@@ -58,8 +58,7 @@ def test_ar_command_with_oracle(capsys):
 
 
 def test_ar_budget_exit_code(capsys):
-    g6 = graph6_encode(enumerate_mops(9)[0])
-    code, out, _ = run(capsys, "ar", "--graph", g6, "--k", "4",
+    code, out, _ = run(capsys, "ar", "--graph", FAN9, "--k", "4",
                        "--budget-nodes", "4")
     assert code == 2
     assert json.loads(out)["mode"] == "LOWER_BOUND"
@@ -74,9 +73,8 @@ def _rainbow(result):
 
 
 def test_ar_witness_failure_exit_code(capsys, monkeypatch):
-    g6 = graph6_encode(enumerate_mops(6)[0])
     monkeypatch.setattr(cli, "ar_exact", lambda g, k, **kw: _rainbow(ar_exact(g, k)))
-    code, out, _ = run(capsys, "ar", "--graph", g6, "--k", "3")
+    code, out, _ = run(capsys, "ar", "--graph", FAN6, "--k", "3")
     assert code == 1 and json.loads(out)["mode"] == "EXACT"
 
 
@@ -269,7 +267,7 @@ def test_readme_commands_parse():
 
 
 def test_verify_command(capsys, tmp_path):
-    g = enumerate_mops(6)[0]
+    g = graph6_decode(FAN6)
     result = ar_exact(g, 3)
     cert = tmp_path / "cert.json"
     cert.write_text(dump_certificate(g, 3, result.witness))
@@ -303,8 +301,7 @@ def test_lemma_command(capsys):
 
 
 def test_tutte_berge_command(capsys):
-    g6 = graph6_encode(enumerate_mops(5)[0])
-    code, out, _ = run(capsys, "tutte-berge", "--graph", g6)
+    code, out, _ = run(capsys, "tutte-berge", "--graph", FAN5)
     assert code == 0
     data = json.loads(out)
     assert data["value"] == 2  # beta of any MOP on 5 vertices

@@ -16,7 +16,13 @@ from mopar.matchings import (
     tutte_berge_certificate,
 )
 from mopar.mops import enumerate_mops
-from oracles import random_connected_graph, random_graph, tutte_berge_minimum
+from oracles import (
+    k_matchings_by_filter,
+    random_connected_graph,
+    random_graph,
+    scattered_graph,
+    tutte_berge_minimum,
+)
 
 K3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -58,6 +64,17 @@ def test_k_matchings_are_sorted_and_disjoint():
                     u, v = g.edges[e]
                     assert not (used >> u & 1 or used >> v & 1)
                     used |= 1 << u | 1 << v
+
+
+def test_k_matchings_agree_with_combination_filter():
+    # the free-vertex cut drops only subtrees without a k-matching, so the
+    # output must be the plain filter's, in the same order
+    rng = random.Random(41)
+    graphs = [g for n in range(3, 10) for g in enumerate_mops(n)]
+    graphs += [scattered_graph(rng) for _ in range(40)]
+    for g in graphs:
+        for k in range(1, 6):
+            assert list(iterate_k_matchings(g, k)) == k_matchings_by_filter(g, k)
 
 
 def test_iteration_empty_beyond_matching_number():

@@ -1,5 +1,7 @@
+import json
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,7 @@ from mopar.mops import (
     enumerate_mops,
     enumerate_triangulations,
 )
+from mopar.runner import _class_members
 from oracles import (
     K4,
     K4_EDGES,
@@ -31,6 +34,7 @@ from oracles import (
     is_outerplanar,
 )
 
+CLASS_MEMBERS = Path(__file__).resolve().parent / "class_members.json"
 GRID23 = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)])
 
 
@@ -68,29 +72,48 @@ def test_triangulation_text_format():
 
 
 @pytest.mark.parametrize(
-    "n,expected", [(4, 1), (5, 1), (6, 3), (7, 4), (8, 12), (9, 27), (10, 82)]
+    "n,expected",
+    [(3, 1), (4, 1), (5, 1), (6, 3), (7, 4), (8, 12), (9, 27), (10, 82),
+     (11, 228), (12, 733), (13, 2282)],
 )
 def test_mop_isomorphism_class_counts(n, expected):
+    # OEIS A000207: triangulations of the n-gon up to rotation and reflection
     assert len(enumerate_mops(n)) == expected
+
+
+def test_mop_range_checks():
+    with pytest.raises(ValueError):
+        enumerate_mops(2)
+    with pytest.raises(ValueError):
+        enumerate_mops(17)
+
+
+def _diagonals(g):
+    """The edges of a polygon-labeled MOP that are not polygon sides."""
+    return [(a, b) for a, b in g.edges if b - a not in (1, g.n - 1)]
 
 
 @pytest.mark.parametrize("n", range(3, 12))
 def test_dihedral_dedup_agrees_with_canonical_form(n):
     triangulations = list(enumerate_triangulations(n))
     mops = enumerate_mops(n)
-    # the quiddity key picks the same representatives, in the same order,
-    # as the least dihedral image of the diagonal set
-    seen = set()
-    reference = []
-    for tri in triangulations:
-        key = diagonal_dihedral_key(n, tri.diagonals)
-        if key not in seen:
-            seen.add(key)
-            reference.append(tri.graph())
-    assert mops == reference
+    # one representative per dihedral class of labeled triangulations
+    keys = [diagonal_dihedral_key(n, _diagonals(g)) for g in mops]
+    assert len(set(keys)) == len(mops)
+    assert set(keys) == {diagonal_dihedral_key(n, t.diagonals) for t in triangulations}
     by_canon = {canonical_form(t.graph()).graph6 for t in triangulations}
     assert len(by_canon) == len(mops)
     assert {canonical_form(g).graph6 for g in mops} == by_canon
+
+
+def test_class_members_match_fixture():
+    # sorted canonical graph6 of every class member, from the enumeration
+    # of all labeled triangulations: solver inputs, cache keys and
+    # member_values.json all follow this list
+    pinned = json.loads(CLASS_MEMBERS.read_text())
+    assert list(pinned) == [str(n) for n in range(3, 12)]
+    for n, members in pinned.items():
+        assert _class_members(int(n)) == members, n
 
 
 @pytest.mark.parametrize("n", range(3, 10))

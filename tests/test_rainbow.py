@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from mopar.graphs import Graph
+from mopar.graphs import Graph, graph6_decode
 from mopar.matchings import iterate_k_matchings, matching_number
 from mopar.mops import enumerate_mops
 from mopar.rainbow import (
@@ -15,11 +15,16 @@ from mopar.rainbow import (
     certificate_from_json,
     certificate_to_json,
     find_rainbow_matching,
+    iterate_rainbow_matchings,
     verify_certificate,
 )
+from mopar.solver import ar_exact
+from oracles import k_matchings_by_filter, scattered_graph
 
 P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 C6 = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
+# polygon fans: every diagonal ends at vertex 0
+FAN5, FAN6 = "D|c", "E|eG"
 
 
 def test_coloring_validation():
@@ -71,7 +76,7 @@ def test_length_mismatch_rejected():
 
 
 def test_verify_certificate_reasons():
-    g = enumerate_mops(6)[0]
+    g = graph6_decode(FAN6)
     m = g.edge_count
     mono = EdgeColoring((0,) * m, 1)
     assert verify_certificate(g, mono, 2, 1).reason == OK
@@ -103,6 +108,27 @@ def test_rainbow_monotonicity_over_random_mop_colorings():
                         assert find_rainbow_matching(g, col, k + 1) is None
 
 
+def test_rainbow_matchings_agree_with_brute_force():
+    # random colorings of MOPs and of scattered graphs, plus the witness
+    # colorings ar_exact returns, which admit no rainbow k-matching at all
+    rng = random.Random(57)
+    graphs = [g for n in range(5, 9) for g in enumerate_mops(n)]
+    graphs += [scattered_graph(rng) for _ in range(20)]
+    for g in graphs:
+        m = g.edge_count
+        for k in range(1, 5):
+            colorings = [_random_coloring(rng, m, rng.randint(1, m)) for _ in range(4)]
+            if k >= 2:  # ar(G, M_1) = 0 has no witness
+                colorings.append(ar_exact(g, k).witness)
+            for col in colorings:
+                expected = k_matchings_by_filter(g, k, col.colors)
+                assert list(iterate_rainbow_matchings(g, col.colors, k)) == expected
+                out = verify_certificate(g, col, k, col.num_colors)
+                assert out.ok == (not expected)
+                if expected:
+                    assert out.witness.matching == expected[0]
+
+
 def test_merging_classes_never_creates_a_rainbow_matching():
     rng = random.Random(17)
     for g in enumerate_mops(7)[:4]:
@@ -120,7 +146,7 @@ def test_merging_classes_never_creates_a_rainbow_matching():
 
 @given(st.randoms(use_true_random=False))
 def test_verification_invariant_under_color_relabeling(rng):
-    g = enumerate_mops(6)[1]
+    g = graph6_decode("E|EW")
     m = g.edge_count
     col = _random_coloring(random.Random(rng.randint(0, 10**9)), m, 5)
     perm = list(range(col.num_colors))
@@ -134,7 +160,7 @@ def test_verification_invariant_under_color_relabeling(rng):
 
 
 def test_certificate_json_round_trip():
-    g = enumerate_mops(5)[0]
+    g = graph6_decode(FAN5)
     col = EdgeColoring.from_sequence([0, 0, 1, 2, 1, 0, 2])
     data = certificate_to_json(g, 2, col)
     g2, k2, col2 = certificate_from_json(data)

@@ -23,6 +23,8 @@ from oracles import counting_seed, min_class_transversal
 K3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
 P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 HUNT_MEMBER = "N?AA??o`P@?PQ`BSaLw"
+# polygon fans: every diagonal ends at vertex 0
+FAN6, FAN7, FAN9 = "E|eG", "F|eKG", "H|eKKE@"
 MEMBER_VALUES = Path(__file__).resolve().parent / "member_values.json"
 
 
@@ -53,7 +55,7 @@ def test_brute_force_examples():
 
 
 def test_brute_force_guard():
-    big = enumerate_mops(7)[0]  # 11 edges
+    big = graph6_decode(FAN7)  # 11 edges
     with pytest.raises(ValueError):
         ar_brute_force(big, 2)
 
@@ -267,7 +269,7 @@ def test_every_exact_witness_verifies():
 
 
 def test_determinism_repeated_runs():
-    g = enumerate_mops(8)[3]
+    g = graph6_decode("G|cGK[")
     first = ar_exact(g, 4)
     second = ar_exact(g, 4)
     assert first.value == second.value
@@ -276,7 +278,7 @@ def test_determinism_repeated_runs():
 
 
 def test_budget_degrades_to_lower_bound():
-    g = enumerate_mops(9)[0]
+    g = graph6_decode(FAN9)
     result = ar_exact(g, 4, max_nodes=5)
     assert result.mode == LOWER_BOUND
     assert result.witness is not None
@@ -286,7 +288,7 @@ def test_budget_degrades_to_lower_bound():
 
 
 def test_negative_budget_is_an_error():
-    g = enumerate_mops(9)[0]
+    g = graph6_decode(FAN9)
     for budget in ({"max_nodes": -1}, {"max_millis": -0.5}):
         with pytest.raises(ValueError, match="must not be negative"):
             ar_exact(g, 4, **budget)
@@ -295,7 +297,7 @@ def test_negative_budget_is_an_error():
 
 
 def test_floor_mode_hunts_witnesses_above_floor():
-    g = enumerate_mops(9)[0]
+    g = graph6_decode(FAN9)
     full = ar_exact(g, 4)
     hunt = ar_exact(g, 4, floor=full.value - 1)
     assert hunt.mode == EXACT and hunt.value == full.value
@@ -346,7 +348,7 @@ def test_seed_equals_counting_oracle():
 
 
 def test_result_json_round_trip():
-    g = enumerate_mops(6)[0]
+    g = graph6_decode(FAN6)
     result = ar_exact(g, 3)
     data = result.to_json()
     back = ArResult.from_json(data)
