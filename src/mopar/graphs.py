@@ -173,12 +173,14 @@ class CanonicalForm:
     graph6: str
 
 
-def _refine(n: int, adj: tuple[int, ...], colors: tuple[int, ...]) -> tuple[int, ...]:
+def _refine(
+    n: int, nbrs: list[tuple[int, ...]], colors: tuple[int, ...]
+) -> tuple[int, ...]:
     # iterated degree refinement: split color classes by the multiset of
     # neighbor colors until the partition is equitable
     while True:
         sigs = [
-            (colors[v], tuple(sorted(colors[u] for u in iter_bits(adj[v]))))
+            (colors[v], tuple(sorted([colors[u] for u in nbrs[v]])))
             for v in range(n)
         ]
         rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
@@ -200,48 +202,61 @@ def _labeling_key(n: int, adj: tuple[int, ...], order: list[int]) -> int:
     return key
 
 
-def canonical_form(g: Graph) -> CanonicalForm:
-    """Isomorphism-invariant relabeling via individualization-refinement.
+def _graph6_of_key(n: int, key: int) -> str:
+    # a labeling key holds graph6's bits in order; pad to whole 6-bit bytes
+    nbits = n * (n - 1) // 2
+    pad = -nbits % 6
+    key <<= pad
+    nbits += pad
+    return chr(n + 63) + "".join(
+        chr((key >> shift & 63) + 63) for shift in range(nbits - 6, -1, -6)
+    )
 
-    Exhaustive over refinement-compatible labelings, with discovered
-    automorphisms used to prune symmetric branches.  Exact at any size;
-    intended for n <= 12 where it is uniformly fast.
-    """
-    n, adj = g.n, g.adj
-    if n == 1:
-        return CanonicalForm((0,), graph6_encode(g))
 
-    init = _refine(n, adj, tuple(g.degree(v) for v in range(n)))
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
-    best_key: int | None = None
-    best_order: list[int] | None = None
-    automorphisms: list[tuple[int, ...]] = []
-    base: list[int] = []
 
-    def same_orbit(v: int, tried: list[int]) -> bool:
-        # is v equivalent to an already-tried candidate under some product of
-        # discovered automorphisms that fix the current base pointwise?
-        fixing = [a for a in automorphisms if all(a[b] == b for b in base)]
-        if not fixing:
-            return False
-        parent = list(range(n))
+def _same_orbit(
+    n: int, automorphisms: list[tuple[int, ...]], base: list[int], v: int,
+    tried: list[int],
+) -> bool:
+    # is v equivalent to an already-tried candidate under some product of
+    # discovered automorphisms that fix the current base pointwise?
+    fixing = [a for a in automorphisms if all(a[b] == b for b in base)]
+    if not fixing:
+        return False
+    parent = list(range(n))
+    for a in fixing:
+        for w in range(n):
+            rw, ra = _find(parent, w), _find(parent, a[w])
+            if rw != ra:
+                parent[ra] = rw
+    rv = _find(parent, v)
+    return any(_find(parent, u) == rv for u in tried)
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
 
-        for a in fixing:
-            for w in range(n):
-                rw, ra = find(w), find(a[w])
-                if rw != ra:
-                    parent[ra] = rw
-        rv = find(v)
-        return any(find(u) == rv for u in tried)
+class _Labeling:
+    """State of one canonical_form search: the least labeling key so far,
+    its vertex order, the automorphisms found and the individualized base."""
 
-    def search(colors: tuple[int, ...]) -> None:
-        nonlocal best_key, best_order
+    __slots__ = ("n", "adj", "nbrs", "best_key", "best_order",
+                 "automorphisms", "base")
+
+    def __init__(self, g: Graph):
+        self.n = g.n
+        self.adj = g.adj
+        self.nbrs = [tuple(iter_bits(row)) for row in g.adj]
+        self.best_key: int | None = None
+        self.best_order: list[int] = []
+        self.automorphisms: list[tuple[int, ...]] = []
+        self.base: list[int] = []
+
+    def search(self, colors: tuple[int, ...]) -> None:
+        n = self.n
         cell: list[int] = []
         for c in sorted(set(colors)):
             members = [v for v in range(n) if colors[v] == c]
@@ -250,42 +265,54 @@ def canonical_form(g: Graph) -> CanonicalForm:
                 break
         if not cell:
             order = sorted(range(n), key=colors.__getitem__)
-            key = _labeling_key(n, adj, order)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_order = order
-            elif key == best_key:
+            key = _labeling_key(n, self.adj, order)
+            if self.best_key is None or key < self.best_key:
+                self.best_key = key
+                self.best_order = order
+            elif key == self.best_key:
                 # equal keys expose an automorphism: the map sending the best
                 # labeling's vertex at each position to this labeling's vertex
-                assert best_order is not None
                 phi = [0] * n
-                for i, v in enumerate(best_order):
+                for i, v in enumerate(self.best_order):
                     phi[v] = order[i]
-                automorphisms.append(tuple(phi))
+                self.automorphisms.append(tuple(phi))
             return
 
         tried: list[int] = []
         for v in cell:
             # orbits must be recomputed per candidate: the previous child's
             # subtree may have discovered new automorphisms
-            if same_orbit(v, tried):
+            if _same_orbit(n, self.automorphisms, self.base, v, tried):
                 continue
             tried.append(v)
-            base.append(v)
+            self.base.append(v)
             individualized = tuple(
                 (colors[u], 0 if u == v else 1) for u in range(n)
             )
             rank = {s: i for i, s in enumerate(sorted(set(individualized)))}
-            search(_refine(n, adj, tuple(rank[s] for s in individualized)))
-            base.pop()
+            self.search(
+                _refine(n, self.nbrs, tuple(rank[s] for s in individualized))
+            )
+            self.base.pop()
 
-    search(init)
-    assert best_order is not None
+
+def canonical_form(g: Graph) -> CanonicalForm:
+    """Isomorphism-invariant relabeling via individualization-refinement.
+
+    Exhaustive over refinement-compatible labelings, with discovered
+    automorphisms used to prune symmetric branches.  Exact at any size;
+    intended for n <= 12 where it is uniformly fast.  The graph6 string is
+    read off the least labeling key, whose bits are graph6's.
+    """
+    n = g.n
+    labeling = _Labeling(g)
+    labeling.search(
+        _refine(n, labeling.nbrs, tuple(g.degree(v) for v in range(n)))
+    )
     perm = [0] * n
-    for new_label, v in enumerate(best_order):
+    for new_label, v in enumerate(labeling.best_order):
         perm[v] = new_label
-    canon = g.relabel(perm)
-    return CanonicalForm(tuple(perm), graph6_encode(canon))
+    return CanonicalForm(tuple(perm), _graph6_of_key(n, labeling.best_key))
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,25 @@ def matching_number(g: Graph, within: int | None = None) -> int:
     return _matching_number_masked(g, avail, {})
 
 
+def _extend_matchings(
+    out: list[tuple[int, ...]], vmask: list[int], free: list[int],
+    start: int, used: int, picked: tuple[int, ...], left: int,
+) -> None:
+    # append every extension of `picked` by `left` edges from start.. to out
+    for i in range(start, len(vmask)):
+        if (free[i] & ~used).bit_count() < 2 * left:
+            return
+        if vmask[i] & used:
+            continue
+        if left == 1:
+            out.append(picked + (i,))
+        else:
+            _extend_matchings(
+                out, vmask, free, i + 1, used | vmask[i], picked + (i,),
+                left - 1,
+            )
+
+
 def iterate_k_matchings(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
     """All matchings of size exactly k as ascending edge-index tuples, in
     lexicographic order.
@@ -57,7 +76,9 @@ def iterate_k_matchings(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
     A partial matching that still needs `left` edges from edges i.. stops
     once those edges cover fewer than 2 * left unused vertices (which also
     stops it when fewer than `left` edges remain); that subtree holds no
-    matching of size k, so nothing yielded changes.
+    matching of size k, so nothing yielded changes.  The list is built by
+    plain recursion and then yielded, so no chain of nested generators
+    passes each tuple up.
     """
     if k < 1:
         raise ValueError("matching size must be >= 1")
@@ -68,20 +89,9 @@ def iterate_k_matchings(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
     free = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
         free[i] = free[i + 1] | vmask[i]
-
-    def extend(start: int, used: int, picked: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        left = k - len(picked)
-        if left == 0:
-            yield picked
-            return
-        for i in range(start, m):
-            if (free[i] & ~used).bit_count() < 2 * left:
-                return
-            if vmask[i] & used:
-                continue
-            yield from extend(i + 1, used | vmask[i], picked + (i,))
-
-    yield from extend(0, 0, ())
+    out: list[tuple[int, ...]] = []
+    _extend_matchings(out, vmask, free, 0, 0, (), k)
+    yield from out
 
 
 def has_perfect_matching(g: Graph, within: int | None = None) -> bool:

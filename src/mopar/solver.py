@@ -22,9 +22,15 @@ branches like the partition search (disjoint subtrees, each earlier class
 banned in later siblings) and prunes by a greedy packing of matchings
 whose unbanned classes are disjoint; only those classes may be chosen, so
 a packed matching with every class banned ends its hitting-set node at
-once.  At the root nothing is banned and tau is the k-matching
-transversal number, so the first cut is ar(G, M_k) <= ex(G, M_k) = m -
-tau.  Nodes of both searches count against the budget.
+once.  A packing of exactly as many matchings as the hitting set may
+hold is tight: such a set takes exactly one unbanned class from each
+packed matching and no other class.  So the class chosen from the first
+packed matching, the one the node branches on, must meet every unmet
+matching that no unbanned class of the other packed matchings meets; a
+class that does not is skipped and banned like a failed sibling.  At the
+root nothing is banned and tau is the k-matching transversal number, so
+the first cut is ar(G, M_k) <= ex(G, M_k) = m - tau.  Nodes of both
+searches count against the budget.
 
 Search state is Python ints over matching ids (the lexicographic order of
 `iterate_k_matchings`): each class keeps the mask of matchings that touch
@@ -351,6 +357,15 @@ class _Search:
         packed matching's unbanned classes leaves exactly the candidates
         that share none of them.  A packed matching with every class
         banned can never be met, which ends the node.
+
+        A packing of exactly `budget` matchings is tight: a hitting set
+        within budget takes exactly one unbanned class from each packed
+        matching and no other class.  The first packed matching is the one
+        the node branches on, so the class c chosen from it must meet
+        every unmet matching that no unbanned class of packed matchings
+        2..p meets (`only`); a class with `only & ~msets[c]` nonzero is
+        skipped and banned like a failed sibling.  At budget 1 `only` is
+        all of `unmet`, so no child is left to fail at budget 0.
         """
         self._tick()
         if not unmet:
@@ -358,23 +373,30 @@ class _Search:
         matchings = self.matchings
         packed = 0
         cand = unmet
+        other = 0
         while cand:
             packed += 1
             if packed > budget:
                 return False
-            before = cand
+            hit = 0
             for e in matchings[(cand & -cand).bit_length() - 1]:
                 c = cls[e]
                 if not banned >> c & 1:
-                    cand &= ~msets[c]
-            if cand == before:
-                # no unbanned class dropped the matching itself
+                    hit |= msets[c]
+            if not hit:
+                # every class of the matching is banned
                 return False
+            cand &= ~hit
+            if packed > 1:
+                other |= hit
+        only = unmet & ~other if packed == budget else 0
         for e in matchings[(unmet & -unmet).bit_length() - 1]:
             c = cls[e]
             if banned >> c & 1:
                 continue
-            if self._meets(cls, msets, unmet & ~msets[c], budget - 1, banned):
+            if not only & ~msets[c] and self._meets(
+                cls, msets, unmet & ~msets[c], budget - 1, banned
+            ):
                 return True
             banned |= 1 << c
         return False

@@ -61,6 +61,7 @@ def test_ar_budget_exit_code(capsys):
     code, out, _ = run(capsys, "ar", "--graph", FAN9, "--k", "4",
                        "--budget-nodes", "4")
     assert code == 2
+    assert ar_exact(graph6_decode(FAN9), 4).nodes > 4
     assert json.loads(out)["mode"] == "LOWER_BOUND"
 
 
@@ -227,6 +228,7 @@ def test_table_budget_exit_code(capsys, tmp_path):
     assert code == 2 and "wrote" in out
     header, row = out_path.read_text().splitlines()
     assert dict(zip(header.split(","), row.split(",")))["complete"] == "False"
+    assert max(r.nodes for r in ar_class(8, 4).results) > 3
 
 
 def test_table_bound_violation_exit_code(capsys, monkeypatch, tmp_path):

@@ -127,6 +127,7 @@ def test_budget_marks_incomplete():
     result = ar_class(8, 4, limits=Limits(max_nodes=3))
     assert not result.complete
     assert result.unsolved
+    assert max(r.nodes for r in ar_class(8, 4).results) > 3
 
 
 def test_negative_limits_are_an_error():

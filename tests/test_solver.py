@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from mopar import solver
-from mopar.graphs import Graph, graph6_decode, graph6_encode
+from mopar.graphs import Graph, graph6_decode, graph6_encode, iter_bits
 from mopar.matchings import iterate_k_matchings, matching_number
 from mopar.mops import enumerate_mops
 from mopar.rainbow import verify_certificate
@@ -137,9 +137,51 @@ def _random_partition(rng, m, merges):
     return cls
 
 
-def test_prunable_is_the_exact_class_transversal_bound():
+def _packing(cls, matchings, unmet, banned):
+    """The greedy packing `_meets` bounds by: unmet matching ids in
+    ascending order whose unbanned class sets are pairwise disjoint, or
+    None when one of them has every class banned."""
+    packed, taken = [], set()
+    for mid in sorted(unmet):
+        classes = {cls[e] for e in matchings[mid]} - banned
+        if not classes:
+            return None
+        if not classes & taken:
+            packed.append(mid)
+            taken |= classes
+    return packed
+
+
+def test_prunable_is_the_exact_class_transversal_bound(monkeypatch):
     rng = random.Random(9)
     unmeetable = 0
+    # every _meets node reached, recursion included, whose greedy packing
+    # holds exactly `budget` matchings: where classes may be skipped
+    tight = forced = 0
+    meets = solver._Search._meets
+
+    def recording_meets(self, cls, msets, unmet, budget, banned):
+        nonlocal tight, forced
+        ids = set(iter_bits(unmet))
+        bans = set(iter_bits(banned))
+        packed = _packing(cls, self.matchings, ids, bans)
+        if ids and packed is not None and len(packed) == budget:
+            tight += 1
+            # the unmet matchings that no unbanned class of packed
+            # matchings 2..p meets must meet the first one's chosen class
+            free = {
+                mid: {cls[e] for e in self.matchings[mid]} - bans
+                for mid in ids
+            }
+            rest = set().union(*(free[mid] for mid in packed[1:]))
+            only = [mid for mid in ids if not free[mid] & rest]
+            forced += any(
+                not all(c in free[mid] for mid in only)
+                for c in free[packed[0]]
+            )
+        return meets(self, cls, msets, unmet, budget, banned)
+
+    monkeypatch.setattr(solver._Search, "_meets", recording_meets)
     for n, k in ((8, 3), (9, 4)):
         for g in enumerate_mops(n):
             m = g.edge_count
@@ -182,6 +224,7 @@ def test_prunable_is_the_exact_class_transversal_bound():
                             graph6_encode(g), cls, banned, budget
                         )
     assert unmeetable
+    assert forced and tight > forced, (tight, forced)
 
 
 def test_brute_force_never_exceeds_edges_less_transversal():
@@ -211,6 +254,7 @@ def test_transversal_bound_settles_hunt_member_at_root(monkeypatch):
     assert (result.value, result.upper) == (16, 19)
     assert verify_certificate(g, result.witness, 5, 16).ok
     # a budget that runs out inside the transversal search claims nothing
+    assert result.nodes > 50  # so the budget below does cut the search
     cut = ar_exact(g, 5, floor=19, max_nodes=50)
     assert cut.upper is None and cut.value == 16
     assert verify_certificate(g, cut.witness, 5, 16).ok
@@ -251,13 +295,29 @@ def test_every_member_value_matches_fixture():
     # floor-0 values of every class member, in _class_members order, from
     # an earlier solver: a cut that lowers any member, not just a class
     # argmax, shows here
-    pinned = json.loads(MEMBER_VALUES.read_text())
+    pinned = json.loads(MEMBER_VALUES.read_text())["values_at_floor_0"]
     assert sum(map(len, pinned.values())) == 443
     for cell, values in pinned.items():
         n, k = map(int, cell.split(","))
         solved = [ar_exact(graph6_decode(g6), k) for g6 in _class_members(n)]
         assert [r.value for r in solved] == values, cell
         assert all(r.mode == EXACT for r in solved), cell
+
+
+def test_every_member_upper_above_floor_matches_fixture():
+    # uppers at floor n + k - 2, near most class values, from an earlier
+    # solver: every search completes, and a cut that drops a member's
+    # value to the floor shows as a lower upper
+    pinned = json.loads(MEMBER_VALUES.read_text())
+    uppers = pinned["uppers_at_floor_n_plus_k_minus_2"]
+    assert uppers.keys() == pinned["values_at_floor_0"].keys()
+    for cell, expected in uppers.items():
+        n, k = map(int, cell.split(","))
+        solved = [
+            ar_exact(graph6_decode(g6), k, floor=n + k - 2)
+            for g6 in _class_members(n)
+        ]
+        assert [r.upper for r in solved] == expected, cell
 
 
 def test_every_exact_witness_verifies():
@@ -284,6 +344,7 @@ def test_budget_degrades_to_lower_bound():
     assert result.witness is not None
     assert verify_certificate(g, result.witness, 4, result.value).ok
     full = ar_exact(g, 4)
+    assert full.nodes > 5
     assert result.value <= full.value
 
 
