@@ -27,6 +27,10 @@ from .rainbow import verify_certificate
 from .solver import EXACT, ArResult, ar_exact, check_budgets
 
 MAX_CLASS_N = 16
+# a pool takes a cell's members in chunks, about eight per worker, so that
+# a slow member rarely holds up the tail; capped so that a long sweep still
+# appends to its cache every few seconds
+MAX_CHUNK = 32
 
 HOLDS = "HOLDS"
 VIOLATED = "VIOLATED"
@@ -192,9 +196,10 @@ def ar_class(
     ends EXACT or proved to have ar <= floor, unless a per-graph budget
     stops it.  Members are taken in canonical order: a cached result that
     settles the member above `floor` as it is, any other solved in this
-    process (jobs=1) or in a pool of `jobs` processes.  The sweep is
-    complete when every member's upper bound is at most the class value,
-    so a floor at or above the class value leaves it incomplete.
+    process (jobs=1) or in chunks by a pool of `jobs` processes.  The
+    sweep is complete when every member's upper bound is at most the
+    class value, so a floor at or above the class value leaves it
+    incomplete.
     total_millis stops solving once the sweep has run that long; it needs
     a sequential sweep, so with jobs > 1 it is a ValueError.  A fraction
     of the results read from the cache is re-solved above its cached upper
@@ -228,7 +233,11 @@ def ar_class(
 
     ordered: list[ArResult] = []
     with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
-        fresh = pool.map(solve, todo) if pool else map(solve, todo)
+        if pool:
+            chunk = min(MAX_CHUNK, max(1, len(todo) // (8 * jobs)))
+            fresh = pool.map(solve, todo, chunksize=chunk)
+        else:
+            fresh = map(solve, todo)
         for g6 in members:
             result = cached.get(g6)
             if result is None:

@@ -32,6 +32,14 @@ root nothing is banned and tau is the k-matching transversal number, so
 the first cut is ar(G, M_k) <= ex(G, M_k) = m - tau.  Nodes of both
 searches count against the budget.
 
+A child one merge above the bound can beat the incumbent only by a single
+merge to a feasible partition, so its parent settles it without building
+it (leaf fusion).  The child's cut at need 2 keeps the classes of its
+lowest violated matching that meet every violated matching, and merging
+two classes is feasible exactly when both are kept; the first kept pair
+not apart in the child is the one the child itself would record.  The
+settled child counts as one node.
+
 Search state is Python ints over matching ids (the lexicographic order of
 `iterate_k_matchings`): each class keeps the mask of matchings that touch
 it, and the violated matchings form one mask.  Merging classes a and b
@@ -401,6 +409,41 @@ class _Search:
             banned |= 1 << c
         return False
 
+    def _last_merge(
+        self, cls: list[int], msets: list[int], apart: list[int],
+        violated: int, a: int, b: int,
+    ) -> tuple[int, int] | None:
+        """The first merge that the child merging classes a < b would find
+        feasible, as its pair of class labels, or None; `violated` is the
+        child's violated mask.
+
+        In the child class b reads as a, with mask msets[a] | msets[b] and
+        the apart rows of a and b OR-ed.  Its transversal cut at need 2
+        keeps the classes of its lowest violated matching whose mask covers
+        `violated`, and merging two classes satisfies exactly the
+        intersection of their masks, so a pair is feasible iff both of its
+        classes are kept.  The child tries pairs in ascending order and
+        skips the ones kept apart, so its first is the first such pair.
+        """
+        mab = msets[a] | msets[b]
+        keep = []
+        for e in self.matchings[(violated & -violated).bit_length() - 1]:
+            x = cls[e]
+            if x == b:
+                x = a
+            if not violated & ~(mab if x == a else msets[x]):
+                keep.append(x)
+        if len(keep) < 2:
+            return None
+        keep.sort()
+        ab = 1 << a | 1 << b
+        for i, x in enumerate(keep):
+            row = apart[a] | apart[b] if x == a else apart[x]
+            for y in keep[i + 1:]:
+                if not row & (ab if y == a else 1 << y):
+                    return x, y
+        return None
+
     def run(
         self,
         cls: list[int],
@@ -411,7 +454,9 @@ class _Search:
         count: int,
     ) -> None:
         # class labels are canonical (each class is named by its least edge);
-        # this node owns `apart` and marks each finished sibling pair in it
+        # this node owns `apart` and marks each finished sibling pair in it.
+        # A child one merge above the bound is settled here by _last_merge
+        # (leaf fusion) instead of being run.
         self._tick()
         bound = max(self.best_value, self.floor)
         if count - 1 <= bound:
@@ -430,6 +475,17 @@ class _Search:
                 if count - 1 > self.best_value:
                     self.best_value = count - 1
                     self.best_coloring = _renamed(cls, members[b], a)
+            elif count - 3 == max(self.best_value, self.floor):
+                # the child is one merge above the bound: only its first
+                # feasible merge can count, so find it without the child
+                self._tick()
+                pair = self._last_merge(cls, msets, apart, child_violated, a, b)
+                if pair is not None:
+                    x, y = pair
+                    self.best_value = count - 2
+                    self.best_coloring = [
+                        x if c == y else c for c in _renamed(cls, members[b], a)
+                    ]
             elif count - 2 > max(self.best_value, self.floor):
                 child_members = list(members)
                 child_members[a] = members[a] | members[b]

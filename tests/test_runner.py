@@ -82,7 +82,8 @@ def _class_json(result):
 
 
 def test_parallel_matches_sequential(tmp_path):
-    for n, k, floor in ((7, 3, 0), (9, 4, 10)):
+    # (10, 4) has 82 members, so a pool of two takes them 5 at a time
+    for n, k, floor in ((7, 3, 0), (9, 4, 10), (10, 4, 0)):
         seq_path = tmp_path / f"seq-{n}-{floor}.jsonl"
         par_path = tmp_path / f"par-{n}-{floor}.jsonl"
         seq = ar_class(n, k, jobs=1, cache=ResultCache(seq_path), floor=floor)

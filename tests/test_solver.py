@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -118,7 +119,8 @@ def test_search_never_revisits_a_partition(monkeypatch):
         return run(self, cls, *args)
 
     monkeypatch.setattr(solver._Search, "run", recording_run)
-    # (10, 4) is the smallest cell where a lost apart row shows as a revisit
+    # a lost apart row seldom shows as a revisit; the next test checks the
+    # rows themselves
     for n, k in ((8, 3), (8, 4), (9, 4), (10, 4)):
         for g in enumerate_mops(n):
             keys.clear()
@@ -126,6 +128,28 @@ def test_search_never_revisits_a_partition(monkeypatch):
             assert len(set(keys)) == len(keys)
             assert result.mode == EXACT
             assert verify_certificate(g, result.witness, k, result.value).ok
+
+
+def test_apart_rows_are_symmetric_over_live_classes(monkeypatch):
+    run = solver._Search.run
+    calls = 0
+
+    def checking_run(self, cls, members, msets, apart, *args):
+        nonlocal calls
+        calls += 1
+        live = set(cls)
+        for c, row in enumerate(apart):
+            named = set(iter_bits(row))
+            assert not row or c in live, (cls, apart)
+            assert named <= live - {c}, (cls, apart)
+            assert all(apart[x] >> c & 1 for x in named), (cls, apart)
+        return run(self, cls, members, msets, apart, *args)
+
+    monkeypatch.setattr(solver._Search, "run", checking_run)
+    for n, k in ((8, 3), (8, 4), (9, 4), (10, 4)):
+        for g in enumerate_mops(n):
+            ar_exact(g, k)
+    assert calls > 1000
 
 
 def _random_partition(rng, m, merges):
@@ -225,6 +249,66 @@ def test_prunable_is_the_exact_class_transversal_bound(monkeypatch):
                         )
     assert unmeetable
     assert forced and tight > forced, (tight, forced)
+
+
+def test_last_merge_is_the_first_feasible_pair_of_the_child():
+    # a child one merge above the bound is settled inside its parent; it
+    # must pick the merge its own node would: the first pair of its lowest
+    # violated matching's classes, not kept apart, that leaves no rainbow
+    # k-matching.  The child is built here from labels and pair sets.
+    rng = random.Random(5)
+    found = onto_merged = 0
+    for n, k in ((8, 3), (9, 4)):
+        for g in enumerate_mops(n):
+            m = g.edge_count
+            matchings, touch = solver._matching_masks(g, k)
+            search = solver._Search(
+                matchings, None, None, 0, 0.0, solver._all_distinct(m)
+            )
+            for _ in range(20):
+                cls = _random_partition(rng, m, rng.randrange(m // 2, m - 2))
+                classes = sorted(set(cls))
+                msets = [0] * m
+                for e in range(m):
+                    msets[cls[e]] |= touch[e]
+                pairs = [
+                    (c, d) for c, d in combinations(classes, 2)
+                    if rng.random() < 0.3
+                ]
+                apart = [0] * m
+                for c, d in pairs:
+                    apart[c] |= 1 << d
+                    apart[d] |= 1 << c
+                a, b = sorted(rng.sample(classes, 2))
+                violated = sum(
+                    1 << mid for mid, matching in enumerate(matchings)
+                    if len({cls[e] for e in matching}) == k
+                )
+                child_violated = violated & ~(msets[a] & msets[b])
+                if not child_violated:
+                    continue
+                child = [a if c == b else c for c in cls]
+                child_apart = {
+                    frozenset(a if c == b else c for c in pair)
+                    for pair in pairs
+                }
+                mid = (child_violated & -child_violated).bit_length() - 1
+                roots = sorted({child[e] for e in matchings[mid]})
+                expect = None
+                for x, y in combinations(roots, 2):
+                    merged = [x if c == y else c for c in child]
+                    if frozenset((x, y)) not in child_apart and all(
+                        len({merged[e] for e in matching}) < k
+                        for matching in matchings
+                    ):
+                        expect = (x, y)
+                        break
+                assert search._last_merge(
+                    cls, msets, apart, child_violated, a, b
+                ) == expect, (graph6_encode(g), cls, pairs, a, b)
+                found += expect is not None
+                onto_merged += expect is not None and expect[1] == a
+    assert found > onto_merged > 0, (found, onto_merged)
 
 
 def test_brute_force_never_exceeds_edges_less_transversal():
