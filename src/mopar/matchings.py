@@ -52,20 +52,28 @@ def matching_number(g: Graph, within: int | None = None) -> int:
 
 def _extend_matchings(
     out: list[tuple[int, ...]], vmask: list[int], free: list[int],
-    start: int, used: int, picked: tuple[int, ...], left: int,
+    later: list[int], cand: int, used: int, picked: tuple[int, ...],
+    left: int,
 ) -> None:
-    # append every extension of `picked` by `left` edges from start.. to out
-    for i in range(start, len(vmask)):
+    # append every extension of `picked` by `left` edges from the mask cand
+    if left == 1:
+        while cand:
+            low = cand & -cand
+            out.append(picked + (low.bit_length() - 1,))
+            cand ^= low
+        return
+    need = left - 1
+    while cand.bit_count() > need:
+        low = cand & -cand
+        cand ^= low
+        i = low.bit_length() - 1
         if (free[i] & ~used).bit_count() < 2 * left:
             return
-        if vmask[i] & used:
-            continue
-        if left == 1:
-            out.append(picked + (i,))
-        else:
+        rest = cand & later[i]
+        if rest.bit_count() >= need:
             _extend_matchings(
-                out, vmask, free, i + 1, used | vmask[i], picked + (i,),
-                left - 1,
+                out, vmask, free, later, rest, used | vmask[i],
+                picked + (i,), need,
             )
 
 
@@ -73,12 +81,16 @@ def iterate_k_matchings(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
     """All matchings of size exactly k as ascending edge-index tuples, in
     lexicographic order.
 
-    A partial matching that still needs `left` edges from edges i.. stops
-    once those edges cover fewer than 2 * left unused vertices (which also
-    stops it when fewer than `left` edges remain); that subtree holds no
-    matching of size k, so nothing yielded changes.  The list is built by
-    plain recursion and then yielded, so no chain of nested generators
-    passes each tuple up.
+    A partial matching keeps the mask of its candidate edges: those after
+    its last edge that share no vertex with any of its edges.  Taking edge
+    i narrows the mask by `later[i]`, the edges after i disjoint from it,
+    and the last edge is read straight off the mask's bits.  A partial
+    matching that still needs `left` edges stops once fewer than `left`
+    candidates remain, or once the edges from the next candidate on cover
+    fewer than 2 * left unused vertices; neither subtree holds a matching
+    of size k, so nothing yielded changes.  The list is built by plain
+    recursion and then yielded, so no chain of nested generators passes
+    each tuple up.
     """
     if k < 1:
         raise ValueError("matching size must be >= 1")
@@ -89,8 +101,18 @@ def iterate_k_matchings(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
     free = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
         free[i] = free[i + 1] | vmask[i]
+    # incident[v]: the edges at vertex v
+    incident = [0] * g.n
+    for i, (u, v) in enumerate(edges):
+        incident[u] |= 1 << i
+        incident[v] |= 1 << i
+    full = (1 << m) - 1
+    later = [
+        (full >> i + 1 << i + 1) & ~(incident[u] | incident[v])
+        for i, (u, v) in enumerate(edges)
+    ]
     out: list[tuple[int, ...]] = []
-    _extend_matchings(out, vmask, free, 0, 0, (), k)
+    _extend_matchings(out, vmask, free, later, full, 0, (), k)
     yield from out
 
 

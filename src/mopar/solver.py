@@ -35,21 +35,27 @@ searches count against the budget.
 A child one merge above the bound can beat the incumbent only by a single
 merge to a feasible partition, so its parent settles it without building
 it (leaf fusion).  The child's cut at need 2 keeps the classes of its
-lowest violated matching that meet every violated matching, and merging
+first violated matching that meet every violated matching, and merging
 two classes is feasible exactly when both are kept; the first kept pair
 not apart in the child is the one the child itself would record.  The
 settled child counts as one node.
 
-Search state is Python ints over matching ids (the lexicographic order of
-`iterate_k_matchings`): each class keeps the mask of matchings that touch
-it, and the violated matchings form one mask.  Merging classes a and b
-satisfies exactly `msets[a] & msets[b]`, so the child's violated mask is
-`violated & ~(msets[a] & msets[b])`.  Every node branches on its lowest
-violated id, and the transversal bound and the greedy seed read the same
-masks: the seed counts the sampled violated matchings that hold both
-classes a and b as `(sample & msets[a] & msets[b]).bit_count()`.  The
-apart pairs are one mask per class over class labels, merged like
-`msets`; a pair marked apart is never a child.
+Search state is Python ints over matching ids: each class keeps the mask
+of matchings that touch it, and the violated matchings form one mask.  Ids
+run in reverse lexicographic order (the i-th of N k-matchings from
+`iterate_k_matchings` has id N - 1 - i), so the first violated matching,
+which every node branches on, is the top bit, `mask.bit_length() - 1`,
+read without building a new int.  Merging classes a and b satisfies
+exactly `msets[a] & msets[b]`, so the child's violated mask is
+`violated ^ (violated & msets[a] & msets[b])`: a difference written this
+way, and a subset test written `x & y == x`, cost the width of the
+narrower operand, where `x & ~y` costs the width of y.  Masks lose their
+first matchings first, so they narrow as the search deepens.  The
+transversal bound and the greedy seed read the same masks: the seed
+counts the sampled violated matchings that hold both classes a and b as
+`(sample & msets[a] & msets[b]).bit_count()`.  The apart pairs are one
+mask per class over class labels, merged like `msets`; a pair marked
+apart is never a child.
 
 An independent oracle enumerates every set partition of the edge list
 (restricted-growth strings with rainbow pruning) for graphs with few
@@ -213,9 +219,11 @@ def ar_brute_force(g: Graph, k: int) -> int:
 
 
 def _matching_masks(g: Graph, k: int) -> tuple[list[tuple[int, ...]], list[int]]:
-    """The k-matchings of g in lexicographic order, and for each edge the
-    mask of the matching ids that contain it."""
+    """The k-matchings of g by id, and for each edge the mask of the
+    matching ids that contain it.  Ids run in reverse lexicographic order,
+    so the lexicographically first matching in a mask is its top bit."""
     matchings = list(iterate_k_matchings(g, k))
+    matchings.reverse()
     touch = [0] * g.edge_count
     for mid, matching in enumerate(matchings):
         bit = 1 << mid
@@ -224,20 +232,20 @@ def _matching_masks(g: Graph, k: int) -> tuple[list[tuple[int, ...]], list[int]]
     return matchings, touch
 
 
-def _lowest_bits(mask: int, count: int) -> int:
-    """The lowest `count` set bits of mask (all of them if it has fewer):
-    its shortest prefix holding that many, found by bisection on the
-    prefix length."""
+def _top_bits(mask: int, count: int) -> int:
+    """The top `count` set bits of mask (all of them if it has fewer): the
+    bits from the highest cut that still keeps that many, found by
+    bisection on the cut."""
     if mask.bit_count() <= count:
         return mask
-    lo, hi = count, mask.bit_length()
+    lo, hi = 0, mask.bit_length() - count
     while lo < hi:
-        mid = (lo + hi) // 2
-        if (mask & ((1 << mid) - 1)).bit_count() < count:
-            lo = mid + 1
+        mid = (lo + hi + 1) // 2
+        if (mask >> mid).bit_count() < count:
+            hi = mid - 1
         else:
-            hi = mid
-    return mask & ((1 << lo) - 1)
+            lo = mid
+    return mask >> lo << lo
 
 
 def seed_incumbent(
@@ -249,11 +257,11 @@ def seed_incumbent(
     """Greedy rainbow-free coloring: repeatedly merge the class pair occurring
     in the most violated k-matchings, ties to the least pair.
 
-    The sample is the lowest SEED_SAMPLE violated ids.  A matching id is in
-    msets[c] exactly when the matching has an edge in class c, so pair
-    (a, b) occurs in `(sample & msets[a] & msets[b]).bit_count()` sampled
-    matchings; a class whose own count cannot beat the best pair so far
-    is skipped.
+    The sample is the top SEED_SAMPLE violated ids, the lexicographically
+    first violated matchings.  A matching id is in msets[c] exactly when
+    the matching has an edge in class c, so pair (a, b) occurs in
+    `(sample & msets[a] & msets[b]).bit_count()` sampled matchings; a
+    class whose own count cannot beat the best pair so far is skipped.
 
     `_masks` is `_matching_masks(g, k)` when ar_exact has built it already,
     so a solve enumerates the k-matchings once.
@@ -271,7 +279,7 @@ def seed_incumbent(
     violated = (1 << len(matchings)) - 1
 
     while violated:
-        sample = _lowest_bits(violated, SEED_SAMPLE)
+        sample = _top_bits(violated, SEED_SAMPLE)
         best = 0
         for i, a in enumerate(live):
             sa = sample & msets[a]
@@ -283,7 +291,7 @@ def seed_incumbent(
                     best, pair = count, (a, b)
         a, b = pair
         live.remove(b)
-        violated &= ~(msets[a] & msets[b])
+        violated ^= violated & msets[a] & msets[b]
         msets[a] |= msets[b]
         for e in range(m):
             if cls[e] == b:
@@ -356,9 +364,10 @@ class _Search:
         """True when at most `budget` classes outside the mask `banned`
         meet every matching in `unmet`.
 
-        Branches on the classes of the lowest unmet matching, banning each
-        in the later siblings, so subtrees are disjoint.  The bound is a
-        greedy packing of unmet matchings, in ascending id order, whose
+        Branches on the classes of the first unmet matching (the top id),
+        banning each in the later siblings, so subtrees are disjoint.  The
+        bound is a greedy packing of unmet matchings, in lexicographic
+        order (descending id, each the top id of what is left), whose
         unbanned class sets are pairwise disjoint: only unbanned classes
         may be chosen, so each needs a class of its own.  A matching meets
         class c iff its id is in msets[c], so dropping the masks of a
@@ -371,7 +380,7 @@ class _Search:
         matching and no other class.  The first packed matching is the one
         the node branches on, so the class c chosen from it must meet
         every unmet matching that no unbanned class of packed matchings
-        2..p meets (`only`); a class with `only & ~msets[c]` nonzero is
+        2..p meets (`only`); a class with `only & msets[c] != only` is
         skipped and banned like a failed sibling.  At budget 1 `only` is
         all of `unmet`, so no child is left to fail at budget 0.
         """
@@ -387,23 +396,24 @@ class _Search:
             if packed > budget:
                 return False
             hit = 0
-            for e in matchings[(cand & -cand).bit_length() - 1]:
+            for e in matchings[cand.bit_length() - 1]:
                 c = cls[e]
                 if not banned >> c & 1:
                     hit |= msets[c]
             if not hit:
                 # every class of the matching is banned
                 return False
-            cand &= ~hit
+            cand ^= cand & hit
             if packed > 1:
                 other |= hit
-        only = unmet & ~other if packed == budget else 0
-        for e in matchings[(unmet & -unmet).bit_length() - 1]:
+        only = unmet ^ (unmet & other) if packed == budget else 0
+        for e in matchings[unmet.bit_length() - 1]:
             c = cls[e]
             if banned >> c & 1:
                 continue
-            if not only & ~msets[c] and self._meets(
-                cls, msets, unmet & ~msets[c], budget - 1, banned
+            mc = msets[c]
+            if only & mc == only and self._meets(
+                cls, msets, unmet ^ (unmet & mc), budget - 1, banned
             ):
                 return True
             banned |= 1 << c
@@ -419,19 +429,20 @@ class _Search:
 
         In the child class b reads as a, with mask msets[a] | msets[b] and
         the apart rows of a and b OR-ed.  Its transversal cut at need 2
-        keeps the classes of its lowest violated matching whose mask covers
-        `violated`, and merging two classes satisfies exactly the
-        intersection of their masks, so a pair is feasible iff both of its
-        classes are kept.  The child tries pairs in ascending order and
-        skips the ones kept apart, so its first is the first such pair.
+        keeps the classes of its first violated matching (the top id of
+        `violated`) whose mask covers `violated`, and merging two classes
+        satisfies exactly the intersection of their masks, so a pair is
+        feasible iff both of its classes are kept.  The child tries pairs
+        in ascending order and skips the ones kept apart, so its first is
+        the first such pair.
         """
         mab = msets[a] | msets[b]
         keep = []
-        for e in self.matchings[(violated & -violated).bit_length() - 1]:
+        for e in self.matchings[violated.bit_length() - 1]:
             x = cls[e]
             if x == b:
                 x = a
-            if not violated & ~(mab if x == a else msets[x]):
+            if violated & (mab if x == a else msets[x]) == violated:
                 keep.append(x)
         if len(keep) < 2:
             return None
@@ -464,12 +475,12 @@ class _Search:
         if self._prunable(cls, msets, violated, count - bound):
             return
 
-        mid = (violated & -violated).bit_length() - 1
+        mid = violated.bit_length() - 1
         roots = sorted(cls[e] for e in self.matchings[mid])
         for a, b in combinations(roots, 2):
             if apart[a] >> b & 1:
                 continue
-            child_violated = violated & ~(msets[a] & msets[b])
+            child_violated = violated ^ (violated & msets[a] & msets[b])
             if not child_violated:
                 # feasible one merge away: record without building the child
                 if count - 1 > self.best_value:

@@ -127,8 +127,8 @@ def min_class_transversal(
 
 def counting_seed(g: Graph, k: int) -> EdgeColoring:
     """The greedy seed by explicit pair counting: after every merge, count
-    each class pair over the lowest 512 violated k-matchings with a
-    Counter, and merge the most frequent pair, ties to the least."""
+    each class pair over the 512 lexicographically first violated
+    k-matchings with a Counter, and merge the most frequent pair, ties to the least."""
     m = g.edge_count
     matchings = list(iterate_k_matchings(g, k))
     if not matchings:

@@ -163,10 +163,11 @@ def _random_partition(rng, m, merges):
 
 def _packing(cls, matchings, unmet, banned):
     """The greedy packing `_meets` bounds by: unmet matching ids in
-    ascending order whose unbanned class sets are pairwise disjoint, or
-    None when one of them has every class banned."""
+    descending order (lexicographic order of the matchings) whose unbanned
+    class sets are pairwise disjoint, or None when one of them has every
+    class banned."""
     packed, taken = [], set()
-    for mid in sorted(unmet):
+    for mid in sorted(unmet, reverse=True):
         classes = {cls[e] for e in matchings[mid]} - banned
         if not classes:
             return None
@@ -253,9 +254,10 @@ def test_prunable_is_the_exact_class_transversal_bound(monkeypatch):
 
 def test_last_merge_is_the_first_feasible_pair_of_the_child():
     # a child one merge above the bound is settled inside its parent; it
-    # must pick the merge its own node would: the first pair of its lowest
-    # violated matching's classes, not kept apart, that leaves no rainbow
-    # k-matching.  The child is built here from labels and pair sets.
+    # must pick the merge its own node would: the first pair of the classes
+    # of its top violated id (its lexicographically first violated
+    # matching), not kept apart, that leaves no rainbow k-matching.  The
+    # child is built here from labels and pair sets.
     rng = random.Random(5)
     found = onto_merged = 0
     for n, k in ((8, 3), (9, 4)):
@@ -292,7 +294,7 @@ def test_last_merge_is_the_first_feasible_pair_of_the_child():
                     frozenset(a if c == b else c for c in pair)
                     for pair in pairs
                 }
-                mid = (child_violated & -child_violated).bit_length() - 1
+                mid = child_violated.bit_length() - 1
                 roots = sorted({child[e] for e in matchings[mid]})
                 expect = None
                 for x, y in combinations(roots, 2):
@@ -309,6 +311,45 @@ def test_last_merge_is_the_first_feasible_pair_of_the_child():
                 found += expect is not None
                 onto_merged += expect is not None and expect[1] == a
     assert found > onto_merged > 0, (found, onto_merged)
+
+
+def test_matching_ids_run_in_reverse_lexicographic_order():
+    # every node branches on its top violated id, which must be the
+    # lexicographically first violated matching
+    for n, k in ((8, 3), (9, 4), (10, 5)):
+        for g in enumerate_mops(n):
+            matchings, touch = solver._matching_masks(g, k)
+            lexicographic = list(iterate_k_matchings(g, k))
+            assert matchings[-1] == min(lexicographic)
+            assert matchings == lexicographic[::-1]
+            for e, mask in enumerate(touch):
+                assert set(iter_bits(mask)) == {
+                    mid for mid, matching in enumerate(matchings)
+                    if e in matching
+                }
+
+
+def test_seed_sample_is_the_lexicographically_first_violated_ids():
+    # ids run in reverse lexicographic order, so the first SEED_SAMPLE
+    # violated matchings are the top SEED_SAMPLE set bits
+    rng = random.Random(11)
+    sample = solver.SEED_SAMPLE
+    masks = [0, 1, (1 << sample) - 1, (1 << sample + 1) - 1]
+    for _ in range(300):
+        width = rng.choice((sample // 2, sample, 2 * sample, 4 * sample))
+        density = rng.choice((0.1, 0.3, 0.5, 0.9, 1.0))
+        masks.append(
+            sum(1 << i for i in range(width) if rng.random() < density)
+        )
+    # exactly SEED_SAMPLE bits, and one fewer and one more, spread out
+    for count in (sample - 1, sample, sample + 1):
+        masks.append(sum(1 << i for i in rng.sample(range(3 * sample), count)))
+    sizes = set()
+    for mask in masks:
+        first = sorted(iter_bits(mask), reverse=True)[:sample]
+        assert solver._top_bits(mask, sample) == sum(1 << i for i in first)
+        sizes.add((mask.bit_count() > sample) - (mask.bit_count() < sample))
+    assert sizes == {-1, 0, 1}
 
 
 def test_brute_force_never_exceeds_edges_less_transversal():
@@ -376,16 +417,21 @@ def test_value_equals_edge_count_iff_no_matching():
 
 
 def test_every_member_value_matches_fixture():
-    # floor-0 values of every class member, in _class_members order, from
-    # an earlier solver: a cut that lowers any member, not just a class
-    # argmax, shows here
-    pinned = json.loads(MEMBER_VALUES.read_text())["values_at_floor_0"]
-    assert sum(map(len, pinned.values())) == 443
-    for cell, values in pinned.items():
+    # floor-0 values and node counts of every class member, in
+    # _class_members order, from an earlier solver: a cut that lowers any
+    # member, not just a class argmax, shows here, and so does any change
+    # to the search itself.  A change that cuts nodes on purpose
+    # regenerates "nodes_at_floor_0".
+    pinned = json.loads(MEMBER_VALUES.read_text())
+    values, nodes = pinned["values_at_floor_0"], pinned["nodes_at_floor_0"]
+    assert sum(map(len, values.values())) == 443
+    assert nodes.keys() == values.keys()
+    for cell, expected in values.items():
         n, k = map(int, cell.split(","))
         solved = [ar_exact(graph6_decode(g6), k) for g6 in _class_members(n)]
-        assert [r.value for r in solved] == values, cell
+        assert [r.value for r in solved] == expected, cell
         assert all(r.mode == EXACT for r in solved), cell
+        assert [r.nodes for r in solved] == nodes[cell], cell
 
 
 def test_every_member_upper_above_floor_matches_fixture():
