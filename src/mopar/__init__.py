@@ -39,7 +39,6 @@ from .runner import (
     BoundCheck,
     ClassResult,
     LemmaReport,
-    Limits,
     ResultCache,
     ar_class,
     emit_table,
@@ -51,7 +50,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArResult", "Bipartition", "BoundCheck", "CanonicalForm", "ClassResult",
-    "EdgeColoring", "Graph", "Graph6Error", "LemmaReport", "Limits",
+    "EdgeColoring", "Graph", "Graph6Error", "LemmaReport",
     "RainbowWitness", "ResultCache", "Triangulation", "TutteBergeCertificate",
     "VerifyResult", "ar_brute_force", "ar_class", "ar_exact",
     "bipartite_outerplanar_corpus", "bipartition_of", "canonical_form",

@@ -23,7 +23,6 @@ from .rainbow import certificate_from_json, verify_certificate
 from .runner import (
     VIOLATED,
     CacheMismatch,
-    Limits,
     ResultCache,
     ar_class,
     emit_table,
@@ -92,15 +91,16 @@ def _cmd_ar(args: argparse.Namespace) -> int:
 
 def _cmd_ar_class(args: argparse.Namespace) -> int:
     cache = ResultCache(args.cache) if args.cache else None
-    limits = Limits(max_nodes=args.budget_nodes, max_millis=args.budget_ms)
+    max_millis = args.budget_ms
     if args.extended:
         if cache is None:
             print("--extended requires --cache for resumability", file=sys.stderr)
             return FAIL
-        if limits.max_nodes is None and limits.max_millis is None:
-            limits = Limits(max_millis=60_000.0)
+        if args.budget_nodes is None and max_millis is None:
+            max_millis = 60_000.0
     result = ar_class(
-        args.n, args.k, limits=limits, jobs=args.jobs, cache=cache,
+        args.n, args.k, max_nodes=args.budget_nodes, max_millis=max_millis,
+        jobs=args.jobs, cache=cache,
         audit_fraction=0.0 if args.extended else 0.05, floor=args.floor,
     )
     summary = {
@@ -127,10 +127,10 @@ def _cmd_ar_class(args: argparse.Namespace) -> int:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     cache = ResultCache(args.cache) if args.cache else None
-    limits = Limits(max_nodes=args.budget_nodes, max_millis=args.budget_ms)
     rows = emit_table(
-        _parse_range(args.n), _parse_range(args.k),
-        args.out, args.format, limits=limits, jobs=args.jobs, cache=cache,
+        _parse_range(args.n), _parse_range(args.k), args.out, args.format,
+        max_nodes=args.budget_nodes, max_millis=args.budget_ms,
+        jobs=args.jobs, cache=cache,
     )
     print(f"wrote {args.out}")
     return _exit_code(

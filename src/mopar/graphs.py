@@ -300,9 +300,9 @@ def canonical_form(g: Graph) -> CanonicalForm:
     """Isomorphism-invariant relabeling via individualization-refinement.
 
     Exhaustive over refinement-compatible labelings, with discovered
-    automorphisms used to prune symmetric branches.  Exact at any size;
-    intended for n <= 12 where it is uniformly fast.  The graph6 string is
-    read off the least labeling key, whose bits are graph6's.
+    automorphisms used to prune symmetric branches.  Exact at any size.
+    The graph6 string is read off the least labeling key, whose bits are
+    graph6's.
     """
     n = g.n
     labeling = _Labeling(g)

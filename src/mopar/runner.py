@@ -11,9 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import random
-import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -39,28 +37,6 @@ NOT_APPLICABLE = "NOT_APPLICABLE"
 UNKNOWN = "UNKNOWN"
 
 
-@dataclass(frozen=True)
-class Limits:
-    """Per-graph and sweep-level resource limits; None means unlimited.
-
-    A per-graph budget (max_nodes, max_millis) that ends a search leaves
-    that member's upper bound unknown.  total_millis caps the whole
-    sweep's wall time; members not reached stay unsolved.  It makes a
-    sweep sequential, so ar_class rejects it with jobs > 1.  A negative
-    limit is a ValueError.
-    """
-
-    max_nodes: int | None = None
-    max_millis: float | None = None
-    total_millis: float | None = None
-
-    def __post_init__(self) -> None:
-        check_budgets(
-            max_nodes=self.max_nodes, max_millis=self.max_millis,
-            total_millis=self.total_millis,
-        )
-
-
 @dataclass
 class ClassResult:
     n: int
@@ -68,8 +44,11 @@ class ClassResult:
     value: int
     argmax: list[str]
     results: list[ArResult]
-    complete: bool
     unsolved: list[str]
+
+    @property
+    def complete(self) -> bool:
+        return not self.unsolved
 
     def to_json(self) -> dict:
         return {
@@ -161,11 +140,13 @@ def _certified(result: ArResult) -> bool:
     return verify_certificate(g, result.witness, result.k, result.value).ok
 
 
-def _solve(graph6: str, k: int, limits: Limits, floor: int) -> ArResult:
+def _solve(
+    graph6: str, k: int, max_nodes: int | None, max_millis: float | None,
+    floor: int,
+) -> ArResult:
     return ar_exact(
         graph6_decode(graph6), k,
-        max_nodes=limits.max_nodes, max_millis=limits.max_millis,
-        floor=floor,
+        max_nodes=max_nodes, max_millis=max_millis, floor=floor,
     )
 
 
@@ -182,7 +163,8 @@ def ar_class(
     n: int,
     k: int,
     *,
-    limits: Limits | None = None,
+    max_nodes: int | None = None,
+    max_millis: float | None = None,
     jobs: int = 1,
     cache: ResultCache | None = None,
     audit_fraction: float = 0.05,
@@ -192,32 +174,27 @@ def ar_class(
     size k.
 
     Requires 2k <= n so every class member actually contains a k-matching,
-    and jobs >= 1.  Every member is a complete search above `floor`, so it
-    ends EXACT or proved to have ar <= floor, unless a per-graph budget
-    stops it.  Members are taken in canonical order: a cached result that
-    settles the member above `floor` as it is, any other solved in this
-    process (jobs=1) or in chunks by a pool of `jobs` processes.  The
-    sweep is complete when every member's upper bound is at most the
-    class value, so a floor at or above the class value leaves it
-    incomplete.
-    total_millis stops solving once the sweep has run that long; it needs
-    a sequential sweep, so with jobs > 1 it is a ValueError.  A fraction
-    of the results read from the cache is re-solved above its cached upper
-    bound (raising CacheMismatch if a coloring with more colors exists);
-    results solved by this call are not.  `mop ar-class --extended` sets
+    jobs >= 1 and budgets that are not negative.  Every member is a
+    complete search above `floor`, so it ends EXACT or proved to have
+    ar <= floor, unless its budget (max_nodes, max_millis, as in ar_exact)
+    stops it and leaves its upper bound unknown.  Members are taken in
+    canonical order: a cached result that settles the member above
+    `floor` as it is, any other solved in this process (jobs=1) or in
+    chunks by a pool of `jobs` processes.  The sweep is complete when
+    every member's upper bound is at most the class value, so a floor at
+    or above the class value leaves it incomplete.  A fraction of the
+    results read from the cache is re-solved above its cached upper bound
+    (raising CacheMismatch if a coloring with more colors exists); results
+    solved by this call are not.  `mop ar-class --extended` sets
     the fraction to 0.
     """
     if not 2 * k <= n <= MAX_CLASS_N:
         raise ValueError(
             f"class query needs 2k <= n <= {MAX_CLASS_N}; got n={n}, k={k}"
         )
-    limits = limits or Limits()
+    check_budgets(max_nodes=max_nodes, max_millis=max_millis)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1; got jobs={jobs}")
-    if jobs > 1 and limits.total_millis is not None:
-        raise ValueError(
-            f"a total time limit runs the sweep sequentially; got jobs={jobs}"
-        )
     members = _class_members(n)
     cached: dict[str, ArResult] = {}
     if cache is not None:
@@ -225,11 +202,9 @@ def ar_class(
             g6: hit for g6 in members if (hit := cache.get(g6, k, floor))
         }
     todo = [g6 for g6 in members if g6 not in cached]
-    solve = partial(_solve, k=k, limits=limits, floor=floor)
-
-    deadline = math.inf
-    if limits.total_millis is not None:
-        deadline = time.perf_counter() + limits.total_millis / 1000.0
+    solve = partial(
+        _solve, k=k, max_nodes=max_nodes, max_millis=max_millis, floor=floor
+    )
 
     ordered: list[ArResult] = []
     with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
@@ -241,8 +216,6 @@ def ar_class(
         for g6 in members:
             result = cached.get(g6)
             if result is None:
-                if time.perf_counter() > deadline:
-                    continue
                 result = next(fresh)
                 if cache is not None:
                     cache.put(result)
@@ -259,7 +232,7 @@ def ar_class(
     argmax = sorted(r.graph6 for r in ordered if r.value == value)
     return ClassResult(
         n=n, k=k, value=value, argmax=argmax, results=ordered,
-        complete=not unsolved, unsolved=unsolved,
+        unsolved=unsolved,
     )
 
 
@@ -411,7 +384,8 @@ def build_table(
     n_range: tuple[int, int],
     k_range: tuple[int, int],
     *,
-    limits: Limits | None = None,
+    max_nodes: int | None = None,
+    max_millis: float | None = None,
     jobs: int = 1,
     cache: ResultCache | None = None,
 ) -> list[dict]:
@@ -419,14 +393,19 @@ def build_table(
 
     Cells with n < 2k are skipped (members without any k-matching make the
     class value ill-defined).  elapsed_ms sums the per-graph solve times,
-    so a warm cache reproduces the table byte for byte.
+    so a warm cache reproduces the table byte for byte.  A negative budget
+    is a ValueError even when every cell is skipped.
     """
+    check_budgets(max_nodes=max_nodes, max_millis=max_millis)
     rows = []
     for n in range(n_range[0], n_range[1] + 1):
         for k in range(k_range[0], k_range[1] + 1):
             if n < 2 * k:
                 continue
-            result = ar_class(n, k, limits=limits, jobs=jobs, cache=cache)
+            result = ar_class(
+                n, k, max_nodes=max_nodes, max_millis=max_millis, jobs=jobs,
+                cache=cache,
+            )
             bounds = evaluate_bounds(n, k, result.value, result.complete)
             row = bounds.to_json()
             row["elapsed_ms"] = round(sum(r.elapsed_ms for r in result.results), 3)
@@ -452,13 +431,17 @@ def emit_table(
     out_path: str | Path,
     fmt: str,
     *,
-    limits: Limits | None = None,
+    max_nodes: int | None = None,
+    max_millis: float | None = None,
     jobs: int = 1,
     cache: ResultCache | None = None,
 ) -> list[dict]:
     """Build the table, write it to out_path and return its rows."""
     out_path = Path(out_path)
-    rows = build_table(n_range, k_range, limits=limits, jobs=jobs, cache=cache)
+    rows = build_table(
+        n_range, k_range, max_nodes=max_nodes, max_millis=max_millis,
+        jobs=jobs, cache=cache,
+    )
     text = render_table(rows, fmt)
     try:
         out_path.write_text(text)

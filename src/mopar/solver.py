@@ -341,22 +341,6 @@ class _Search:
         ):
             raise _Budget
 
-    def _prunable(
-        self, cls: list[int], msets: list[int], violated: int, need: int
-    ) -> bool:
-        """True when no `need - 1` classes meet every violated matching,
-        which proves that every feasible coarsening has at most
-        count - need classes.
-
-        Pick one representative class inside each of a coarsening's c
-        blocks: a violated matching has two of its classes in one block,
-        at most one of them a representative, so the count - c others meet
-        every violated matching, and c <= count - tau for the fewest such
-        classes tau.  At the root tau is the k-matching transversal number,
-        so the cut there is ar(G, M_k) <= ex(G, M_k) = m - tau.
-        """
-        return not self._meets(cls, msets, violated, need - 1, 0)
-
     def _meets(
         self, cls: list[int], msets: list[int], unmet: int, budget: int,
         banned: int,
@@ -472,7 +456,7 @@ class _Search:
         bound = max(self.best_value, self.floor)
         if count - 1 <= bound:
             return
-        if self._prunable(cls, msets, violated, count - bound):
+        if not self._meets(cls, msets, violated, count - bound - 1, 0):
             return
 
         mid = violated.bit_length() - 1

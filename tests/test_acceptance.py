@@ -26,7 +26,7 @@ from mopar.mops import (
     enumerate_triangulations,
 )
 from mopar.rainbow import EdgeColoring, find_rainbow_matching, verify_certificate
-from mopar.runner import Limits, ResultCache, ar_class, lemma_bipartite_check
+from mopar.runner import ResultCache, ar_class, lemma_bipartite_check
 from mopar.solver import ar_brute_force, ar_exact
 from oracles import catalan_recurrence, random_connected_graph, random_graph
 
@@ -92,16 +92,15 @@ def test_criterion_05_size_five_lower_bounds():
 
 @pytest.mark.extended
 def test_criterion_06_extended_order_fifteen(tmp_path):
-    # the exact class value needs a multi-hour sweep (use `mop ar-class
-    # --n 15 --k 5 --floor 18 --extended --jobs N --cache <file>`); this
-    # opt-in test runs the same floor-18 sweep inside an explicit wall
-    # budget: the first member in canonical order reaches 19, which
-    # certifies the lower direction, and whatever the budget leaves
-    # unsolved is reported, exactly as a budget-exhausted run must
+    # the whole floor-18 pass of `mop ar-class --n 15 --k 5 --floor 18
+    # --extended --jobs 2 --cache <file>` (about half a core-hour, so
+    # opt-in), on two processes with a 5 s budget per member: the first
+    # member in canonical order reaches 19, which certifies the lower
+    # direction, and any member the budget stops is reported unsolved,
+    # exactly as a budget-exhausted run must
     cache = ResultCache(tmp_path / "extended-15-5.jsonl")
     full = ar_class(
-        15, 5,
-        limits=Limits(max_millis=5_000.0, total_millis=900_000.0),
+        15, 5, max_millis=5_000.0, jobs=2,
         cache=cache, audit_fraction=0.0, floor=18,
     )
     assert full.value >= 19

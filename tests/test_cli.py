@@ -123,7 +123,7 @@ def test_ar_class_bound_violation_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(
         cli, "ar_class",
         lambda n, k, **kw: ClassResult(
-            n, k, member.value, [g6], [member], True, []),
+            n, k, member.value, [g6], [member], []),
     )
     code, out, _ = run(capsys, "ar-class", "--n", "15", "--k", "5")
     summary = json.loads(out)
@@ -136,7 +136,7 @@ def test_ar_class_unattained_value_exit_code(capsys, monkeypatch):
     # a complete value that no member attains is not verified
     monkeypatch.setattr(
         cli, "ar_class",
-        lambda n, k, **kw: ClassResult(n, k, n + 5, [], [], True, []),
+        lambda n, k, **kw: ClassResult(n, k, n + 5, [], [], []),
     )
     code, out, _ = run(capsys, "ar-class", "--n", "15", "--k", "5")
     summary = json.loads(out)
@@ -198,6 +198,9 @@ def test_negative_budget_is_an_error(capsys, tmp_path):
         ("ar-class", "--n", "8", "--k", "3", "--budget-nodes", "-1"),
         ("ar-class", "--n", "8", "--k", "3", "--budget-ms", "-1"),
         ("table", "--n", "6..6", "--k", "2..2", "--budget-nodes", "-1",
+         "--out", str(tmp_path / "t.csv")),
+        # n < 2k skips every cell, so no sweep ever sees the budget
+        ("table", "--n", "4..4", "--k", "3..3", "--budget-nodes", "-1",
          "--out", str(tmp_path / "t.csv")),
     ):
         code, out, err = run(capsys, *argv)

@@ -15,7 +15,6 @@ from mopar.runner import (
     VIOLATED,
     CacheMismatch,
     ClassResult,
-    Limits,
     ResultCache,
     ar_class,
     build_table,
@@ -53,8 +52,8 @@ def test_verify_class_result_checks_value_and_argmax():
     below = next(r.graph6 for r in result.results if r.value < result.value)
     for argmax in ([below], result.argmax + ["EEjw"]):
         assert not verify_class_result(dataclasses.replace(result, argmax=argmax))
-    assert not verify_class_result(ClassResult(15, 5, 20, [], [], True, []))
-    assert verify_class_result(ClassResult(15, 5, 0, [], [], False, []))
+    assert not verify_class_result(ClassResult(15, 5, 20, [], [], []))
+    assert verify_class_result(ClassResult(15, 5, 0, [], [], ["EEjw"]))
 
 
 def test_class_results_in_canonical_order_and_witnesses_verify():
@@ -125,16 +124,31 @@ def test_floor_above_class_value_never_claims_completeness():
 
 
 def test_budget_marks_incomplete():
-    result = ar_class(8, 4, limits=Limits(max_nodes=3))
+    result = ar_class(8, 4, max_nodes=3)
     assert not result.complete
     assert result.unsolved
     assert max(r.nodes for r in ar_class(8, 4).results) > 3
+    # the budget reaches pool workers: same members stopped, same results
+    pooled = ar_class(8, 4, max_nodes=3, jobs=2)
+    assert not pooled.complete and pooled.unsolved == result.unsolved
+    assert _class_json(pooled) == _class_json(result)
 
 
-def test_negative_limits_are_an_error():
-    for limit in ("max_nodes", "max_millis", "total_millis"):
+def test_negative_limits_are_an_error(tmp_path, monkeypatch):
+    def no_enumeration(n):
+        raise AssertionError("enumerated despite a negative budget")
+
+    monkeypatch.setattr(runner, "enumerate_mops", no_enumeration)
+    out_path = tmp_path / "t.csv"
+    for limit in ("max_nodes", "max_millis"):
         with pytest.raises(ValueError, match=limit):
-            Limits(**{limit: -5})
+            ar_class(8, 3, **{limit: -5})
+        # every cell skipped (n < 2k): the table still rejects the budget
+        with pytest.raises(ValueError, match=limit):
+            build_table((4, 4), (3, 3), **{limit: -5})
+        with pytest.raises(ValueError, match=limit):
+            emit_table((8, 8), (3, 3), out_path, "csv", **{limit: -5})
+    assert not out_path.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +270,7 @@ def test_cache_keeps_k1_lines_without_witness(tmp_path):
     assert len(ResultCache(path).entries) == 1
 
 
-def test_sequential_limits_reject_jobs():
-    with pytest.raises(ValueError, match="jobs=2"):
-        ar_class(10, 5, limits=Limits(total_millis=1000.0), jobs=2)
+def test_jobs_below_one_is_an_error():
     for jobs in (0, -2):
         with pytest.raises(ValueError, match=f"jobs={jobs}"):
             ar_class(10, 5, jobs=jobs)

@@ -228,9 +228,9 @@ def test_prunable_is_the_exact_class_transversal_bound(monkeypatch):
                 )
                 mask = sum(1 << mid for mid in violated)
                 for need in range(1, len(set(cls)) + 2):
-                    assert search._prunable(cls, msets, mask, need) == (
-                        tau >= need
-                    ), (graph6_encode(g), cls, need)
+                    assert (
+                        not search._meets(cls, msets, mask, need - 1, 0)
+                    ) == (tau >= need), (graph6_encode(g), cls, need)
                 # _meets under bans: only unbanned classes may meet a
                 # matching, and a matching with every class banned is never met
                 classes = sorted(set(cls))
