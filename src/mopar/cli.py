@@ -1,7 +1,7 @@
 """Command line front end.
 
-Exit codes: 0 all checks pass, 1 a violation or verification failure was
-found, 2 a resource budget left the computation incomplete.  `ar`,
+Exit codes: 0 all checks pass, 1 a violation, a verification failure or
+a usage error, 2 a node budget left the computation incomplete.  `ar`,
 `ar-class` and `table` share one rule, `_exit_code`: a failure outranks
 an incomplete result.
 """
@@ -25,14 +25,20 @@ from .runner import (
     CacheMismatch,
     ResultCache,
     ar_class,
+    check_sweep,
     emit_table,
     evaluate_bounds,
     lemma_bipartite_check,
+    table_cells,
     verify_class_result,
 )
 from .solver import EXACT, ar_brute_force, ar_exact
 
 PASS, FAIL, INCOMPLETE = 0, 1, 2
+
+# `ar-class --extended`'s budget per member when --budget-nodes is not
+# given: about 60 s at the 2.2-2.6 us per node measured at (15,5)
+EXTENDED_MAX_NODES = 25_000_000
 
 
 def _exit_code(ok: bool, complete: bool) -> int:
@@ -74,9 +80,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_ar(args: argparse.Namespace) -> int:
     g = graph6_decode(args.graph)
-    result = ar_exact(
-        g, args.k, max_nodes=args.budget_nodes, max_millis=args.budget_ms
-    )
+    result = ar_exact(g, args.k, max_nodes=args.budget_nodes)
     payload = result.to_json()
     if args.oracle:
         payload["oracle_value"] = ar_brute_force(g, args.k)
@@ -90,17 +94,18 @@ def _cmd_ar(args: argparse.Namespace) -> int:
 
 
 def _cmd_ar_class(args: argparse.Namespace) -> int:
-    cache = ResultCache(args.cache) if args.cache else None
-    max_millis = args.budget_ms
+    max_nodes = args.budget_nodes
     if args.extended:
-        if cache is None:
+        if not args.cache:
             print("--extended requires --cache for resumability", file=sys.stderr)
             return FAIL
-        if args.budget_nodes is None and max_millis is None:
-            max_millis = 60_000.0
+        if max_nodes is None:
+            max_nodes = EXTENDED_MAX_NODES
+    # a bad option fails before a large cache is read and verified
+    check_sweep([(args.n, args.k)], max_nodes=max_nodes, jobs=args.jobs)
+    cache = ResultCache(args.cache) if args.cache else None
     result = ar_class(
-        args.n, args.k, max_nodes=args.budget_nodes, max_millis=max_millis,
-        jobs=args.jobs, cache=cache,
+        args.n, args.k, max_nodes=max_nodes, jobs=args.jobs, cache=cache,
         audit_fraction=0.0 if args.extended else 0.05, floor=args.floor,
     )
     summary = {
@@ -109,7 +114,7 @@ def _cmd_ar_class(args: argparse.Namespace) -> int:
         "value": result.value,
         "complete": result.complete,
         "verified": verify_class_result(result),
-        "argmax": result.argmax,
+        "argmax_count": len(result.argmax),
         "unsolved_count": len(result.unsolved),
         "bounds": evaluate_bounds(
             result.n, result.k, result.value, result.complete
@@ -126,11 +131,15 @@ def _cmd_ar_class(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    n_range, k_range = _parse_range(args.n), _parse_range(args.k)
+    check_sweep(
+        table_cells(n_range, k_range), max_nodes=args.budget_nodes,
+        jobs=args.jobs,
+    )
     cache = ResultCache(args.cache) if args.cache else None
     rows = emit_table(
-        _parse_range(args.n), _parse_range(args.k), args.out, args.format,
-        max_nodes=args.budget_nodes, max_millis=args.budget_ms,
-        jobs=args.jobs, cache=cache,
+        n_range, k_range, args.out, args.format,
+        max_nodes=args.budget_nodes, jobs=args.jobs, cache=cache,
     )
     print(f"wrote {args.out}")
     return _exit_code(
@@ -181,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against full partition enumeration")
-    p.add_argument("--budget-ms", type=float, default=None)
     p.add_argument("--budget-nodes", type=int, default=None)
     p.set_defaults(func=_cmd_ar)
 
@@ -191,8 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--cache", default=None)
     p.add_argument("--extended", action="store_true",
-                   help="heavy-sweep mode: per-graph budget, resumable cache")
-    p.add_argument("--budget-ms", type=float, default=None)
+                   help="heavy-sweep mode: per-graph node budget "
+                   f"(default {EXTENDED_MAX_NODES:,}), resumable cache")
     p.add_argument("--budget-nodes", type=int, default=None)
     p.add_argument("--floor", type=int, default=0,
                    help="search each member only above this many colors; "
@@ -207,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--cache", default=None)
-    p.add_argument("--budget-ms", type=float, default=None)
     p.add_argument("--budget-nodes", type=int, default=None)
     p.set_defaults(func=_cmd_table)
 
@@ -229,7 +236,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the usage error; its own exit code, 2,
+        # would read as INCOMPLETE.  --help exits 0 as usual.
+        if exc.code == 0:
+            raise
+        return FAIL
     try:
         return args.func(args)
     except Graph6Error as exc:

@@ -18,11 +18,12 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
+from typing import Iterable
 
 from .graphs import canonical_form, graph6_decode
 from .mops import bipartite_outerplanar_corpus, enumerate_mops
 from .rainbow import verify_certificate
-from .solver import EXACT, ArResult, ar_exact, check_budgets
+from .solver import EXACT, ArResult, ar_exact, check_budget
 
 MAX_CLASS_N = 16
 # a pool takes a cell's members in chunks, about eight per worker, so that
@@ -140,14 +141,8 @@ def _certified(result: ArResult) -> bool:
     return verify_certificate(g, result.witness, result.k, result.value).ok
 
 
-def _solve(
-    graph6: str, k: int, max_nodes: int | None, max_millis: float | None,
-    floor: int,
-) -> ArResult:
-    return ar_exact(
-        graph6_decode(graph6), k,
-        max_nodes=max_nodes, max_millis=max_millis, floor=floor,
-    )
+def _solve(graph6: str, k: int, max_nodes: int | None, floor: int) -> ArResult:
+    return ar_exact(graph6_decode(graph6), k, max_nodes=max_nodes, floor=floor)
 
 
 def _class_members(n: int) -> list[str]:
@@ -159,12 +154,27 @@ def _class_members(n: int) -> list[str]:
     return sorted(canonical_form(g).graph6 for g in enumerate_mops(n))
 
 
+def check_sweep(
+    cells: Iterable[tuple[int, int]], *, max_nodes: int | None, jobs: int
+) -> None:
+    """Raise ValueError unless a sweep can honour its options: every
+    (n, k) cell has 2k <= n <= MAX_CLASS_N, so each class member contains
+    a k-matching, the node budget is not negative and jobs >= 1."""
+    for n, k in cells:
+        if not 2 * k <= n <= MAX_CLASS_N:
+            raise ValueError(
+                f"class query needs 2k <= n <= {MAX_CLASS_N}; got n={n}, k={k}"
+            )
+    check_budget(max_nodes)
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1; got jobs={jobs}")
+
+
 def ar_class(
     n: int,
     k: int,
     *,
     max_nodes: int | None = None,
-    max_millis: float | None = None,
     jobs: int = 1,
     cache: ResultCache | None = None,
     audit_fraction: float = 0.05,
@@ -173,11 +183,10 @@ def ar_class(
     """ar over all maximal outerplanar graphs of order n, for matchings of
     size k.
 
-    Requires 2k <= n so every class member actually contains a k-matching,
-    jobs >= 1 and budgets that are not negative.  Every member is a
-    complete search above `floor`, so it ends EXACT or proved to have
-    ar <= floor, unless its budget (max_nodes, max_millis, as in ar_exact)
-    stops it and leaves its upper bound unknown.  Members are taken in
+    The options must pass `check_sweep`.  Every member is a complete
+    search above `floor`, so it ends EXACT or proved to have ar <= floor,
+    unless its node budget (max_nodes, as in ar_exact) stops it and
+    leaves its upper bound unknown.  Members are taken in
     canonical order: a cached result that settles the member above
     `floor` as it is, any other solved in this process (jobs=1) or in
     chunks by a pool of `jobs` processes.  The sweep is complete when
@@ -188,13 +197,7 @@ def ar_class(
     solved by this call are not.  `mop ar-class --extended` sets
     the fraction to 0.
     """
-    if not 2 * k <= n <= MAX_CLASS_N:
-        raise ValueError(
-            f"class query needs 2k <= n <= {MAX_CLASS_N}; got n={n}, k={k}"
-        )
-    check_budgets(max_nodes=max_nodes, max_millis=max_millis)
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1; got jobs={jobs}")
+    check_sweep([(n, k)], max_nodes=max_nodes, jobs=jobs)
     members = _class_members(n)
     cached: dict[str, ArResult] = {}
     if cache is not None:
@@ -202,9 +205,7 @@ def ar_class(
             g6: hit for g6 in members if (hit := cache.get(g6, k, floor))
         }
     todo = [g6 for g6 in members if g6 not in cached]
-    solve = partial(
-        _solve, k=k, max_nodes=max_nodes, max_millis=max_millis, floor=floor
-    )
+    solve = partial(_solve, k=k, max_nodes=max_nodes, floor=floor)
 
     ordered: list[ArResult] = []
     with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
@@ -380,36 +381,44 @@ TABLE_FIELDS = (
 )
 
 
+def table_cells(
+    n_range: tuple[int, int], k_range: tuple[int, int]
+) -> list[tuple[int, int]]:
+    """The (n, k) cells of a table, ordered by n then k.  Cells with
+    n < 2k are skipped (members without any k-matching make the class
+    value ill-defined)."""
+    return [
+        (n, k)
+        for n in range(n_range[0], n_range[1] + 1)
+        for k in range(k_range[0], k_range[1] + 1)
+        if 2 * k <= n
+    ]
+
+
 def build_table(
     n_range: tuple[int, int],
     k_range: tuple[int, int],
     *,
     max_nodes: int | None = None,
-    max_millis: float | None = None,
     jobs: int = 1,
     cache: ResultCache | None = None,
 ) -> list[dict]:
-    """One row per valid (n, k) cell, ordered by n then k.
+    """One row per cell of `table_cells`.
 
-    Cells with n < 2k are skipped (members without any k-matching make the
-    class value ill-defined).  elapsed_ms sums the per-graph solve times,
-    so a warm cache reproduces the table byte for byte.  A negative budget
-    is a ValueError even when every cell is skipped.
+    elapsed_ms sums the per-graph solve times, so a warm cache reproduces
+    the table byte for byte.  Every cell and option passes `check_sweep`
+    before any cell is solved, so a negative budget is a ValueError even
+    when every cell is skipped.
     """
-    check_budgets(max_nodes=max_nodes, max_millis=max_millis)
+    cells = table_cells(n_range, k_range)
+    check_sweep(cells, max_nodes=max_nodes, jobs=jobs)
     rows = []
-    for n in range(n_range[0], n_range[1] + 1):
-        for k in range(k_range[0], k_range[1] + 1):
-            if n < 2 * k:
-                continue
-            result = ar_class(
-                n, k, max_nodes=max_nodes, max_millis=max_millis, jobs=jobs,
-                cache=cache,
-            )
-            bounds = evaluate_bounds(n, k, result.value, result.complete)
-            row = bounds.to_json()
-            row["elapsed_ms"] = round(sum(r.elapsed_ms for r in result.results), 3)
-            rows.append({key: row[key] for key in TABLE_FIELDS})
+    for n, k in cells:
+        result = ar_class(n, k, max_nodes=max_nodes, jobs=jobs, cache=cache)
+        bounds = evaluate_bounds(n, k, result.value, result.complete)
+        row = bounds.to_json()
+        row["elapsed_ms"] = round(sum(r.elapsed_ms for r in result.results), 3)
+        rows.append({key: row[key] for key in TABLE_FIELDS})
     return rows
 
 
@@ -432,15 +441,13 @@ def emit_table(
     fmt: str,
     *,
     max_nodes: int | None = None,
-    max_millis: float | None = None,
     jobs: int = 1,
     cache: ResultCache | None = None,
 ) -> list[dict]:
     """Build the table, write it to out_path and return its rows."""
     out_path = Path(out_path)
     rows = build_table(
-        n_range, k_range, max_nodes=max_nodes, max_millis=max_millis,
-        jobs=jobs, cache=cache,
+        n_range, k_range, max_nodes=max_nodes, jobs=jobs, cache=cache
     )
     text = render_table(rows, fmt)
     try:

@@ -167,11 +167,10 @@ def _validate(g: Graph, k: int) -> None:
         raise ValueError("graph has no edges")
 
 
-def check_budgets(**budgets: float | None) -> None:
-    """Raise ValueError for a negative budget; None means unlimited."""
-    for name, budget in budgets.items():
-        if budget is not None and budget < 0:
-            raise ValueError(f"{name} must not be negative; got {budget}")
+def check_budget(max_nodes: int | None) -> None:
+    """Raise ValueError for a negative node budget; None means unlimited."""
+    if max_nodes is not None and max_nodes < 0:
+        raise ValueError(f"max_nodes must not be negative; got {max_nodes}")
 
 
 def _all_distinct(m: int) -> EdgeColoring:
@@ -299,13 +298,9 @@ def seed_incumbent(
     return EdgeColoring.from_sequence(cls)
 
 
-def _renamed(cls: list[int], edges: int, a: int) -> list[int]:
-    """A copy of the class labels with every edge in the mask `edges` put
-    in class a."""
-    child = list(cls)
-    for e in iter_bits(edges):
-        child[e] = a
-    return child
+def _renamed(cls: list[int], b: int, a: int) -> list[int]:
+    """A copy of the class labels with class b put in class a."""
+    return [a if c == b else c for c in cls]
 
 
 class _Search:
@@ -313,32 +308,19 @@ class _Search:
         self,
         matchings: list[tuple[int, ...]],
         max_nodes: int | None,
-        max_millis: float | None,
         floor: int,
-        start: float,
         seed: EdgeColoring,
     ):
         self.matchings = matchings
         self.max_nodes = max_nodes
-        self.max_millis = max_millis
         self.floor = floor
-        self.start = start
         self.nodes = 0
         self.best_value = seed.num_colors
         self.best_coloring: Sequence[int] = seed.colors
 
-    def elapsed_ms(self) -> float:
-        return (time.perf_counter() - self.start) * 1000.0
-
     def _tick(self) -> None:
         self.nodes += 1
         if self.max_nodes is not None and self.nodes > self.max_nodes:
-            raise _Budget
-        if (
-            self.max_millis is not None
-            and self.nodes % 128 == 0
-            and self.elapsed_ms() > self.max_millis
-        ):
             raise _Budget
 
     def _meets(
@@ -442,7 +424,6 @@ class _Search:
     def run(
         self,
         cls: list[int],
-        members: list[int],
         msets: list[int],
         apart: list[int],
         violated: int,
@@ -469,7 +450,7 @@ class _Search:
                 # feasible one merge away: record without building the child
                 if count - 1 > self.best_value:
                     self.best_value = count - 1
-                    self.best_coloring = _renamed(cls, members[b], a)
+                    self.best_coloring = _renamed(cls, b, a)
             elif count - 3 == max(self.best_value, self.floor):
                 # the child is one merge above the bound: only its first
                 # feasible merge can count, so find it without the child
@@ -479,12 +460,9 @@ class _Search:
                     x, y = pair
                     self.best_value = count - 2
                     self.best_coloring = [
-                        x if c == y else c for c in _renamed(cls, members[b], a)
+                        x if c == y else c for c in _renamed(cls, b, a)
                     ]
             elif count - 2 > max(self.best_value, self.floor):
-                child_members = list(members)
-                child_members[a] = members[a] | members[b]
-                child_members[b] = 0
                 child_msets = list(msets)
                 child_msets[a] = msets[a] | msets[b]
                 child_msets[b] = 0
@@ -496,8 +474,8 @@ class _Search:
                 for x in iter_bits(row):
                     child_apart[x] = child_apart[x] & ~(1 << b) | 1 << a
                 self.run(
-                    _renamed(cls, members[b], a), child_members, child_msets,
-                    child_apart, child_violated, count - 1,
+                    _renamed(cls, b, a), child_msets, child_apart,
+                    child_violated, count - 1,
                 )
             # later siblings keep this pair apart, whether its child was
             # searched, recorded as a leaf or cut by the bound
@@ -510,7 +488,6 @@ def ar_exact(
     k: int,
     *,
     max_nodes: int | None = None,
-    max_millis: float | None = None,
     floor: int = 0,
 ) -> ArResult:
     """Exact ar(G, M_k) with a verifying witness coloring.
@@ -519,12 +496,12 @@ def ar_exact(
     more than `floor` colors whenever one exists, and the best of them is
     the value.  When none exists the seed's coloring is returned with
     upper = floor, which is EXACT only if the seed reaches the floor; so a
-    completed search gives upper = max(value, floor).  Only a budget
-    (`max_nodes`, `max_millis`) ends the search early; it leaves
-    upper = None, never a wrong answer.  A negative budget is a ValueError.
+    completed search gives upper = max(value, floor).  Only the node
+    budget `max_nodes` ends the search early; it leaves upper = None,
+    never a wrong answer.  A negative budget is a ValueError.
     """
     _validate(g, k)
-    check_budgets(max_nodes=max_nodes, max_millis=max_millis)
+    check_budget(max_nodes)
     start = time.perf_counter()
     g6 = graph6_encode(g)
     m = g.edge_count
@@ -536,18 +513,12 @@ def ar_exact(
         return ArResult(g6, k, m, m, _all_distinct(m), 0, _ms(start))
 
     search = _Search(
-        matchings, max_nodes, max_millis, floor, start,
-        seed_incumbent(g, k, _masks=masks),
+        matchings, max_nodes, floor, seed_incumbent(g, k, _masks=masks)
     )
     upper = None
     try:
         search.run(
-            list(range(m)),
-            [1 << e for e in range(m)],
-            touch,
-            [0] * m,
-            (1 << len(matchings)) - 1,
-            m,
+            list(range(m)), touch, [0] * m, (1 << len(matchings)) - 1, m
         )
         upper = max(search.best_value, floor)
     except _Budget:

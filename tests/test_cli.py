@@ -4,11 +4,13 @@ import re
 import shlex
 from pathlib import Path
 
+import pytest
+
 from mopar import cli
 from mopar.cli import build_parser, main
 from mopar.graphs import graph6_decode
 from mopar.rainbow import EdgeColoring, dump_certificate
-from mopar.runner import ClassResult, ar_class
+from mopar.runner import ClassResult, ResultCache, ar_class
 from mopar.solver import ArResult, ar_exact, seed_incumbent
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -94,6 +96,9 @@ def test_ar_class_command(capsys, tmp_path):
     assert data["value"] == 7 and data["complete"]
     full = json.loads(out_path.read_text())
     assert full["value"] == 7 and len(full["results"]) == 3
+    # the summary counts the argmax; --out keeps the list
+    assert "argmax" not in data and data["argmax_count"] == len(full["argmax"])
+    assert data["unsolved_count"] == len(full["unsolved"]) == 0
 
 
 def test_ar_class_cache_mismatch_exit_code(capsys, tmp_path):
@@ -193,10 +198,10 @@ def test_jobs_below_one_is_an_error(capsys, tmp_path):
 
 def test_negative_budget_is_an_error(capsys, tmp_path):
     for argv in (
-        ("ar", "--graph", HUNT_MEMBER, "--k", "5", "--budget-ms", "-1"),
+        ("ar", "--graph", HUNT_MEMBER, "--k", "5", "--budget-nodes", "-1"),
         ("ar", "--graph", HUNT_MEMBER, "--k", "5", "--budget-nodes", "-3"),
         ("ar-class", "--n", "8", "--k", "3", "--budget-nodes", "-1"),
-        ("ar-class", "--n", "8", "--k", "3", "--budget-ms", "-1"),
+        ("ar-class", "--n", "9", "--k", "4", "--budget-nodes", "-2"),
         ("table", "--n", "6..6", "--k", "2..2", "--budget-nodes", "-1",
          "--out", str(tmp_path / "t.csv")),
         # n < 2k skips every cell, so no sweep ever sees the budget
@@ -212,6 +217,60 @@ def test_negative_budget_is_an_error(capsys, tmp_path):
 def test_extended_requires_cache(capsys):
     code, _, err = run(capsys, "ar-class", "--n", "10", "--k", "5", "--extended")
     assert code == 1 and "--cache" in err
+
+
+def test_extended_default_budget_is_a_node_count(capsys, monkeypatch, tmp_path):
+    calls = []
+
+    def recording(n, k, **kw):
+        calls.append(kw)
+        return ClassResult(n, k, 0, [], [], [])
+
+    monkeypatch.setattr(cli, "ar_class", recording)
+    argv = ("ar-class", "--n", "10", "--k", "5", "--extended",
+            "--cache", str(tmp_path / "c.jsonl"))
+    run(capsys, *argv)
+    run(capsys, *argv, "--budget-nodes", "7")
+    assert [kw["max_nodes"] for kw in calls] == [cli.EXTENDED_MAX_NODES, 7]
+    assert all(kw["audit_fraction"] == 0.0 for kw in calls)
+
+
+def test_usage_errors_exit_one(capsys):
+    for argv in (
+        # the wall-clock budget is gone; a stale flag must not read as 2
+        ("ar-class", "--n", "9", "--k", "4", "--budget-ms", "5"),
+        ("ar-class", "--n", "x", "--k", "4"),
+        ("ar-class", "--n", "9", "--k", "4", "--bogus"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and "usage:" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["ar-class", "--help"])
+    assert exc.value.code == 0
+
+
+def test_bad_options_fail_before_the_cache_is_read(capsys, monkeypatch, tmp_path):
+    cache = tmp_path / "c.jsonl"
+    code, _, _ = run(capsys, "ar-class", "--n", "6", "--k", "3",
+                     "--cache", str(cache))
+    assert code == 0 and cache.read_text()
+
+    def no_load(self):
+        raise AssertionError("read the cache despite a bad option")
+
+    monkeypatch.setattr(ResultCache, "_load", no_load)
+    for argv in (
+        ("ar-class", "--n", "6", "--k", "3", "--budget-nodes", "-1"),
+        ("ar-class", "--n", "6", "--k", "3", "--jobs", "0"),
+        ("ar-class", "--n", "17", "--k", "5"),
+        ("table", "--n", "6..6", "--k", "3..3", "--budget-nodes", "-1",
+         "--out", str(tmp_path / "t.csv")),
+        ("table", "--n", "6..6", "--k", "3..3", "--jobs", "0",
+         "--out", str(tmp_path / "t.csv")),
+    ):
+        code, out, err = run(capsys, *argv, "--cache", str(cache))
+        assert code == 1 and out == "" and err.startswith("error: ")
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_table_command(capsys, tmp_path):
