@@ -41,7 +41,6 @@ from .runner import (
     LemmaReport,
     ResultCache,
     ar_class,
-    emit_table,
     lemma_bipartite_check,
 )
 from .solver import ArResult, ar_brute_force, ar_exact, seed_incumbent
@@ -54,9 +53,8 @@ __all__ = [
     "RainbowWitness", "ResultCache", "Triangulation", "TutteBergeCertificate",
     "VerifyResult", "ar_brute_force", "ar_class", "ar_exact",
     "bipartite_outerplanar_corpus", "bipartition_of", "canonical_form",
-    "emit_table", "enumerate_mops", "enumerate_triangulations",
-    "find_rainbow_matching", "graph6_decode", "graph6_encode",
-    "is_factor_critical", "iterate_k_matchings", "lemma_bipartite_check",
-    "matching_number", "seed_incumbent", "tutte_berge_certificate",
-    "verify_certificate",
+    "enumerate_mops", "enumerate_triangulations", "find_rainbow_matching",
+    "graph6_decode", "graph6_encode", "is_factor_critical",
+    "iterate_k_matchings", "lemma_bipartite_check", "matching_number",
+    "seed_incumbent", "tutte_berge_certificate", "verify_certificate",
 ]

@@ -25,10 +25,11 @@ from .runner import (
     CacheMismatch,
     ResultCache,
     ar_class,
+    build_table,
     check_sweep,
-    emit_table,
     evaluate_bounds,
     lemma_bipartite_check,
+    render_table,
     table_cells,
     verify_class_result,
 )
@@ -53,11 +54,11 @@ def _violated(bounds: dict) -> bool:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    value = int(text)
-    return value, value
+    lo, hi = text.split("..", 1) if ".." in text else (text, text)
+    lo, hi = int(lo), int(hi)
+    if lo > hi:
+        raise ValueError(f"range {text!r} is reversed: {lo} > {hi}")
+    return lo, hi
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -137,10 +138,14 @@ def _cmd_table(args: argparse.Namespace) -> int:
         jobs=args.jobs,
     )
     cache = ResultCache(args.cache) if args.cache else None
-    rows = emit_table(
-        n_range, k_range, args.out, args.format,
-        max_nodes=args.budget_nodes, jobs=args.jobs, cache=cache,
+    rows = build_table(
+        n_range, k_range, max_nodes=args.budget_nodes, jobs=args.jobs,
+        cache=cache,
     )
+    text = render_table(rows, args.format)
+    # open's OSError names the path
+    with open(args.out, "w") as handle:
+        handle.write(text)
     print(f"wrote {args.out}")
     return _exit_code(
         not any(map(_violated, rows)), all(row["complete"] for row in rows)

@@ -15,17 +15,16 @@ import random
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 from typing import Iterable
 
 from .graphs import canonical_form, graph6_decode
-from .mops import bipartite_outerplanar_corpus, enumerate_mops
+from .mops import MAX_ENUM_N, bipartite_outerplanar_corpus, enumerate_mops
 from .rainbow import verify_certificate
 from .solver import EXACT, ArResult, ar_exact, check_budget
 
-MAX_CLASS_N = 16
 # a pool takes a cell's members in chunks, about eight per worker, so that
 # a slow member rarely holds up the tail; capped so that a long sweep still
 # appends to its cache every few seconds
@@ -40,12 +39,31 @@ UNKNOWN = "UNKNOWN"
 
 @dataclass
 class ClassResult:
+    """A sweep's member results, in canonical order; the class value,
+    argmax and unsolved members are read off them."""
+
     n: int
     k: int
-    value: int
-    argmax: list[str]
     results: list[ArResult]
-    unsolved: list[str]
+
+    @property
+    def value(self) -> int:
+        """The largest member value, 0 with no members."""
+        return max((r.value for r in self.results), default=0)
+
+    @property
+    def argmax(self) -> list[str]:
+        value = self.value
+        return sorted(r.graph6 for r in self.results if r.value == value)
+
+    @property
+    def unsolved(self) -> list[str]:
+        """Members whose upper bound is unknown or above the class value."""
+        value = self.value
+        return [
+            r.graph6 for r in self.results
+            if r.upper is None or r.upper > value
+        ]
 
     @property
     def complete(self) -> bool:
@@ -158,12 +176,12 @@ def check_sweep(
     cells: Iterable[tuple[int, int]], *, max_nodes: int | None, jobs: int
 ) -> None:
     """Raise ValueError unless a sweep can honour its options: every
-    (n, k) cell has 2k <= n <= MAX_CLASS_N, so each class member contains
+    (n, k) cell has 2k <= n <= MAX_ENUM_N, so each class member contains
     a k-matching, the node budget is not negative and jobs >= 1."""
     for n, k in cells:
-        if not 2 * k <= n <= MAX_CLASS_N:
+        if not 2 * k <= n <= MAX_ENUM_N:
             raise ValueError(
-                f"class query needs 2k <= n <= {MAX_CLASS_N}; got n={n}, k={k}"
+                f"class query needs 2k <= n <= {MAX_ENUM_N}; got n={n}, k={k}"
             )
     check_budget(max_nodes)
     if jobs < 1:
@@ -224,17 +242,7 @@ def ar_class(
 
     if cache is not None and audit_fraction > 0:
         _audit_cache(cached, len(members), k, audit_fraction)
-
-    value = max(r.value for r in ordered) if ordered else 0
-    settled = {
-        r.graph6 for r in ordered if r.upper is not None and r.upper <= value
-    }
-    unsolved = [g6 for g6 in members if g6 not in settled]
-    argmax = sorted(r.graph6 for r in ordered if r.value == value)
-    return ClassResult(
-        n=n, k=k, value=value, argmax=argmax, results=ordered,
-        unsolved=unsolved,
-    )
+    return ClassResult(n, k, ordered)
 
 
 def _audit_cache(
@@ -266,33 +274,27 @@ def _audit_cache(
 class BoundCheck:
     """Computed class value against the known general bounds.
 
-    lower = n + 2k - 6 applies whenever 2k <= n.  upper = n + 4k - 9 applies
-    only for n >= 3k - 3, except that the paper's second theorem,
-    ar(O_n, M_5) = n + 4 for n >= 15, sharpens it to n + 4 there.  upper
-    is flagged VACUOUS when the trivial edge-count cap 2n - 3 already
+    lower = n + 2k - 6 applies for k >= 3 and 2k <= n.  upper = n + 4k - 9
+    applies for k >= 2 and n >= 3k - 3, except that the paper's second
+    theorem, ar(O_n, M_5) = n + 4 for n >= 15, sharpens it to n + 4 there.
+    upper is flagged VACUOUS when the trivial edge-count cap 2n - 3 already
     implies it.  At k = 5 the lower bound is n + 4 too, so a complete sweep of an
     order past 14 whose value is not n + 4 violates one of the two.
     """
 
+    # in table column order
     n: int
     k: int
+    value: int
+    complete: bool
     lower: int
     upper: int
     trivial_cap: int
-    value: int
-    complete: bool
     lower_verdict: str
     upper_verdict: str
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n, "k": self.k,
-            "lower": self.lower, "upper": self.upper,
-            "trivial_cap": self.trivial_cap,
-            "value": self.value, "complete": self.complete,
-            "lower_verdict": self.lower_verdict,
-            "upper_verdict": self.upper_verdict,
-        }
+        return asdict(self)
 
 
 def evaluate_bounds(n: int, k: int, value: int, complete: bool) -> BoundCheck:
@@ -307,7 +309,8 @@ def evaluate_bounds(n: int, k: int, value: int, complete: bool) -> BoundCheck:
         lower_verdict = HOLDS
     else:
         lower_verdict = VIOLATED if complete else UNKNOWN
-    if n < 3 * k - 3:
+    if k < 2 or n < 3 * k - 3:
+        # at k = 1 the bound is n - 5, below ar(G, M_1) = 0 for n < 5
         upper_verdict = NOT_APPLICABLE
     elif cap <= upper:
         upper_verdict = VACUOUS
@@ -375,10 +378,7 @@ def lemma_bipartite_check(n_max: int) -> LemmaReport:
 # tables
 # ---------------------------------------------------------------------------
 
-TABLE_FIELDS = (
-    "n", "k", "value", "complete", "lower", "upper", "trivial_cap",
-    "lower_verdict", "upper_verdict", "elapsed_ms",
-)
+TABLE_FIELDS = tuple(f.name for f in fields(BoundCheck)) + ("elapsed_ms",)
 
 
 def table_cells(
@@ -415,10 +415,9 @@ def build_table(
     rows = []
     for n, k in cells:
         result = ar_class(n, k, max_nodes=max_nodes, jobs=jobs, cache=cache)
-        bounds = evaluate_bounds(n, k, result.value, result.complete)
-        row = bounds.to_json()
+        row = evaluate_bounds(n, k, result.value, result.complete).to_json()
         row["elapsed_ms"] = round(sum(r.elapsed_ms for r in result.results), 3)
-        rows.append({key: row[key] for key in TABLE_FIELDS})
+        rows.append(row)
     return rows
 
 
@@ -434,38 +433,6 @@ def render_table(rows: list[dict], fmt: str) -> str:
     raise ValueError(f"unsupported table format {fmt!r}")
 
 
-def emit_table(
-    n_range: tuple[int, int],
-    k_range: tuple[int, int],
-    out_path: str | Path,
-    fmt: str,
-    *,
-    max_nodes: int | None = None,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
-) -> list[dict]:
-    """Build the table, write it to out_path and return its rows."""
-    out_path = Path(out_path)
-    rows = build_table(
-        n_range, k_range, max_nodes=max_nodes, jobs=jobs, cache=cache
-    )
-    text = render_table(rows, fmt)
-    try:
-        out_path.write_text(text)
-    except OSError as exc:
-        raise OSError(f"cannot write table to {out_path}: {exc}") from exc
-    return rows
-
-
 def verify_class_result(result: ClassResult) -> bool:
-    """Re-check every witness in a class result without trusting the
-    solver, and that the class value and argmax are what the members
-    attain: the value is their maximum (0 with no members), and every
-    argmax entry names a member at that value."""
-    attained = max((r.value for r in result.results), default=0)
-    at_value = {r.graph6 for r in result.results if r.value == result.value}
-    return (
-        result.value == attained
-        and all(g6 in at_value for g6 in result.argmax)
-        and all(_certified(entry) for entry in result.results)
-    )
+    """Re-check every member's witness without trusting the solver."""
+    return all(_certified(r) for r in result.results)

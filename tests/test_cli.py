@@ -99,6 +99,10 @@ def test_ar_class_command(capsys, tmp_path):
     # the summary counts the argmax; --out keeps the list
     assert "argmax" not in data and data["argmax_count"] == len(full["argmax"])
     assert data["unsolved_count"] == len(full["unsolved"]) == 0
+    # n + 4k - 9 is not claimed for 1-matchings: at n = 4 it is -1 < 0
+    code, out, _ = run(capsys, "ar-class", "--n", "4", "--k", "1")
+    bounds = json.loads(out)["bounds"]
+    assert code == 0 and bounds["upper_verdict"] == "NOT_APPLICABLE"
 
 
 def test_ar_class_cache_mismatch_exit_code(capsys, tmp_path):
@@ -127,8 +131,7 @@ def test_ar_class_bound_violation_exit_code(capsys, monkeypatch):
     member = ArResult(g6, 5, seed.num_colors, seed.num_colors, seed, 0, 0.0)
     monkeypatch.setattr(
         cli, "ar_class",
-        lambda n, k, **kw: ClassResult(
-            n, k, member.value, [g6], [member], []),
+        lambda n, k, **kw: ClassResult(n, k, [member]),
     )
     code, out, _ = run(capsys, "ar-class", "--n", "15", "--k", "5")
     summary = json.loads(out)
@@ -138,10 +141,10 @@ def test_ar_class_bound_violation_exit_code(capsys, monkeypatch):
 
 
 def test_ar_class_unattained_value_exit_code(capsys, monkeypatch):
-    # a complete value that no member attains is not verified
+    # a member at n + 5 without a witness: complete, but not verified
+    member = ArResult(HUNT_MEMBER, 5, 20, 20, None, 0, 0.0)
     monkeypatch.setattr(
-        cli, "ar_class",
-        lambda n, k, **kw: ClassResult(n, k, n + 5, [], [], []),
+        cli, "ar_class", lambda n, k, **kw: ClassResult(n, k, [member]),
     )
     code, out, _ = run(capsys, "ar-class", "--n", "15", "--k", "5")
     summary = json.loads(out)
@@ -224,7 +227,7 @@ def test_extended_default_budget_is_a_node_count(capsys, monkeypatch, tmp_path):
 
     def recording(n, k, **kw):
         calls.append(kw)
-        return ClassResult(n, k, 0, [], [], [])
+        return ClassResult(n, k, [])
 
     monkeypatch.setattr(cli, "ar_class", recording)
     argv = ("ar-class", "--n", "10", "--k", "5", "--extended",
@@ -267,6 +270,8 @@ def test_bad_options_fail_before_the_cache_is_read(capsys, monkeypatch, tmp_path
          "--out", str(tmp_path / "t.csv")),
         ("table", "--n", "6..6", "--k", "3..3", "--jobs", "0",
          "--out", str(tmp_path / "t.csv")),
+        ("table", "--n", "10..4", "--k", "2..3",
+         "--out", str(tmp_path / "t.csv")),
     ):
         code, out, err = run(capsys, *argv, "--cache", str(cache))
         assert code == 1 and out == "" and err.startswith("error: ")
@@ -281,6 +286,11 @@ def test_table_command(capsys, tmp_path):
     lines = out_path.read_text().splitlines()
     assert lines[0].startswith("n,k,")
     assert len(lines) == 4  # header + n in {4,5,6}
+    # an unwritable --out is an error that names the path
+    code, out, err = run(capsys, "table", "--n", "4..4", "--k", "2..2",
+                         "--out", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and str(tmp_path) in err
 
 
 def test_table_budget_exit_code(capsys, tmp_path):
@@ -295,7 +305,7 @@ def test_table_budget_exit_code(capsys, tmp_path):
 
 def test_table_bound_violation_exit_code(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(
-        cli, "emit_table",
+        cli, "build_table",
         lambda *a, **kw: [{"complete": True, "lower_verdict": "HOLDS",
                            "upper_verdict": "VIOLATED"}],
     )

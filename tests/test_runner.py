@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import warnings
 
@@ -18,7 +17,6 @@ from mopar.runner import (
     ResultCache,
     ar_class,
     build_table,
-    emit_table,
     evaluate_bounds,
     lemma_bipartite_check,
     render_table,
@@ -45,15 +43,20 @@ def test_class_refuses_small_n():
 def test_verify_class_result_checks_value_and_argmax():
     result = ar_class(6, 3)
     assert verify_class_result(result)
-    # a value no member attains, above or below the members' maximum
-    for value in (result.value + 1, result.value - 1):
-        assert not verify_class_result(dataclasses.replace(result, value=value))
-    # an argmax entry that names a member below the value, or no member
-    below = next(r.graph6 for r in result.results if r.value < result.value)
-    for argmax in ([below], result.argmax + ["EEjw"]):
-        assert not verify_class_result(dataclasses.replace(result, argmax=argmax))
-    assert not verify_class_result(ClassResult(15, 5, 20, [], [], []))
-    assert verify_class_result(ClassResult(15, 5, 0, [], [], ["EEjw"]))
+    assert list(result.to_json()) == [
+        "n", "k", "value", "complete", "argmax", "unsolved", "results",
+    ]
+    # value and argmax are read off the members: drop those at the class
+    # value and both follow
+    rest = ClassResult(6, 3, [r for r in result.results if r.value < 7])
+    assert rest.value == max(r.value for r in rest.results) < 7
+    assert rest.argmax == sorted(
+        r.graph6 for r in rest.results if r.value == rest.value
+    )
+    assert rest.complete and verify_class_result(rest)
+    empty = ClassResult(15, 5, [])
+    assert empty.value == 0 and empty.argmax == [] and empty.complete
+    assert verify_class_result(empty)
 
 
 def test_class_results_in_canonical_order_and_witnesses_verify():
@@ -134,20 +137,16 @@ def test_budget_marks_incomplete():
     assert _class_json(pooled) == _class_json(result)
 
 
-def test_negative_limits_are_an_error(tmp_path, monkeypatch):
+def test_negative_limits_are_an_error(monkeypatch):
     def no_enumeration(n):
         raise AssertionError("enumerated despite a negative budget")
 
     monkeypatch.setattr(runner, "enumerate_mops", no_enumeration)
-    out_path = tmp_path / "t.csv"
     with pytest.raises(ValueError, match="max_nodes"):
         ar_class(8, 3, max_nodes=-5)
     # every cell skipped (n < 2k): the table still rejects the budget
     with pytest.raises(ValueError, match="max_nodes"):
         build_table((4, 4), (3, 3), max_nodes=-5)
-    with pytest.raises(ValueError, match="max_nodes"):
-        emit_table((8, 8), (3, 3), out_path, "csv", max_nodes=-5)
-    assert not out_path.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +337,11 @@ def test_bound_check_examples():
 
     # the general lower bound is not a claim about 2-matchings
     assert evaluate_bounds(8, 2, 1, True).lower_verdict == NOT_APPLICABLE
+    # nor the upper bound about 1-matchings, where n + 4k - 9 = -1 < 0 at
+    # n = 4; at k = 2 it is n - 1 and ar(O_4, M_2) = 3 meets it
+    one = evaluate_bounds(4, 1, 0, True)
+    assert one.upper == -1 and one.upper_verdict == NOT_APPLICABLE
+    assert evaluate_bounds(4, 2, 3, True).upper_verdict == HOLDS
 
 
 def test_five_matchings_past_order_fourteen_are_exactly_n_plus_four():
@@ -395,12 +399,12 @@ def test_lemma_check_small():
 
 def test_table_contents_and_determinism(tmp_path):
     cache = ResultCache(tmp_path / "cache.jsonl")
-    out = tmp_path / "table.csv"
-    emit_table((4, 6), (2, 3), out, "csv", cache=cache)
-    first = out.read_bytes()
-    text = first.decode()
-    rows = text.strip().splitlines()
-    assert rows[0].startswith("n,k,value")
+    first = render_table(build_table((4, 6), (2, 3), cache=cache), "csv")
+    rows = first.strip().splitlines()
+    assert rows[0] == (
+        "n,k,value,complete,lower,upper,trivial_cap,"
+        "lower_verdict,upper_verdict,elapsed_ms"
+    )
     # (4,2) -> 3 and (5,2) -> 1 per the known exact values
     assert any(line.startswith("4,2,3,") for line in rows)
     assert any(line.startswith("5,2,1,") for line in rows)
@@ -408,8 +412,9 @@ def test_table_contents_and_determinism(tmp_path):
     assert not any(line.startswith("4,3,") for line in rows)
 
     warm_cache = ResultCache(tmp_path / "cache.jsonl")
-    emit_table((4, 6), (2, 3), out, "csv", cache=warm_cache)
-    assert out.read_bytes() == first
+    assert render_table(
+        build_table((4, 6), (2, 3), cache=warm_cache), "csv"
+    ) == first
 
 
 def test_table_json_render():
