@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from .graphs import Graph6Error, graph6_decode, graph6_encode
 from .matchings import certificate_is_valid, tutte_berge_certificate
@@ -32,6 +33,7 @@ from .runner import (
     render_table,
     table_cells,
     verify_class_result,
+    verify_result,
 )
 from .solver import EXACT, ar_brute_force, ar_exact
 
@@ -86,9 +88,7 @@ def _cmd_ar(args: argparse.Namespace) -> int:
     if args.oracle:
         payload["oracle_value"] = ar_brute_force(g, args.k)
     print(json.dumps(payload, sort_keys=True))
-    ok = result.witness is None or verify_certificate(
-        g, result.witness, args.k, result.value
-    ).ok
+    ok = verify_result(result)
     if args.oracle:
         ok = ok and payload["oracle_value"] == result.value
     return _exit_code(ok, result.mode == EXACT)
@@ -102,29 +102,30 @@ def _cmd_ar_class(args: argparse.Namespace) -> int:
             return FAIL
         if max_nodes is None:
             max_nodes = EXTENDED_MAX_NODES
-    # a bad option fails before a large cache is read and verified
+    # a bad option, then an unwritable --out, fails before a large cache
+    # is read and verified; open's OSError names the path
     check_sweep([(args.n, args.k)], max_nodes=max_nodes, jobs=args.jobs)
-    cache = ResultCache(args.cache) if args.cache else None
-    result = ar_class(
-        args.n, args.k, max_nodes=max_nodes, jobs=args.jobs, cache=cache,
-        audit_fraction=0.0 if args.extended else 0.05, floor=args.floor,
-    )
-    summary = {
-        "n": result.n,
-        "k": result.k,
-        "value": result.value,
-        "complete": result.complete,
-        "verified": verify_class_result(result),
-        "argmax_count": len(result.argmax),
-        "unsolved_count": len(result.unsolved),
-        "bounds": evaluate_bounds(
-            result.n, result.k, result.value, result.complete
-        ).to_json(),
-    }
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(result.to_json(), handle, sort_keys=True, indent=2)
-        summary["out"] = args.out
+    with open(args.out, "w") if args.out else nullcontext() as out:
+        cache = ResultCache(args.cache) if args.cache else None
+        result = ar_class(
+            args.n, args.k, max_nodes=max_nodes, jobs=args.jobs, cache=cache,
+            audit_fraction=0.0 if args.extended else 0.05, floor=args.floor,
+        )
+        summary = {
+            "n": result.n,
+            "k": result.k,
+            "value": result.value,
+            "complete": result.complete,
+            "verified": verify_class_result(result),
+            "argmax_count": len(result.argmax),
+            "unsolved_count": len(result.unsolved),
+            "bounds": evaluate_bounds(
+                result.n, result.k, result.value, result.complete
+            ).to_json(),
+        }
+        if out:
+            json.dump(result.to_json(), out, sort_keys=True, indent=2)
+            summary["out"] = args.out
     print(json.dumps(summary, sort_keys=True))
     return _exit_code(
         summary["verified"] and not _violated(summary["bounds"]), result.complete
@@ -137,15 +138,15 @@ def _cmd_table(args: argparse.Namespace) -> int:
         table_cells(n_range, k_range), max_nodes=args.budget_nodes,
         jobs=args.jobs,
     )
-    cache = ResultCache(args.cache) if args.cache else None
-    rows = build_table(
-        n_range, k_range, max_nodes=args.budget_nodes, jobs=args.jobs,
-        cache=cache,
-    )
-    text = render_table(rows, args.format)
-    # open's OSError names the path
-    with open(args.out, "w") as handle:
-        handle.write(text)
+    # an unwritable --out fails before the cache is read; open's OSError
+    # names the path
+    with open(args.out, "w") as out:
+        cache = ResultCache(args.cache) if args.cache else None
+        rows = build_table(
+            n_range, k_range, max_nodes=args.budget_nodes, jobs=args.jobs,
+            cache=cache,
+        )
+        out.write(render_table(rows, args.format))
     print(f"wrote {args.out}")
     return _exit_code(
         not any(map(_violated, rows)), all(row["complete"] for row in rows)
@@ -155,8 +156,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     with open(args.cert) as handle:
         data = json.load(handle)
-    g, k, coloring = certificate_from_json(data)
-    outcome = verify_certificate(g, coloring, k, coloring.num_colors)
+    graph6, k, coloring = certificate_from_json(data)
+    outcome = verify_certificate(
+        graph6_decode(graph6), coloring, k, coloring.num_colors
+    )
     print(json.dumps({"ok": outcome.ok, "reason": outcome.reason}))
     return PASS if outcome.ok else FAIL
 

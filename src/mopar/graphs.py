@@ -321,21 +321,7 @@ def canonical_form(g: Graph) -> CanonicalForm:
 
 def graph6_encode(g: Graph) -> str:
     """Standard graph6 encoding (single-byte order; n <= 62 always holds here)."""
-    out = [chr(g.n + 63)]
-    buf = 0
-    nbits = 0
-    for j in range(1, g.n):
-        row = g.adj[j]
-        for i in range(j):
-            buf = buf << 1 | (row >> i & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(buf + 63))
-                buf = 0
-                nbits = 0
-    if nbits:
-        out.append(chr((buf << (6 - nbits)) + 63))
-    return "".join(out)
+    return _graph6_of_key(g.n, _labeling_key(g.n, g.adj, range(g.n)))
 
 
 def graph6_decode(text: str) -> Graph:
@@ -356,29 +342,24 @@ def graph6_decode(text: str) -> Graph:
             f"expected {1 + body_len} bytes for n={n}, got {len(text)}",
             min(len(text), 1 + body_len),
         )
-    adj = [0] * n
-    bit = 0
+    key = 0
     for pos, ch in enumerate(text[1:], start=1):
         val = ord(ch) - 63
         if not 0 <= val < 64:
             raise Graph6Error(f"byte {ch!r} outside graph6 alphabet", pos)
-        for shift in range(5, -1, -1):
-            if bit >= nbits:
-                if val >> shift & 1:
-                    raise Graph6Error("nonzero padding bits", pos)
-                continue
-            if val >> shift & 1:
-                # column-major upper triangle: recover (i, j) from bit rank
-                i, j = _bit_to_pair(bit)
+        key = key << 6 | val
+    # the padding is the low bits of the last byte
+    pad = 6 * body_len - nbits
+    if key & ((1 << pad) - 1):
+        raise Graph6Error("nonzero padding bits", body_len)
+    key >>= pad
+    # a labeling key: bits in `_labeling_key`'s column order, first highest
+    bit = nbits
+    adj = [0] * n
+    for j in range(1, n):
+        for i in range(j):
+            bit -= 1
+            if key >> bit & 1:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-            bit += 1
     return Graph(n, adj)
-
-
-def _bit_to_pair(rank: int) -> tuple[int, int]:
-    j = 1
-    while j * (j + 1) // 2 <= rank:
-        j += 1
-    i = rank - j * (j - 1) // 2
-    return i, j

@@ -7,11 +7,10 @@ relabeling symmetry in caches and fixtures.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .graphs import Graph, graph6_decode, graph6_encode
+from .graphs import Graph
 
 OK = "OK"
 NOT_SURJECTIVE = "NOT_SURJECTIVE"
@@ -164,41 +163,46 @@ def verify_certificate(
 # certificate serialization
 # ---------------------------------------------------------------------------
 
-def certificate_to_json(g: Graph, k: int, coloring: EdgeColoring) -> dict:
+def certificate_to_json(graph6: str, k: int, coloring: EdgeColoring) -> dict:
+    """The coloring certificate that `mop verify` reads, and that result
+    JSON and cache lines carry as their witness."""
     return {
-        "graph": graph6_encode(g),
+        "graph": graph6,
         "k": k,
         "colors": list(coloring.colors),
         "num_colors": coloring.num_colors,
     }
 
 
-def _is_int(value: object) -> bool:
+def is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _field(data: dict, key: str, valid: Callable[[object], bool], what: str):
+def json_field(
+    data: dict, key: str, valid: Callable[[object], bool], what: str,
+    owner: str = "certificate",
+):
+    """data[key], or a ValueError naming the field when it is missing or
+    fails `valid`."""
     if key not in data:
-        raise ValueError(f"certificate has no {key!r} field")
+        raise ValueError(f"{owner} has no {key!r} field")
     if not valid(data[key]):
-        raise ValueError(f"certificate field {key!r} must be {what}")
+        raise ValueError(f"{owner} field {key!r} must be {what}")
     return data[key]
 
 
-def certificate_from_json(data: dict) -> tuple[Graph, int, EdgeColoring]:
-    """Parse a coloring certificate; a missing or wrongly typed field is a
-    ValueError naming it."""
+def certificate_from_json(data: dict) -> tuple[str, int, EdgeColoring]:
+    """Parse a coloring certificate into its graph6 string, k and coloring;
+    a missing or wrongly typed field is a ValueError naming it."""
     if not isinstance(data, dict):
         raise ValueError("certificate must be a JSON object")
-    graph = _field(data, "graph", lambda v: isinstance(v, str), "a graph6 string")
-    k = _field(data, "k", _is_int, "an integer")
-    colors = _field(
-        data, "colors", lambda v: isinstance(v, list) and all(map(_is_int, v)),
+    graph = json_field(
+        data, "graph", lambda v: isinstance(v, str), "a graph6 string"
+    )
+    k = json_field(data, "k", is_int, "an integer")
+    colors = json_field(
+        data, "colors", lambda v: isinstance(v, list) and all(map(is_int, v)),
         "a list of integers",
     )
-    num_colors = _field(data, "num_colors", _is_int, "an integer")
-    return graph6_decode(graph), k, EdgeColoring(tuple(colors), num_colors)
-
-
-def dump_certificate(g: Graph, k: int, coloring: EdgeColoring) -> str:
-    return json.dumps(certificate_to_json(g, k, coloring), sort_keys=True)
+    num_colors = json_field(data, "num_colors", is_int, "an integer")
+    return graph, k, EdgeColoring(tuple(colors), num_colors)

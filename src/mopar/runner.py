@@ -91,10 +91,10 @@ class ResultCache:
 
     Keyed by (canonical graph6, k); of the lines for one key the lowest
     upper wins, and of those the highest value.  Results a budget ended
-    (upper None) are never written.  Corrupt lines, and lines whose
-    witness does not verify at exactly their value or whose upper is below
-    it, are skipped with a warning.  Appends are one line per result so
-    concurrent readers always see whole records.
+    (upper None) are never written.  Lines that `ArResult.from_json`
+    rejects or that fail `verify_result` are skipped with a warning.
+    Appends are one line per result so concurrent readers always see whole
+    records.
     """
 
     def __init__(self, path: str | Path):
@@ -112,10 +112,9 @@ class ResultCache:
                     continue
                 try:
                     result = ArResult.from_json(json.loads(line))
-                    corrupt = result.upper is not None and not (
-                        result.upper >= result.value and _certified(result)
-                    )
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+                    corrupt = not verify_result(result)
+                except ValueError:
+                    # also json.JSONDecodeError and Graph6Error
                     corrupt = True
                 if corrupt:
                     warnings.warn(
@@ -150,11 +149,14 @@ class ResultCache:
             handle.write(result.dumps() + "\n")
 
 
-def _certified(result: ArResult) -> bool:
-    """The result's witness verifies at exactly its value; only k = 1, whose
-    value is 0, has no witness."""
+def verify_result(result: ArResult) -> bool:
+    """The result's witness verifies at exactly its value, without trusting
+    the solver, and its upper bound, if any, is not below that value; only
+    k = 1, whose value is 0, has no witness."""
+    if result.upper is not None and result.upper < result.value:
+        return False
     if result.witness is None:
-        return result.k == 1 and result.value == 0
+        return result.k == 1
     g = graph6_decode(result.graph6)
     return verify_certificate(g, result.witness, result.k, result.value).ok
 
@@ -434,5 +436,5 @@ def render_table(rows: list[dict], fmt: str) -> str:
 
 
 def verify_class_result(result: ClassResult) -> bool:
-    """Re-check every member's witness without trusting the solver."""
-    return all(_certified(r) for r in result.results)
+    """Every member passes `verify_result`."""
+    return all(map(verify_result, result.results))

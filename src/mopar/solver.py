@@ -52,8 +52,8 @@ way, and a subset test written `x & y == x`, cost the width of the
 narrower operand, where `x & ~y` costs the width of y.  Masks lose their
 first matchings first, so they narrow as the search deepens.  The
 transversal bound and the greedy seed read the same masks: the seed
-counts the sampled violated matchings that hold both classes a and b as
-`(sample & msets[a] & msets[b]).bit_count()`.  The apart pairs are one
+counts the violated matchings that hold both classes a and b as
+`(violated & msets[a] & msets[b]).bit_count()`.  The apart pairs are one
 mask per class over class labels, merged like `msets`; a pair marked
 apart is never a child.
 
@@ -73,7 +73,9 @@ from typing import Sequence
 from .graphs import Graph, graph6_encode, iter_bits
 # not called here; the benchmark tracer patches solver.matching_number by name
 from .matchings import iterate_k_matchings, matching_number  # noqa: F401
-from .rainbow import EdgeColoring
+from .rainbow import (
+    EdgeColoring, certificate_from_json, certificate_to_json, is_int, json_field,
+)
 
 EXACT = "EXACT"
 LOWER_BOUND = "LOWER_BOUND"
@@ -81,71 +83,92 @@ LOWER_BOUND = "LOWER_BOUND"
 MAX_K = 8
 BRUTE_FORCE_MAX_EDGES = 10
 
-# deterministic cap on how many violated matchings the greedy seed samples
-# when counting class-pair frequencies
-SEED_SAMPLE = 512
-
 
 @dataclass
 class ArResult:
     """Solver output: proved bounds value <= ar(G, M_k) <= upper.
 
-    The witness always verifies at exactly `value` colors.  `upper` is the
-    bound the search proved: the value itself, or the floor a completed
-    search found nothing above, or None when a budget ended the search.
-    `mode` is EXACT when upper == value and LOWER_BOUND otherwise; JSON
-    carries both.  For k = 1 no rainbow-free coloring exists at all, so
-    value is 0 and the witness is None.
+    `value` is the witness's color count, so it always has a witness that
+    verifies at exactly that many colors.  `upper` is the bound the search
+    proved: the value itself, or the floor a completed search found
+    nothing above, or None when a budget ended the search.  `mode` is
+    EXACT when upper == value and LOWER_BOUND otherwise; JSON carries
+    both.  For k = 1 no rainbow-free coloring exists at all, so the
+    witness is None and value is 0.
     """
 
     graph6: str
     k: int
-    value: int
     upper: int | None
     witness: EdgeColoring | None
     nodes: int
     elapsed_ms: float
 
     @property
+    def value(self) -> int:
+        return 0 if self.witness is None else self.witness.num_colors
+
+    @property
     def mode(self) -> str:
         return EXACT if self.upper == self.value else LOWER_BOUND
 
     def to_json(self) -> dict:
-        data = {
+        witness = None
+        if self.witness is not None:
+            witness = certificate_to_json(self.graph6, self.k, self.witness)
+        return {
             "graph": self.graph6,
             "k": self.k,
             "value": self.value,
             "upper": self.upper,
             "mode": self.mode,
-            "witness": None,
+            "witness": witness,
             "nodes": self.nodes,
             "elapsed_ms": self.elapsed_ms,
         }
-        if self.witness is not None:
-            data["witness"] = {
-                "graph": self.graph6,
-                "k": self.k,
-                "colors": list(self.witness.colors),
-                "num_colors": self.witness.num_colors,
-            }
-        return data
 
     @staticmethod
     def from_json(data: dict) -> ArResult:
-        """Read `to_json` output.  A line without "upper" predates the
-        field; only EXACT results were written then, at upper = value."""
+        """Read `to_json` output.  A missing or wrongly typed field, a
+        witness for another graph or k, and a value or mode that the
+        witness and upper do not give are ValueErrors.  A line without
+        "upper" predates the field; only EXACT results were written then,
+        at upper = value."""
+        if not isinstance(data, dict):
+            raise ValueError("result must be a JSON object")
+
+        def read(key, valid, what):
+            return json_field(data, key, valid, what, owner="result")
+
+        graph6 = read("graph", lambda v: isinstance(v, str), "a graph6 string")
+        k = read("k", is_int, "an integer")
+        value = read("value", is_int, "an integer")
+        mode = read("mode", lambda v: v in (EXACT, LOWER_BOUND), "a mode")
+        nodes = read("nodes", is_int, "an integer")
+        elapsed_ms = read(
+            "elapsed_ms", lambda v: is_int(v) or isinstance(v, float),
+            "a number",
+        )
+        upper = value if mode == EXACT else None
+        if "upper" in data:
+            upper = read("upper", lambda v: v is None or is_int(v),
+                         "an integer or null")
         witness = None
-        if data["witness"] is not None:
-            witness = EdgeColoring(
-                tuple(data["witness"]["colors"]), data["witness"]["num_colors"]
+        cert = read("witness", lambda v: v is None or isinstance(v, dict),
+                    "a certificate or null")
+        if cert is not None:
+            named, named_k, witness = certificate_from_json(cert)
+            if (named, named_k) != (graph6, k):
+                raise ValueError(
+                    f"witness is for {named!r}, k={named_k}, not the result's"
+                )
+        result = ArResult(graph6, k, upper, witness, nodes, elapsed_ms)
+        if (value, mode) != (result.value, result.mode):
+            raise ValueError(
+                f"value {value} and mode {mode} disagree with the witness's "
+                f"{result.value} colors"
             )
-        upper = data.get(
-            "upper", data["value"] if data["mode"] == EXACT else None
-        )
-        return ArResult(
-            data["graph"], data["k"], data["value"], upper,
-            witness, data["nodes"], data["elapsed_ms"],
-        )
+        return result
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
@@ -231,22 +254,6 @@ def _matching_masks(g: Graph, k: int) -> tuple[list[tuple[int, ...]], list[int]]
     return matchings, touch
 
 
-def _top_bits(mask: int, count: int) -> int:
-    """The top `count` set bits of mask (all of them if it has fewer): the
-    bits from the highest cut that still keeps that many, found by
-    bisection on the cut."""
-    if mask.bit_count() <= count:
-        return mask
-    lo, hi = 0, mask.bit_length() - count
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if (mask >> mid).bit_count() < count:
-            hi = mid - 1
-        else:
-            lo = mid
-    return mask >> lo << lo
-
-
 def seed_incumbent(
     g: Graph,
     k: int,
@@ -256,10 +263,9 @@ def seed_incumbent(
     """Greedy rainbow-free coloring: repeatedly merge the class pair occurring
     in the most violated k-matchings, ties to the least pair.
 
-    The sample is the top SEED_SAMPLE violated ids, the lexicographically
-    first violated matchings.  A matching id is in msets[c] exactly when
-    the matching has an edge in class c, so pair (a, b) occurs in
-    `(sample & msets[a] & msets[b]).bit_count()` sampled matchings; a
+    A matching id is in msets[c] exactly when the matching has an edge in
+    class c, so pair (a, b) occurs in
+    `(violated & msets[a] & msets[b]).bit_count()` violated matchings; a
     class whose own count cannot beat the best pair so far is skipped.
 
     `_masks` is `_matching_masks(g, k)` when ar_exact has built it already,
@@ -278,10 +284,9 @@ def seed_incumbent(
     violated = (1 << len(matchings)) - 1
 
     while violated:
-        sample = _top_bits(violated, SEED_SAMPLE)
         best = 0
         for i, a in enumerate(live):
-            sa = sample & msets[a]
+            sa = violated & msets[a]
             if sa.bit_count() <= best:
                 continue
             for b in live[i + 1:]:
@@ -507,10 +512,10 @@ def ar_exact(
     m = g.edge_count
 
     if k == 1:
-        return ArResult(g6, k, 0, 0, None, 0, _ms(start))
+        return ArResult(g6, k, 0, None, 0, _ms(start))
     matchings, touch = masks = _matching_masks(g, k)
     if not matchings:
-        return ArResult(g6, k, m, m, _all_distinct(m), 0, _ms(start))
+        return ArResult(g6, k, m, _all_distinct(m), 0, _ms(start))
 
     search = _Search(
         matchings, max_nodes, floor, seed_incumbent(g, k, _masks=masks)
@@ -525,6 +530,4 @@ def ar_exact(
         pass
 
     witness = EdgeColoring.from_sequence(search.best_coloring)
-    return ArResult(
-        g6, k, search.best_value, upper, witness, search.nodes, _ms(start),
-    )
+    return ArResult(g6, k, upper, witness, search.nodes, _ms(start))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from itertools import combinations, islice, permutations
+from itertools import combinations, permutations
 from typing import Iterable, Iterator, Sequence
 
 from mopar.graphs import Graph, iter_bits
@@ -127,8 +127,8 @@ def min_class_transversal(
 
 def counting_seed(g: Graph, k: int) -> EdgeColoring:
     """The greedy seed by explicit pair counting: after every merge, count
-    each class pair over the 512 lexicographically first violated
-    k-matchings with a Counter, and merge the most frequent pair, ties to the least."""
+    each class pair over the violated k-matchings with a Counter, and merge
+    the most frequent pair, ties to the least."""
     m = g.edge_count
     matchings = list(iterate_k_matchings(g, k))
     if not matchings:
@@ -142,7 +142,7 @@ def counting_seed(g: Graph, k: int) -> EdgeColoring:
 
     while violated:
         freq: Counter[tuple[int, int]] = Counter()
-        for mid in islice(iter_bits(violated), 512):
+        for mid in iter_bits(violated):
             roots = sorted({cls[e] for e in matchings[mid]})
             for pair in combinations(roots, 2):
                 freq[pair] += 1

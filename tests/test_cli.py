@@ -9,7 +9,7 @@ import pytest
 from mopar import cli
 from mopar.cli import build_parser, main
 from mopar.graphs import graph6_decode
-from mopar.rainbow import EdgeColoring, dump_certificate
+from mopar.rainbow import EdgeColoring, certificate_to_json
 from mopar.runner import ClassResult, ResultCache, ar_class
 from mopar.solver import ArResult, ar_exact, seed_incumbent
 
@@ -71,7 +71,7 @@ def _rainbow(result):
     """The result with a witness in which every edge has its own color."""
     m = len(result.witness.colors)
     return dataclasses.replace(
-        result, value=m, upper=m, witness=EdgeColoring(tuple(range(m)), m)
+        result, upper=m, witness=EdgeColoring(tuple(range(m)), m)
     )
 
 
@@ -124,11 +124,12 @@ def test_ar_class_cache_mismatch_exit_code(capsys, tmp_path):
 
 
 def test_ar_class_bound_violation_exit_code(capsys, monkeypatch):
-    # one order-15 member whose greedy witness verifies at 16 colors, passed
-    # off as a complete sweep: below the lower bound n + 2k - 6 = 19
+    # one order-15 member whose greedy witness verifies below the lower
+    # bound n + 2k - 6 = 19, passed off as a complete sweep
     g6 = HUNT_MEMBER
     seed = seed_incumbent(graph6_decode(g6), 5)
-    member = ArResult(g6, 5, seed.num_colors, seed.num_colors, seed, 0, 0.0)
+    assert seed.num_colors < 19
+    member = ArResult(g6, 5, seed.num_colors, seed, 0, 0.0)
     monkeypatch.setattr(
         cli, "ar_class",
         lambda n, k, **kw: ClassResult(n, k, [member]),
@@ -136,13 +137,16 @@ def test_ar_class_bound_violation_exit_code(capsys, monkeypatch):
     code, out, _ = run(capsys, "ar-class", "--n", "15", "--k", "5")
     summary = json.loads(out)
     assert code == 1 and summary["verified"] and summary["complete"]
-    assert summary["value"] == 16
+    assert summary["value"] == seed.num_colors
     assert summary["bounds"]["lower_verdict"] == "VIOLATED"
 
 
 def test_ar_class_unattained_value_exit_code(capsys, monkeypatch):
-    # a member at n + 5 without a witness: complete, but not verified
-    member = ArResult(HUNT_MEMBER, 5, 20, 20, None, 0, 0.0)
+    # a member at n + 5 whose 20-color witness has a rainbow M_5:
+    # complete, but not verified
+    m = graph6_decode(HUNT_MEMBER).edge_count
+    witness = EdgeColoring(tuple(range(19)) + (19,) * (m - 19), 20)
+    member = ArResult(HUNT_MEMBER, 5, 20, witness, 0, 0.0)
     monkeypatch.setattr(
         cli, "ar_class", lambda n, k, **kw: ClassResult(n, k, [member]),
     )
@@ -272,9 +276,15 @@ def test_bad_options_fail_before_the_cache_is_read(capsys, monkeypatch, tmp_path
          "--out", str(tmp_path / "t.csv")),
         ("table", "--n", "10..4", "--k", "2..3",
          "--out", str(tmp_path / "t.csv")),
+        # an unwritable --out is reported before any cell is solved
+        ("ar-class", "--n", "6", "--k", "3",
+         "--out", str(tmp_path / "missing" / "x.json")),
+        ("table", "--n", "6..6", "--k", "3..3",
+         "--out", str(tmp_path / "missing" / "t.csv")),
     ):
         code, out, err = run(capsys, *argv, "--cache", str(cache))
         assert code == 1 and out == "" and err.startswith("error: ")
+    assert "missing" in err
     assert not (tmp_path / "t.csv").exists()
 
 
@@ -341,18 +351,26 @@ def test_readme_commands_parse():
 
 
 def test_verify_command(capsys, tmp_path):
-    g = graph6_decode(FAN6)
-    result = ar_exact(g, 3)
     cert = tmp_path / "cert.json"
-    cert.write_text(dump_certificate(g, 3, result.witness))
-    code, out, _ = run(capsys, "verify", "--cert", str(cert))
-    assert code == 0 and json.loads(out)["ok"]
-
-    bad = EdgeColoring(tuple(range(g.edge_count)), g.edge_count)
-    cert.write_text(dump_certificate(g, 3, bad))
+    m = graph6_decode(FAN6).edge_count
+    bad = EdgeColoring(tuple(range(m)), m)
+    cert.write_text(json.dumps(certificate_to_json(FAN6, 3, bad)))
     code, out, _ = run(capsys, "verify", "--cert", str(cert))
     assert code == 1
     assert json.loads(out)["reason"] == "RAINBOW_FOUND"
+    # an undecodable graph is a graph6 error, not a traceback
+    cert.write_text(json.dumps(certificate_to_json("~~~", 3, bad)))
+    code, out, err = run(capsys, "verify", "--cert", str(cert))
+    assert code == 1 and out == "" and err.startswith("graph6 error: ")
+
+
+def test_verify_accepts_every_result_witness(capsys, tmp_path):
+    # the witness block of a result's JSON is a certificate file as it is
+    cert = tmp_path / "cert.json"
+    for result in ar_class(8, 4).results:
+        cert.write_text(json.dumps(result.to_json()["witness"]))
+        code, out, _ = run(capsys, "verify", "--cert", str(cert))
+        assert code == 0 and json.loads(out) == {"ok": True, "reason": "OK"}
 
 
 def test_verify_rejects_malformed_certificate(capsys, tmp_path):

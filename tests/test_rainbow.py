@@ -160,8 +160,6 @@ def test_verification_invariant_under_color_relabeling(rng):
 
 
 def test_certificate_json_round_trip():
-    g = graph6_decode(FAN5)
     col = EdgeColoring.from_sequence([0, 0, 1, 2, 1, 0, 2])
-    data = certificate_to_json(g, 2, col)
-    g2, k2, col2 = certificate_from_json(data)
-    assert g2 == g and k2 == 2 and col2 == col
+    data = certificate_to_json(FAN5, 2, col)
+    assert certificate_from_json(data) == (FAN5, 2, col)

@@ -22,7 +22,7 @@ from mopar.runner import (
     render_table,
     verify_class_result,
 )
-from mopar.solver import EXACT, ar_exact
+from mopar.solver import EXACT, ArResult, ar_exact
 
 
 def test_class_values_small():
@@ -215,23 +215,91 @@ def test_audit_searches_above_each_cached_value(tmp_path, monkeypatch):
 
 def test_cache_skips_lines_whose_witness_fails(tmp_path):
     path = tmp_path / "cache.jsonl"
-    first = ar_class(6, 3, cache=ResultCache(path))
+    first = ar_class(8, 3, cache=ResultCache(path))
     lines = [json.loads(line) for line in path.read_text().splitlines()]
-    lines[0]["value"] += 1  # the witness no longer has that many colors
-    lines[1]["upper"] -= 1  # an upper bound below the witnessed value
+
+    def other_graph(data):
+        data["witness"]["graph"] = lines[-1]["graph"]
+
+    def other_k(data):
+        data["witness"]["k"] += 1
+
+    def non_integer_color(data):
+        data["witness"]["colors"][0] = 0.5
+
+    def more_value(data):
+        data["value"] += 1  # the witness no longer has that many colors
+
+    def low_upper(data):
+        data["upper"] -= 1  # an upper bound below the witnessed value
+
+    tampers = (more_value, low_upper, other_graph, other_k, non_integer_color)
+    for tamper, data in zip(tampers, lines):
+        tamper(data)
     path.write_text("\n".join(json.dumps(d) for d in lines) + "\n")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         cache = ResultCache(path)
     assert [str(w.message).endswith("skipping corrupt cache line")
-            for w in caught] == [True, True]
-    assert (lines[0]["graph"], 3) not in cache.entries
-    assert (lines[1]["graph"], 3) not in cache.entries
-    assert len(cache.entries) == len(lines) - 2
-    second = ar_class(6, 3, cache=cache, audit_fraction=0.0)
-    assert cache.hits == len(lines) - 2  # the tampered members are solved again
+            for w in caught] == [True] * len(tampers)
+    for data in lines[:len(tampers)]:
+        assert (data["graph"], 3) not in cache.entries
+    assert len(cache.entries) == len(lines) - len(tampers)
+    second = ar_class(8, 3, cache=cache, audit_fraction=0.0)
+    # the tampered members are solved again
+    assert cache.hits == len(lines) - len(tampers)
     assert [r.value for r in second.results] == [r.value for r in first.results]
     assert verify_class_result(second)
+
+
+def test_result_from_json_rejects_malformed_lines():
+    data = ar_class(6, 3).results[0].to_json()
+    assert ArResult.from_json(data).to_json() == data
+    for key in data:
+        broken = dict(data)
+        del broken[key]
+        if key != "upper":  # a line without upper predates the field
+            with pytest.raises(ValueError, match=repr(key)):
+                ArResult.from_json(broken)
+    for key, bad in (("k", "3"), ("value", True), ("nodes", None),
+                     ("elapsed_ms", "1"), ("mode", "AT_MOST"),
+                     ("witness", [0, 1]), ("upper", 7.0)):
+        with pytest.raises(ValueError, match=repr(key)):
+            ArResult.from_json({**data, key: bad})
+    # a value with no witness, and a mode the bounds do not give
+    for change in ({"witness": None}, {"mode": "LOWER_BOUND"}):
+        with pytest.raises(ValueError, match="disagree"):
+            ArResult.from_json({**data, **change})
+
+
+# lines a cache held before the witness was the only record of a result's
+# value: (6,3) and (4,1) swept at floor 0, and one (9,4) member at floor 11
+OLD_CACHE_LINES = """\
+{"elapsed_ms": 0.118, "graph": "EElw", "k": 3, "mode": "EXACT", "nodes": 2, "upper": 7, "value": 7, "witness": {"colors": [0, 1, 1, 0, 2, 3, 4, 5, 6], "graph": "EElw", "k": 3, "num_colors": 7}}
+{"elapsed_ms": 0.12, "graph": "EQNw", "k": 3, "mode": "EXACT", "nodes": 7, "upper": 6, "value": 6, "witness": {"colors": [0, 0, 0, 0, 1, 2, 3, 4, 5], "graph": "EQNw", "k": 3, "num_colors": 6}}
+{"elapsed_ms": 0.096, "graph": "EQlw", "k": 3, "mode": "EXACT", "nodes": 7, "upper": 6, "value": 6, "witness": {"colors": [0, 0, 0, 0, 1, 2, 3, 4, 5], "graph": "EQlw", "k": 3, "num_colors": 6}}
+{"elapsed_ms": 0.005, "graph": "C^", "k": 1, "mode": "EXACT", "nodes": 0, "upper": 0, "value": 0, "witness": null}
+{"elapsed_ms": 0.352, "graph": "H?`PRM^", "k": 4, "mode": "LOWER_BOUND", "nodes": 45, "upper": 11, "value": 10, "witness": {"colors": [0, 0, 0, 1, 0, 0, 0, 2, 3, 4, 5, 6, 7, 8, 9], "graph": "H?`PRM^", "k": 4, "num_colors": 10}}
+"""
+
+
+def test_cache_reads_lines_written_before_value_was_derived(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(OLD_CACHE_LINES)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cache = ResultCache(path)
+    lines = OLD_CACHE_LINES.splitlines()
+    assert [r.dumps() for r in cache.entries.values()] == lines
+    # and they are what the solver gives today, up to the solve time
+    for line in lines:
+        data = json.loads(line)
+        fresh = ar_exact(
+            graph6_decode(data["graph"]), data["k"],
+            floor=11 if data["k"] == 4 else 0,
+        ).to_json()
+        fresh["elapsed_ms"] = data["elapsed_ms"]
+        assert fresh == data
 
 
 def test_cache_reads_lines_without_upper(tmp_path):

@@ -325,29 +325,6 @@ def test_matching_ids_run_in_reverse_lexicographic_order():
                 }
 
 
-def test_seed_sample_is_the_lexicographically_first_violated_ids():
-    # ids run in reverse lexicographic order, so the first SEED_SAMPLE
-    # violated matchings are the top SEED_SAMPLE set bits
-    rng = random.Random(11)
-    sample = solver.SEED_SAMPLE
-    masks = [0, 1, (1 << sample) - 1, (1 << sample + 1) - 1]
-    for _ in range(300):
-        width = rng.choice((sample // 2, sample, 2 * sample, 4 * sample))
-        density = rng.choice((0.1, 0.3, 0.5, 0.9, 1.0))
-        masks.append(
-            sum(1 << i for i in range(width) if rng.random() < density)
-        )
-    # exactly SEED_SAMPLE bits, and one fewer and one more, spread out
-    for count in (sample - 1, sample, sample + 1):
-        masks.append(sum(1 << i for i in rng.sample(range(3 * sample), count)))
-    sizes = set()
-    for mask in masks:
-        first = sorted(iter_bits(mask), reverse=True)[:sample]
-        assert solver._top_bits(mask, sample) == sum(1 << i for i in first)
-        sizes.add((mask.bit_count() > sample) - (mask.bit_count() < sample))
-    assert sizes == {-1, 0, 1}
-
-
 def test_brute_force_never_exceeds_edges_less_transversal():
     # ar(G, M_k) <= ex(G, M_k) = m - tau, tau the k-matching transversal
     for g in _oracle_corpus():
@@ -370,15 +347,15 @@ def test_transversal_bound_settles_hunt_member_at_root(monkeypatch):
         return run(self, *args)
 
     monkeypatch.setattr(solver._Search, "run", counting_run)
+    seed = seed_incumbent(g, 5)
     result = ar_exact(g, 5, floor=19)
     assert len(calls) == 1
-    assert (result.value, result.upper) == (16, 19)
-    assert verify_certificate(g, result.witness, 5, 16).ok
+    assert (result.witness, result.upper) == (seed, 19)
+    assert verify_certificate(g, result.witness, 5, seed.num_colors).ok
     # a budget that runs out inside the transversal search claims nothing
     assert result.nodes > 50  # so the budget below does cut the search
     cut = ar_exact(g, 5, floor=19, max_nodes=50)
-    assert cut.upper is None and cut.value == 16
-    assert verify_certificate(g, cut.witness, 5, 16).ok
+    assert cut.upper is None and cut.witness == seed
 
 
 def test_floor_boundary_every_member_9_4():
@@ -510,8 +487,8 @@ def test_seed_never_beats_exact():
 
 
 # order-15 members: the benchmark hunt's two (sample seed 1) and eight
-# more (sample seed 3); seven of them tell a seed without the 512 cap
-# from one with it, which no smaller member here does
+# more (sample seed 3); each has thousands of 5-matchings, where the
+# smaller members here have at most a few hundred
 ORDER_15_MEMBERS = (
     HUNT_MEMBER, "N??cA?CE?COTOQCSdfw", "N?`@?_??KP?g?dX`bNo",
     "N?`?O?cC`@?HasPJAIw", "N?IA?O@??G_QdAOhFNw", "N?AA??o`PPGWCIAb_iw",
