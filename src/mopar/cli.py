@@ -1,9 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 all checks pass, 1 a violation, a verification failure or
-a usage error, 2 a node budget left the computation incomplete.  `ar`,
-`ar-class` and `table` share one rule, `_exit_code`: a failure outranks
-an incomplete result.
+a usage error, 2 a node budget left the computation incomplete.  `ar` and
+`ar-class` share one rule, `_exit_code`: a failure outranks an
+incomplete result, over every cell of an `ar-class` range sweep.
 """
 
 from __future__ import annotations
@@ -26,11 +26,9 @@ from .runner import (
     CacheMismatch,
     ResultCache,
     ar_class,
-    build_table,
     check_sweep,
     evaluate_bounds,
     lemma_bipartite_check,
-    render_table,
     table_cells,
     verify_class_result,
     verify_result,
@@ -38,10 +36,6 @@ from .runner import (
 from .solver import EXACT, ar_brute_force, ar_exact
 
 PASS, FAIL, INCOMPLETE = 0, 1, 2
-
-# `ar-class --extended`'s budget per member when --budget-nodes is not
-# given: about 60 s at the 2.2-2.6 us per node measured at (15,5)
-EXTENDED_MAX_NODES = 25_000_000
 
 
 def _exit_code(ok: bool, complete: bool) -> int:
@@ -51,16 +45,15 @@ def _exit_code(ok: bool, complete: bool) -> int:
 
 
 def _violated(bounds: dict) -> bool:
-    """A bound check (or table row) with a VIOLATED verdict."""
+    """A bound check with a VIOLATED verdict."""
     return VIOLATED in (bounds["lower_verdict"], bounds["upper_verdict"])
 
 
 def _parse_range(text: str) -> tuple[int, int]:
+    """`A..B`, or `A` for `A..A`; a reversed range holds no cell, which
+    `check_sweep` rejects."""
     lo, hi = text.split("..", 1) if ".." in text else (text, text)
-    lo, hi = int(lo), int(hi)
-    if lo > hi:
-        raise ValueError(f"range {text!r} is reversed: {lo} > {hi}")
-    return lo, hi
+    return int(lo), int(hi)
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -95,62 +88,41 @@ def _cmd_ar(args: argparse.Namespace) -> int:
 
 
 def _cmd_ar_class(args: argparse.Namespace) -> int:
-    max_nodes = args.budget_nodes
-    if args.extended:
-        if not args.cache:
-            print("--extended requires --cache for resumability", file=sys.stderr)
-            return FAIL
-        if max_nodes is None:
-            max_nodes = EXTENDED_MAX_NODES
+    cells = table_cells(args.n, args.k)
     # a bad option, then an unwritable --out, fails before a large cache
     # is read and verified; open's OSError names the path
-    check_sweep([(args.n, args.k)], max_nodes=max_nodes, jobs=args.jobs)
+    check_sweep(cells, max_nodes=args.budget_nodes, jobs=args.jobs)
+    ok = complete = True
     with open(args.out, "w") if args.out else nullcontext() as out:
         cache = ResultCache(args.cache) if args.cache else None
-        result = ar_class(
-            args.n, args.k, max_nodes=max_nodes, jobs=args.jobs, cache=cache,
-            audit_fraction=0.0 if args.extended else 0.05, floor=args.floor,
-        )
-        summary = {
-            "n": result.n,
-            "k": result.k,
-            "value": result.value,
-            "complete": result.complete,
-            "verified": verify_class_result(result),
-            "argmax_count": len(result.argmax),
-            "unsolved_count": len(result.unsolved),
-            "bounds": evaluate_bounds(
-                result.n, result.k, result.value, result.complete
-            ).to_json(),
-        }
-        if out:
-            json.dump(result.to_json(), out, sort_keys=True, indent=2)
-            summary["out"] = args.out
-    print(json.dumps(summary, sort_keys=True))
-    return _exit_code(
-        summary["verified"] and not _violated(summary["bounds"]), result.complete
-    )
-
-
-def _cmd_table(args: argparse.Namespace) -> int:
-    n_range, k_range = _parse_range(args.n), _parse_range(args.k)
-    check_sweep(
-        table_cells(n_range, k_range), max_nodes=args.budget_nodes,
-        jobs=args.jobs,
-    )
-    # an unwritable --out fails before the cache is read; open's OSError
-    # names the path
-    with open(args.out, "w") as out:
-        cache = ResultCache(args.cache) if args.cache else None
-        rows = build_table(
-            n_range, k_range, max_nodes=args.budget_nodes, jobs=args.jobs,
-            cache=cache,
-        )
-        out.write(render_table(rows, args.format))
-    print(f"wrote {args.out}")
-    return _exit_code(
-        not any(map(_violated, rows)), all(row["complete"] for row in rows)
-    )
+        for n, k in cells:
+            result = ar_class(
+                n, k, max_nodes=args.budget_nodes, jobs=args.jobs,
+                cache=cache, floor=args.floor,
+            )
+            summary = {
+                "n": result.n,
+                "k": result.k,
+                "value": result.value,
+                "complete": result.complete,
+                "verified": verify_class_result(result),
+                "argmax_count": len(result.argmax),
+                "unsolved_count": len(result.unsolved),
+                "bounds": evaluate_bounds(
+                    result.n, result.k, result.value, result.complete
+                ).to_json(),
+                # solve times, not wall time: a warm cache reprints them
+                "elapsed_ms": round(
+                    sum(r.elapsed_ms for r in result.results), 3
+                ),
+            }
+            if out:
+                out.write(json.dumps(result.to_json(), sort_keys=True) + "\n")
+                summary["out"] = args.out
+            print(json.dumps(summary, sort_keys=True))
+            ok = ok and summary["verified"] and not _violated(summary["bounds"])
+            complete = complete and result.complete
+    return _exit_code(ok, complete)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -201,30 +173,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget-nodes", type=int, default=None)
     p.set_defaults(func=_cmd_ar)
 
-    p = sub.add_parser("ar-class", help="ar over all MOPs of order n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p = sub.add_parser(
+        "ar-class", help="ar over all MOPs of order n, for one (n, k) or ranges"
+    )
+    p.add_argument("--n", type=_parse_range, required=True,
+                   help="an order, or a range A..B")
+    p.add_argument("--k", type=_parse_range, required=True,
+                   help="a matching size, or a range C..D")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--cache", default=None)
-    p.add_argument("--extended", action="store_true",
-                   help="heavy-sweep mode: per-graph node budget "
-                   f"(default {EXTENDED_MAX_NODES:,}), resumable cache")
     p.add_argument("--budget-nodes", type=int, default=None)
     p.add_argument("--floor", type=int, default=0,
                    help="search each member only above this many colors; "
                    "complete only if the class value reaches it")
-    p.add_argument("--out", default=None, help="write full per-graph JSON here")
+    p.add_argument("--out", default=None,
+                   help="write each cell's full per-graph JSON here, one line per cell")
     p.set_defaults(func=_cmd_ar_class)
-
-    p = sub.add_parser("table", help="sweep a grid of (n, k) cells to CSV/JSON")
-    p.add_argument("--n", required=True, help="range A..B")
-    p.add_argument("--k", required=True, help="range C..D")
-    p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--cache", default=None)
-    p.add_argument("--budget-nodes", type=int, default=None)
-    p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("verify", help="check a coloring certificate file")
     p.add_argument("--cert", required=True)

@@ -8,17 +8,14 @@ never depends on worker scheduling.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import random
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Iterable
 
 from .graphs import canonical_form, graph6_decode
 from .mops import MAX_ENUM_N, bipartite_outerplanar_corpus, enumerate_mops
@@ -29,6 +26,10 @@ from .solver import EXACT, ArResult, ar_exact, check_budget
 # a slow member rarely holds up the tail; capped so that a long sweep still
 # appends to its cache every few seconds
 MAX_CHUNK = 32
+
+# the share of a sweep's cache hits that `ar_class` re-solves above their
+# cached upper bound
+AUDIT_FRACTION = 0.05
 
 HOLDS = "HOLDS"
 VIOLATED = "VIOLATED"
@@ -161,6 +162,11 @@ def verify_result(result: ArResult) -> bool:
     return verify_certificate(g, result.witness, result.k, result.value).ok
 
 
+def verify_class_result(result: ClassResult) -> bool:
+    """Every member passes `verify_result`."""
+    return all(map(verify_result, result.results))
+
+
 def _solve(graph6: str, k: int, max_nodes: int | None, floor: int) -> ArResult:
     return ar_exact(graph6_decode(graph6), k, max_nodes=max_nodes, floor=floor)
 
@@ -174,20 +180,40 @@ def _class_members(n: int) -> list[str]:
     return sorted(canonical_form(g).graph6 for g in enumerate_mops(n))
 
 
+def table_cells(
+    n_range: tuple[int, int], k_range: tuple[int, int]
+) -> list[tuple[int, int]]:
+    """The (n, k) cells of a range sweep, ordered by n then k.  Cells with
+    n < 2k are skipped (members without any k-matching make the class
+    value ill-defined)."""
+    return [
+        (n, k)
+        for n in range(n_range[0], n_range[1] + 1)
+        for k in range(k_range[0], k_range[1] + 1)
+        if 2 * k <= n
+    ]
+
+
 def check_sweep(
-    cells: Iterable[tuple[int, int]], *, max_nodes: int | None, jobs: int
+    cells: list[tuple[int, int]], *, max_nodes: int | None, jobs: int
 ) -> None:
-    """Raise ValueError unless a sweep can honour its options: every
-    (n, k) cell has 2k <= n <= MAX_ENUM_N, so each class member contains
-    a k-matching, the node budget is not negative and jobs >= 1."""
+    """Raise ValueError unless a sweep can honour its options: the node
+    budget is not negative, jobs >= 1, there is at least one (n, k) cell
+    and every cell has 2k <= n <= MAX_ENUM_N, so each class member
+    contains a k-matching."""
+    check_budget(max_nodes)
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1; got jobs={jobs}")
+    if not cells:
+        raise ValueError(
+            "no (n, k) cell to sweep: a range is reversed or every cell "
+            "has n < 2k"
+        )
     for n, k in cells:
         if not 2 * k <= n <= MAX_ENUM_N:
             raise ValueError(
                 f"class query needs 2k <= n <= {MAX_ENUM_N}; got n={n}, k={k}"
             )
-    check_budget(max_nodes)
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1; got jobs={jobs}")
 
 
 def ar_class(
@@ -197,7 +223,6 @@ def ar_class(
     max_nodes: int | None = None,
     jobs: int = 1,
     cache: ResultCache | None = None,
-    audit_fraction: float = 0.05,
     floor: int = 0,
 ) -> ClassResult:
     """ar over all maximal outerplanar graphs of order n, for matchings of
@@ -211,11 +236,10 @@ def ar_class(
     `floor` as it is, any other solved in this process (jobs=1) or in
     chunks by a pool of `jobs` processes.  The sweep is complete when
     every member's upper bound is at most the class value, so a floor at
-    or above the class value leaves it incomplete.  A fraction of the
-    results read from the cache is re-solved above its cached upper bound
-    (raising CacheMismatch if a coloring with more colors exists); results
-    solved by this call are not.  `mop ar-class --extended` sets
-    the fraction to 0.
+    or above the class value leaves it incomplete.  A seeded
+    AUDIT_FRACTION of the results read from the cache is re-solved above
+    its cached upper bound (raising CacheMismatch if a coloring with more
+    colors exists); results solved by this call are not.
     """
     check_sweep([(n, k)], max_nodes=max_nodes, jobs=jobs)
     members = _class_members(n)
@@ -242,14 +266,12 @@ def ar_class(
                     cache.put(result)
             ordered.append(result)
 
-    if cache is not None and audit_fraction > 0:
-        _audit_cache(cached, len(members), k, audit_fraction)
+    if AUDIT_FRACTION > 0:
+        _audit_cache(cached, len(members), k)
     return ClassResult(n, k, ordered)
 
 
-def _audit_cache(
-    hits: dict[str, ArResult], member_count: int, k: int, fraction: float
-) -> None:
+def _audit_cache(hits: dict[str, ArResult], member_count: int, k: int) -> None:
     """Re-solve a seeded sample of the cache hits above their cached upper
     bound: a search above that floor must find nothing.  The witness
     checked on load already proves the lower direction.
@@ -257,7 +279,7 @@ def _audit_cache(
     if not hits:
         return
     rng = random.Random(f"audit:{k}:{member_count}")
-    sample_size = max(1, int(len(hits) * fraction))
+    sample_size = max(1, int(len(hits) * AUDIT_FRACTION))
     for g6 in rng.sample(list(hits), min(sample_size, len(hits))):
         cached = hits[g6]
         fresh = ar_exact(graph6_decode(g6), k, floor=cached.upper)
@@ -284,7 +306,6 @@ class BoundCheck:
     order past 14 whose value is not n + 4 violates one of the two.
     """
 
-    # in table column order
     n: int
     k: int
     value: int
@@ -375,66 +396,3 @@ def lemma_bipartite_check(n_max: int) -> LemmaReport:
             report.tight.setdefault(g.n, []).append(g6)
     return report
 
-
-# ---------------------------------------------------------------------------
-# tables
-# ---------------------------------------------------------------------------
-
-TABLE_FIELDS = tuple(f.name for f in fields(BoundCheck)) + ("elapsed_ms",)
-
-
-def table_cells(
-    n_range: tuple[int, int], k_range: tuple[int, int]
-) -> list[tuple[int, int]]:
-    """The (n, k) cells of a table, ordered by n then k.  Cells with
-    n < 2k are skipped (members without any k-matching make the class
-    value ill-defined)."""
-    return [
-        (n, k)
-        for n in range(n_range[0], n_range[1] + 1)
-        for k in range(k_range[0], k_range[1] + 1)
-        if 2 * k <= n
-    ]
-
-
-def build_table(
-    n_range: tuple[int, int],
-    k_range: tuple[int, int],
-    *,
-    max_nodes: int | None = None,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
-) -> list[dict]:
-    """One row per cell of `table_cells`.
-
-    elapsed_ms sums the per-graph solve times, so a warm cache reproduces
-    the table byte for byte.  Every cell and option passes `check_sweep`
-    before any cell is solved, so a negative budget is a ValueError even
-    when every cell is skipped.
-    """
-    cells = table_cells(n_range, k_range)
-    check_sweep(cells, max_nodes=max_nodes, jobs=jobs)
-    rows = []
-    for n, k in cells:
-        result = ar_class(n, k, max_nodes=max_nodes, jobs=jobs, cache=cache)
-        row = evaluate_bounds(n, k, result.value, result.complete).to_json()
-        row["elapsed_ms"] = round(sum(r.elapsed_ms for r in result.results), 3)
-        rows.append(row)
-    return rows
-
-
-def render_table(rows: list[dict], fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(rows, indent=2, sort_keys=True) + "\n"
-    if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=TABLE_FIELDS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-        return buffer.getvalue()
-    raise ValueError(f"unsupported table format {fmt!r}")
-
-
-def verify_class_result(result: ClassResult) -> bool:
-    """Every member passes `verify_result`."""
-    return all(map(verify_result, result.results))

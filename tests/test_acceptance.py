@@ -93,17 +93,14 @@ def test_criterion_05_size_five_lower_bounds():
 @pytest.mark.extended
 def test_criterion_06_extended_order_fifteen(tmp_path):
     # the whole floor-18 pass of `mop ar-class --n 15 --k 5 --floor 18
-    # --extended --jobs 2 --cache <file>` (about half a core-hour, so
+    # --jobs 2 --cache <file>` (about half a core-hour, so
     # opt-in), on two processes with a budget of 2,000,000 nodes per
     # member (about 5 s at (15,5)'s cost per node): the first
     # member in canonical order reaches 19, which certifies the lower
     # direction, and any member the budget stops is reported unsolved,
     # exactly as a budget-exhausted run must
     cache = ResultCache(tmp_path / "extended-15-5.jsonl")
-    full = ar_class(
-        15, 5, max_nodes=2_000_000, jobs=2,
-        cache=cache, audit_fraction=0.0, floor=18,
-    )
+    full = ar_class(15, 5, max_nodes=2_000_000, jobs=2, cache=cache, floor=18)
     assert full.value >= 19
     top = max(full.results, key=lambda r: r.value)
     g = graph6_decode(top.graph6)

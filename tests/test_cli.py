@@ -10,7 +10,7 @@ from mopar import cli
 from mopar.cli import build_parser, main
 from mopar.graphs import graph6_decode
 from mopar.rainbow import EdgeColoring, certificate_to_json
-from mopar.runner import ClassResult, ResultCache, ar_class
+from mopar.runner import VIOLATED, ClassResult, ResultCache, ar_class, table_cells
 from mopar.solver import ArResult, ar_exact, seed_incumbent
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -169,6 +169,23 @@ def test_ar_class_witness_failure_exit_code(capsys, monkeypatch):
     assert "VIOLATED" not in summary["bounds"].values()
 
 
+def test_range_witness_failure_exit_code(capsys, monkeypatch):
+    # one cell of two has a member whose witness fails; no bound fails
+    def tampered(n, k, **kw):
+        result = ar_class(n, k, **kw)
+        if n == 6:
+            result.results[-1] = _rainbow(result.results[-1])
+        return result
+
+    monkeypatch.setattr(cli, "ar_class", tampered)
+    code, out, _ = run(capsys, "ar-class", "--n", "6..7", "--k", "3")
+    summaries = [json.loads(line) for line in out.splitlines()]
+    assert code == 1
+    assert [(s["n"], s["verified"]) for s in summaries] == [(6, False), (7, True)]
+    assert all(s["complete"] for s in summaries)
+    assert not any("VIOLATED" in s["bounds"].values() for s in summaries)
+
+
 def test_ar_class_floor(capsys):
     code, out, _ = run(capsys, "ar-class", "--n", "10", "--k", "5",
                        "--floor", "13")
@@ -188,19 +205,23 @@ def test_ar_class_floor_runs_in_pool(capsys):
     code, sequential, _ = run(capsys, *argv)
     assert code == 0
     code, pooled, err = run(capsys, *argv, "--jobs", "2")
-    assert code == 0 and err == "" and pooled == sequential
+    assert code == 0 and err == ""
+    # the same summary but for the solve times
+    sequential, pooled = json.loads(sequential), json.loads(pooled)
+    del sequential["elapsed_ms"], pooled["elapsed_ms"]
+    assert pooled == sequential
 
 
 def test_jobs_below_one_is_an_error(capsys, tmp_path):
     for argv in (
         ("ar-class", "--n", "8", "--k", "3", "--jobs", "0"),
-        ("table", "--n", "6..6", "--k", "2..2", "--jobs", "0",
-         "--out", str(tmp_path / "t.csv")),
+        ("ar-class", "--n", "6..7", "--k", "2..3", "--jobs", "0",
+         "--out", str(tmp_path / "t.jsonl")),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert "jobs=0" in err and "Traceback" not in err
-    assert not (tmp_path / "t.csv").exists()
+    assert not (tmp_path / "t.jsonl").exists()
 
 
 def test_negative_budget_is_an_error(capsys, tmp_path):
@@ -209,37 +230,16 @@ def test_negative_budget_is_an_error(capsys, tmp_path):
         ("ar", "--graph", HUNT_MEMBER, "--k", "5", "--budget-nodes", "-3"),
         ("ar-class", "--n", "8", "--k", "3", "--budget-nodes", "-1"),
         ("ar-class", "--n", "9", "--k", "4", "--budget-nodes", "-2"),
-        ("table", "--n", "6..6", "--k", "2..2", "--budget-nodes", "-1",
-         "--out", str(tmp_path / "t.csv")),
+        ("ar-class", "--n", "6..7", "--k", "2..3", "--budget-nodes", "-1",
+         "--out", str(tmp_path / "t.jsonl")),
         # n < 2k skips every cell, so no sweep ever sees the budget
-        ("table", "--n", "4..4", "--k", "3..3", "--budget-nodes", "-1",
-         "--out", str(tmp_path / "t.csv")),
+        ("ar-class", "--n", "4..4", "--k", "3..3", "--budget-nodes", "-1",
+         "--out", str(tmp_path / "t.jsonl")),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "must not be negative" in err
-    assert not (tmp_path / "t.csv").exists()
-
-
-def test_extended_requires_cache(capsys):
-    code, _, err = run(capsys, "ar-class", "--n", "10", "--k", "5", "--extended")
-    assert code == 1 and "--cache" in err
-
-
-def test_extended_default_budget_is_a_node_count(capsys, monkeypatch, tmp_path):
-    calls = []
-
-    def recording(n, k, **kw):
-        calls.append(kw)
-        return ClassResult(n, k, [])
-
-    monkeypatch.setattr(cli, "ar_class", recording)
-    argv = ("ar-class", "--n", "10", "--k", "5", "--extended",
-            "--cache", str(tmp_path / "c.jsonl"))
-    run(capsys, *argv)
-    run(capsys, *argv, "--budget-nodes", "7")
-    assert [kw["max_nodes"] for kw in calls] == [cli.EXTENDED_MAX_NODES, 7]
-    assert all(kw["audit_fraction"] == 0.0 for kw in calls)
+    assert not (tmp_path / "t.jsonl").exists()
 
 
 def test_usage_errors_exit_one(capsys):
@@ -270,68 +270,109 @@ def test_bad_options_fail_before_the_cache_is_read(capsys, monkeypatch, tmp_path
         ("ar-class", "--n", "6", "--k", "3", "--budget-nodes", "-1"),
         ("ar-class", "--n", "6", "--k", "3", "--jobs", "0"),
         ("ar-class", "--n", "17", "--k", "5"),
-        ("table", "--n", "6..6", "--k", "3..3", "--budget-nodes", "-1",
-         "--out", str(tmp_path / "t.csv")),
-        ("table", "--n", "6..6", "--k", "3..3", "--jobs", "0",
-         "--out", str(tmp_path / "t.csv")),
-        ("table", "--n", "10..4", "--k", "2..3",
-         "--out", str(tmp_path / "t.csv")),
+        ("ar-class", "--n", "6..7", "--k", "3..3", "--budget-nodes", "-1",
+         "--out", str(tmp_path / "t.jsonl")),
+        ("ar-class", "--n", "6..7", "--k", "3..3", "--jobs", "0",
+         "--out", str(tmp_path / "t.jsonl")),
+        ("ar-class", "--n", "6..17", "--k", "3"),
+        # ranges that leave no cell: n < 2k everywhere, or reversed
+        ("ar-class", "--n", "4", "--k", "3"),
+        ("ar-class", "--n", "4..5", "--k", "3..3",
+         "--out", str(tmp_path / "t.jsonl")),
+        ("ar-class", "--n", "10..4", "--k", "2..3"),
+        ("ar-class", "--n", "6", "--k", "3..2"),
         # an unwritable --out is reported before any cell is solved
         ("ar-class", "--n", "6", "--k", "3",
          "--out", str(tmp_path / "missing" / "x.json")),
-        ("table", "--n", "6..6", "--k", "3..3",
-         "--out", str(tmp_path / "missing" / "t.csv")),
+        ("ar-class", "--n", "6..7", "--k", "3..3",
+         "--out", str(tmp_path / "missing" / "t.jsonl")),
     ):
         code, out, err = run(capsys, *argv, "--cache", str(cache))
         assert code == 1 and out == "" and err.startswith("error: ")
     assert "missing" in err
-    assert not (tmp_path / "t.csv").exists()
+    assert not (tmp_path / "t.jsonl").exists()
+
+
+def test_table_contents_and_determinism(capsys, tmp_path):
+    # a range sweep prints one summary per cell of `table_cells`, in order
+    argv = ("ar-class", "--n", "4..6", "--k", "2..3",
+            "--cache", str(tmp_path / "c.jsonl"))
+    code, first, _ = run(capsys, *argv)
+    assert code == 0
+    summaries = [json.loads(line) for line in first.splitlines()]
+    assert [(s["n"], s["k"]) for s in summaries] == table_cells((4, 6), (2, 3))
+    # (4,2) -> 3 and (5,2) -> 1 per the known exact values; (4,3) has
+    # n < 2k and is absent
+    values = {(s["n"], s["k"]): s["value"] for s in summaries}
+    assert values[(4, 2)] == 3 and values[(5, 2)] == 1
+    assert (4, 3) not in values
+    # a warm-cache rerun prints the same bytes
+    code, again, _ = run(capsys, *argv)
+    assert code == 0 and again == first
 
 
 def test_table_command(capsys, tmp_path):
-    out_path = tmp_path / "t.csv"
-    code, out, _ = run(capsys, "table", "--n", "4..6", "--k", "2..2",
-                       "--out", str(out_path), "--format", "csv")
-    assert code == 0 and "wrote" in out
+    out_path = tmp_path / "t.jsonl"
+    code, out, _ = run(capsys, "ar-class", "--n", "4..6", "--k", "2..3",
+                       "--out", str(out_path))
+    assert code == 0
+    summaries = [json.loads(line) for line in out.splitlines()]
+    assert all(s["out"] == str(out_path) for s in summaries)
+    # --out holds one ClassResult per cell, one per line
     lines = out_path.read_text().splitlines()
-    assert lines[0].startswith("n,k,")
-    assert len(lines) == 4  # header + n in {4,5,6}
+    assert len(lines) == len(summaries) == len(table_cells((4, 6), (2, 3)))
+    for line, summary in zip(lines, summaries):
+        data = json.loads(line)
+        result = ClassResult(
+            data["n"], data["k"],
+            [ArResult.from_json(r) for r in data["results"]],
+        )
+        assert result.to_json() == data
+        assert (result.n, result.k, result.value) == (
+            summary["n"], summary["k"], summary["value"]
+        )
     # an unwritable --out is an error that names the path
-    code, out, err = run(capsys, "table", "--n", "4..4", "--k", "2..2",
+    code, out, err = run(capsys, "ar-class", "--n", "4..4", "--k", "2..2",
                          "--out", str(tmp_path))
     assert code == 1 and out == ""
     assert err.startswith("error: ") and str(tmp_path) in err
 
 
 def test_table_budget_exit_code(capsys, tmp_path):
-    out_path = tmp_path / "t.csv"
-    code, out, _ = run(capsys, "table", "--n", "8..8", "--k", "4..4",
+    out_path = tmp_path / "t.jsonl"
+    code, out, _ = run(capsys, "ar-class", "--n", "8..8", "--k", "4..4",
                        "--budget-nodes", "3", "--out", str(out_path))
-    assert code == 2 and "wrote" in out
-    header, row = out_path.read_text().splitlines()
-    assert dict(zip(header.split(","), row.split(",")))["complete"] == "False"
+    assert code == 2 and not json.loads(out)["complete"]
+    assert not json.loads(out_path.read_text())["complete"]
     assert max(r.nodes for r in ar_class(8, 4).results) > 3
 
 
-def test_table_bound_violation_exit_code(capsys, monkeypatch, tmp_path):
-    monkeypatch.setattr(
-        cli, "build_table",
-        lambda *a, **kw: [{"complete": True, "lower_verdict": "HOLDS",
-                           "upper_verdict": "VIOLATED"}],
-    )
-    code, _, _ = run(capsys, "table", "--n", "15..15", "--k", "5..5",
-                     "--out", str(tmp_path / "t.csv"))
-    assert code == 1
+def test_table_bound_violation_exit_code(capsys, monkeypatch):
+    # a VIOLATED verdict in one cell of a range fails the sweep
+    evaluate = cli.evaluate_bounds
+
+    def violated_at_four(n, k, value, complete):
+        check = evaluate(n, k, value, complete)
+        if n == 4:
+            check.upper_verdict = VIOLATED
+        return check
+
+    monkeypatch.setattr(cli, "evaluate_bounds", violated_at_four)
+    code, out, _ = run(capsys, "ar-class", "--n", "4..5", "--k", "2")
+    summaries = [json.loads(line) for line in out.splitlines()]
+    assert code == 1 and [s["n"] for s in summaries] == [4, 5]
+    assert all(s["verified"] and s["complete"] for s in summaries)
 
 
 def _readme_commands():
     """Every `mop` command in the README's fenced blocks, continuations
-    joined and comments dropped, as an argument list."""
+    joined and comments and a `> file` redirection dropped, as an
+    argument list."""
     blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(),
                         re.MULTILINE | re.DOTALL)
     text = "\n".join(blocks).replace("\\\n", " ")
     return [
-        shlex.split(line, comments=True)[1:]
+        shlex.split(line.partition(" > ")[0], comments=True)[1:]
         for line in text.splitlines()
         if line.strip().startswith("mop ")
     ]

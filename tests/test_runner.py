@@ -16,10 +16,10 @@ from mopar.runner import (
     ClassResult,
     ResultCache,
     ar_class,
-    build_table,
+    check_sweep,
     evaluate_bounds,
     lemma_bipartite_check,
-    render_table,
+    table_cells,
     verify_class_result,
 )
 from mopar.solver import EXACT, ArResult, ar_exact
@@ -144,9 +144,11 @@ def test_negative_limits_are_an_error(monkeypatch):
     monkeypatch.setattr(runner, "enumerate_mops", no_enumeration)
     with pytest.raises(ValueError, match="max_nodes"):
         ar_class(8, 3, max_nodes=-5)
-    # every cell skipped (n < 2k): the table still rejects the budget
+    # every cell skipped (n < 2k): a range sweep still rejects the budget
     with pytest.raises(ValueError, match="max_nodes"):
-        build_table((4, 4), (3, 3), max_nodes=-5)
+        check_sweep(table_cells((4, 4), (3, 3)), max_nodes=-5, jobs=1)
+    with pytest.raises(ValueError, match="no \\(n, k\\) cell"):
+        check_sweep(table_cells((4, 4), (3, 3)), max_nodes=None, jobs=1)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +174,7 @@ def test_cache_round_trip_and_corruption(tmp_path):
     assert [r.value for r in second.results] == [r.value for r in first.results]
 
 
-def test_cache_audit_detects_tampering(tmp_path):
+def test_cache_audit_detects_tampering(tmp_path, monkeypatch):
     path = tmp_path / "cache.jsonl"
     cache = ResultCache(path)
     ar_class(6, 3, cache=cache)
@@ -185,8 +187,9 @@ def test_cache_audit_detects_tampering(tmp_path):
     path.write_text("\n".join(json.dumps(d) for d in lines) + "\n")
     tampered = ResultCache(path)
     assert len(tampered.entries) == len(lines)
+    monkeypatch.setattr(runner, "AUDIT_FRACTION", 1.0)
     with pytest.raises(CacheMismatch):
-        ar_class(6, 3, cache=tampered, audit_fraction=1.0)
+        ar_class(6, 3, cache=tampered)
 
 
 def test_audit_searches_above_each_cached_value(tmp_path, monkeypatch):
@@ -202,8 +205,9 @@ def test_audit_searches_above_each_cached_value(tmp_path, monkeypatch):
         return solve(g, k, **kwargs)
 
     monkeypatch.setattr(runner, "ar_exact", recorded)
-    ar_class(8, 4, cache=cache, audit_fraction=1.0)
-    ar_class(9, 4, cache=cache, audit_fraction=1.0, floor=10)
+    monkeypatch.setattr(runner, "AUDIT_FRACTION", 1.0)
+    ar_class(8, 4, cache=cache)
+    ar_class(9, 4, cache=cache, floor=10)
     # every member is a cache hit, and each is re-solved above its upper
     # bound: its value when EXACT, the sweep's floor otherwise
     assert len(floors) == len(cache.entries)
@@ -213,7 +217,7 @@ def test_audit_searches_above_each_cached_value(tmp_path, monkeypatch):
     )
 
 
-def test_cache_skips_lines_whose_witness_fails(tmp_path):
+def test_cache_skips_lines_whose_witness_fails(tmp_path, monkeypatch):
     path = tmp_path / "cache.jsonl"
     first = ar_class(8, 3, cache=ResultCache(path))
     lines = [json.loads(line) for line in path.read_text().splitlines()]
@@ -245,7 +249,8 @@ def test_cache_skips_lines_whose_witness_fails(tmp_path):
     for data in lines[:len(tampers)]:
         assert (data["graph"], 3) not in cache.entries
     assert len(cache.entries) == len(lines) - len(tampers)
-    second = ar_class(8, 3, cache=cache, audit_fraction=0.0)
+    monkeypatch.setattr(runner, "AUDIT_FRACTION", 0.0)
+    second = ar_class(8, 3, cache=cache)
     # the tampered members are solved again
     assert cache.hits == len(lines) - len(tampers)
     assert [r.value for r in second.results] == [r.value for r in first.results]
@@ -356,9 +361,8 @@ def _count_solves(monkeypatch) -> list:
 
 def test_cold_sweep_solves_each_member_once(tmp_path, monkeypatch):
     calls = _count_solves(monkeypatch)
-    result = ar_class(
-        8, 4, cache=ResultCache(tmp_path / "cache.jsonl"), audit_fraction=1.0
-    )
+    monkeypatch.setattr(runner, "AUDIT_FRACTION", 1.0)
+    result = ar_class(8, 4, cache=ResultCache(tmp_path / "cache.jsonl"))
     # the audit samples only cache hits, and a cold cache has none
     assert result.complete and len(calls) == len(result.results)
 
@@ -372,12 +376,13 @@ def test_floor_cache_serves_floor_reruns(tmp_path, monkeypatch):
     )
 
     calls = _count_solves(monkeypatch)
-    again = ar_class(9, 4, cache=ResultCache(path), floor=10, audit_fraction=0.0)
+    monkeypatch.setattr(runner, "AUDIT_FRACTION", 0.0)
+    again = ar_class(9, 4, cache=ResultCache(path), floor=10)
     assert calls == [] and _class_json(again) == _class_json(first)
 
     # a floor-0 sweep takes the EXACT lines and re-solves only the members
     # the floor-10 lines left below their floor
-    full = ar_class(9, 4, cache=ResultCache(path), audit_fraction=0.0)
+    full = ar_class(9, 4, cache=ResultCache(path))
     assert [graph6_encode(g) for g in calls] == below
     assert full.complete and full.value == first.value
     assert all(r.mode == EXACT for r in full.results)
@@ -439,12 +444,13 @@ def test_five_matchings_past_order_fourteen_are_exactly_n_plus_four():
 
 
 def test_computed_cells_respect_bounds():
-    rows = build_table((6, 8), (2, 4))
-    for row in rows:
-        assert row["value"] <= row["trivial_cap"]
-        if row["k"] >= 3:
-            assert row["value"] >= row["lower"]
-            assert row["lower_verdict"] == HOLDS
+    for n, k in table_cells((6, 8), (2, 4)):
+        result = ar_class(n, k)
+        check = evaluate_bounds(n, k, result.value, result.complete)
+        assert check.value <= check.trivial_cap
+        if k >= 3:
+            assert check.value >= check.lower
+            assert check.lower_verdict == HOLDS
 
 
 # ---------------------------------------------------------------------------
@@ -459,36 +465,3 @@ def test_lemma_check_small():
     # the grid (C6 plus a diameter chord) is tight at n = 6
     tight6 = report.tight[6]
     assert any(graph6_decode(g6).edge_count == 7 for g6 in tight6)
-
-
-# ---------------------------------------------------------------------------
-# tables
-# ---------------------------------------------------------------------------
-
-def test_table_contents_and_determinism(tmp_path):
-    cache = ResultCache(tmp_path / "cache.jsonl")
-    first = render_table(build_table((4, 6), (2, 3), cache=cache), "csv")
-    rows = first.strip().splitlines()
-    assert rows[0] == (
-        "n,k,value,complete,lower,upper,trivial_cap,"
-        "lower_verdict,upper_verdict,elapsed_ms"
-    )
-    # (4,2) -> 3 and (5,2) -> 1 per the known exact values
-    assert any(line.startswith("4,2,3,") for line in rows)
-    assert any(line.startswith("5,2,1,") for line in rows)
-    # cells with n < 2k are absent
-    assert not any(line.startswith("4,3,") for line in rows)
-
-    warm_cache = ResultCache(tmp_path / "cache.jsonl")
-    assert render_table(
-        build_table((4, 6), (2, 3), cache=warm_cache), "csv"
-    ) == first
-
-
-def test_table_json_render():
-    rows = build_table((6, 6), (3, 3))
-    text = render_table(rows, "json")
-    data = json.loads(text)
-    assert data[0]["n"] == 6 and data[0]["value"] == 7
-    with pytest.raises(ValueError):
-        render_table(rows, "tsv")
