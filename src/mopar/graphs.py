@@ -31,10 +31,18 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _raise_asymmetry(adj: tuple[int, ...]) -> None:
+    # the first row bit, in row order, whose mirror bit is missing
+    for v, row in enumerate(adj):
+        for u in iter_bits(row):
+            if not adj[u] >> v & 1:
+                raise ValueError(f"asymmetric adjacency between {u} and {v}")
+
+
 class Graph:
     """Immutable simple graph; vertices are 0..n-1."""
 
-    __slots__ = ("n", "adj", "edges")
+    __slots__ = ("n", "adj", "edges", "_graph6")
 
     def __init__(self, n: int, adj: Iterable[int]):
         adj = tuple(adj)
@@ -43,21 +51,29 @@ class Graph:
         if len(adj) != n:
             raise ValueError(f"adjacency has {len(adj)} rows for {n} vertices")
         full = (1 << n) - 1
+        edges = []
+        # mirror[v]: the vertices below v whose rows name v
+        mirror = [0] * n
         for v, row in enumerate(adj):
             if row & ~full:
                 raise ValueError(f"row {v} references vertices >= {n}")
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        edges = []
+            upper = row >> v + 1
+            while upper:
+                low = upper & -upper
+                u = v + low.bit_length()
+                edges.append((v, u))
+                mirror[u] |= 1 << v
+                upper ^= low
         for v, row in enumerate(adj):
-            for u in iter_bits(row):
-                if not adj[u] >> v & 1:
-                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
-                if u > v:
-                    edges.append((v, u))
+            if row & ((1 << v) - 1) != mirror[v]:
+                _raise_asymmetry(adj)
         self.n = n
         self.adj = adj
         self.edges = tuple(edges)
+        # graph6_encode's memo; graph6_decode stores the string it read
+        self._graph6: str | None = None
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -321,7 +337,9 @@ def canonical_form(g: Graph) -> CanonicalForm:
 
 def graph6_encode(g: Graph) -> str:
     """Standard graph6 encoding (single-byte order; n <= 62 always holds here)."""
-    return _graph6_of_key(g.n, _labeling_key(g.n, g.adj, range(g.n)))
+    if g._graph6 is None:
+        g._graph6 = _graph6_of_key(g.n, _labeling_key(g.n, g.adj, range(g.n)))
+    return g._graph6
 
 
 def graph6_decode(text: str) -> Graph:
@@ -353,13 +371,20 @@ def graph6_decode(text: str) -> Graph:
     if key & ((1 << pad) - 1):
         raise Graph6Error("nonzero padding bits", body_len)
     key >>= pad
-    # a labeling key: bits in `_labeling_key`'s column order, first highest
+    # a labeling key: column j holds the pairs (0, j) .. (j - 1, j), first
+    # highest, so the set bits of each column are read off directly
     bit = nbits
     adj = [0] * n
     for j in range(1, n):
-        for i in range(j):
-            bit -= 1
-            if key >> bit & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return Graph(n, adj)
+        bit -= j
+        column = key >> bit & ((1 << j) - 1)
+        while column:
+            low = column & -column
+            i = j - low.bit_length()
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+            column ^= low
+    g = Graph(n, adj)
+    # the one string that encodes g, so graph6_encode need not rebuild it
+    g._graph6 = text
+    return g

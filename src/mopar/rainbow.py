@@ -3,6 +3,13 @@
 A coloring is a surjection from edge indices onto [0, c).  The canonical
 exchange form numbers color classes by first edge occurrence, which kills
 relabeling symmetry in caches and fixtures.
+
+The rainbow search, which checks every witness coloring, is one plain
+recursive walk over a mask of candidate edges: those after the last edge
+picked that share neither a vertex nor a color with any edge picked.
+Picking edge i narrows the mask by `later[i]`, and the last edge is read
+straight off the mask's bits.  This module imports only `graphs`, so the
+checker shares no code with the solver or the matching lists it checks.
 """
 
 from __future__ import annotations
@@ -79,45 +86,95 @@ def _check_lengths(g: Graph, coloring: EdgeColoring) -> None:
         )
 
 
+def _walk(
+    out: list[tuple[int, ...]], first: bool, vmask: list[int],
+    cbit: list[int], free: list[int], hues: list[int], later: list[int],
+    cand: int, used: int, seen: int, picked: tuple[int, ...], left: int,
+) -> bool:
+    # append to out every extension of `picked` by `left` edges from the
+    # mask cand, in order; True once `first` holds its one matching
+    if left == 1:
+        while cand:
+            low = cand & -cand
+            out.append(picked + (low.bit_length() - 1,))
+            if first:
+                return True
+            cand ^= low
+        return False
+    while cand:
+        low = cand & -cand
+        i = low.bit_length() - 1
+        if (
+            (free[i] & ~used).bit_count() < 2 * left
+            or (hues[i] & ~seen).bit_count() < left
+        ):
+            return False
+        cand ^= low
+        rest = cand & later[i]
+        if rest and _walk(
+            out, first, vmask, cbit, free, hues, later, rest,
+            used | vmask[i], seen | cbit[i], picked + (i,), left - 1,
+        ):
+            return True
+    return False
+
+
+def _rainbow_matchings(
+    g: Graph, colors: Sequence[int], k: int, first: bool
+) -> list[tuple[int, ...]]:
+    """The rainbow k-matchings in lexicographic order, or only the first.
+
+    `later[i]` holds the edges after edge i that share neither a vertex nor
+    a color with it.  A partial matching that still needs `left` edges
+    stops at the first candidate i from which the edges i..m-1 cover fewer
+    than 2 * left unused vertices or carry fewer than `left` unseen colors:
+    no rainbow k-matching lies in the rest of its subtree, so nothing
+    found changes.
+    """
+    if k < 1:
+        return [()] if k == 0 else []
+    edges = g.edges
+    m = len(edges)
+    vmask = [0] * m
+    cbit = [0] * m
+    # free[i], hues[i]: the vertices covered and colors used by edges i..m-1
+    free = [0] * (m + 1)
+    hues = [0] * (m + 1)
+    later = [0] * m
+    # built from the last edge down, so that at edge i they hold the edges
+    # after i: all of them, those at vertex v and those colored c
+    after = 0
+    incident = [0] * g.n
+    hued = [0] * (max(colors, default=0) + 1)
+    for i in range(m - 1, -1, -1):
+        u, v = edges[i]
+        c = colors[i]
+        later[i] = after & ~(incident[u] | incident[v] | hued[c])
+        bit = 1 << i
+        after |= bit
+        incident[u] |= bit
+        incident[v] |= bit
+        hued[c] |= bit
+        vmask[i] = 1 << u | 1 << v
+        cbit[i] = 1 << c
+        free[i] = free[i + 1] | vmask[i]
+        hues[i] = hues[i + 1] | cbit[i]
+    out: list[tuple[int, ...]] = []
+    _walk(
+        out, first, vmask, cbit, free, hues, later, (1 << m) - 1, 0, 0, (), k
+    )
+    return out
+
+
 def iterate_rainbow_matchings(
     g: Graph, colors: Sequence[int], k: int
 ) -> Iterator[tuple[int, ...]]:
     """All k-matchings with pairwise distinct colors, lexicographically.
 
-    `colors` may be any per-edge label sequence; only equality matters.
-    Color-seen pruning happens during matching extension, not after.  A
-    partial matching that still needs `left` edges from edges i.. stops
-    once those edges cover fewer than 2 * left unused vertices or carry
-    fewer than `left` unseen colors: that subtree holds no rainbow
-    k-matching, so nothing yielded changes.
+    `colors` may be any per-edge label sequence of non-negative integers;
+    only equality matters.
     """
-    edges = g.edges
-    m = len(edges)
-    vmask = [1 << u | 1 << v for u, v in edges]
-    cbit = [1 << c for c in colors]
-    # free[i], hues[i]: the vertices covered and colors used by edges i..m-1
-    free = [0] * (m + 1)
-    hues = [0] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        free[i] = free[i + 1] | vmask[i]
-        hues[i] = hues[i + 1] | cbit[i]
-
-    def extend(start: int, used: int, seen: int, picked: tuple[int, ...]):
-        left = k - len(picked)
-        if left == 0:
-            yield picked
-            return
-        for i in range(start, m):
-            if (
-                (free[i] & ~used).bit_count() < 2 * left
-                or (hues[i] & ~seen).bit_count() < left
-            ):
-                return
-            if vmask[i] & used or cbit[i] & seen:
-                continue
-            yield from extend(i + 1, used | vmask[i], seen | cbit[i], picked + (i,))
-
-    yield from extend(0, 0, 0, ())
+    yield from _rainbow_matchings(g, colors, k, first=False)
 
 
 def find_rainbow_matching(
@@ -125,7 +182,7 @@ def find_rainbow_matching(
 ) -> RainbowWitness | None:
     """First rainbow k-matching under the coloring, or None."""
     _check_lengths(g, coloring)
-    for matching in iterate_rainbow_matchings(g, coloring.colors, k):
+    for matching in _rainbow_matchings(g, coloring.colors, k, first=True):
         return RainbowWitness(
             matching, tuple(coloring.colors[i] for i in matching)
         )

@@ -202,19 +202,25 @@ def scattered_graph(rng: random.Random) -> Graph:
     return Graph.from_edges(n, edges).relabel(perm)
 
 
-def k_matchings_by_filter(
+def iter_k_matchings_by_filter(
     g: Graph, k: int, colors: Sequence[int] | None = None
-) -> list[tuple[int, ...]]:
+) -> Iterator[tuple[int, ...]]:
     """Every k-subset of edge indices, in lexicographic order, whose edges
-    are pairwise disjoint (and, given colors, pairwise distinctly colored)."""
-    out = []
+    are pairwise disjoint (and, given colors, pairwise distinctly colored):
+    `itertools.combinations` over the edges, filtered."""
     for subset in combinations(range(g.edge_count), k):
         if len({v for e in subset for v in g.edges[e]}) != 2 * k:
             continue
         if colors is not None and len({colors[e] for e in subset}) != k:
             continue
-        out.append(subset)
-    return out
+        yield subset
+
+
+def k_matchings_by_filter(
+    g: Graph, k: int, colors: Sequence[int] | None = None
+) -> list[tuple[int, ...]]:
+    """The list of `iter_k_matchings_by_filter`."""
+    return list(iter_k_matchings_by_filter(g, k, colors))
 
 
 # ---------------------------------------------------------------------------

@@ -181,9 +181,33 @@ def test_graph6_round_trip(g):
 def test_graph6_round_trip_on_enumerated_mops():
     from mopar.mops import enumerate_mops
 
-    for n in range(3, 11):
+    for n in range(3, 13):
         for g in enumerate_mops(n):
-            assert graph6_decode(graph6_encode(g)) == g
+            text = graph6_encode(g)
+            h = graph6_decode(text)
+            assert h == g and h.edges == g.edges
+            # the string a decoded graph carries is the one a fresh
+            # encoding of it gives
+            assert graph6_encode(h) == graph6_encode(Graph(n, h.adj)) == text
+
+
+def test_asymmetric_rows_are_rejected_in_both_directions():
+    from mopar.mops import enumerate_mops
+
+    g = enumerate_mops(8)[5]
+    for u, v in g.edges:
+        # u < v: an upper bit (row u names v) without its mirror, then a
+        # lower bit (row v names u) without its mirror
+        rows = list(g.adj)
+        rows[v] &= ~(1 << u)
+        with pytest.raises(ValueError) as err:
+            Graph(g.n, rows)
+        assert str(err.value) == f"asymmetric adjacency between {v} and {u}"
+        rows = list(g.adj)
+        rows[u] &= ~(1 << v)
+        with pytest.raises(ValueError) as err:
+            Graph(g.n, rows)
+        assert str(err.value) == f"asymmetric adjacency between {u} and {v}"
 
 
 def test_graph6_errors_carry_offsets():

@@ -1,8 +1,11 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import mopar.rainbow
 from mopar.graphs import Graph, graph6_decode
 from mopar.matchings import iterate_k_matchings, matching_number
 from mopar.mops import enumerate_mops
@@ -18,13 +21,22 @@ from mopar.rainbow import (
     iterate_rainbow_matchings,
     verify_certificate,
 )
-from mopar.solver import ar_exact
-from oracles import k_matchings_by_filter, scattered_graph
+from mopar.solver import ar_exact, seed_incumbent
+from oracles import (
+    iter_k_matchings_by_filter,
+    k_matchings_by_filter,
+    scattered_graph,
+)
 
 P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 C6 = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
 # polygon fans: every diagonal ends at vertex 0
 FAN5, FAN6 = "D|c", "E|eG"
+# canonical class members of orders 15 and 16
+LARGE_MEMBERS = (
+    "N?AA??o`P@?PQ`BSaLw", "N??cA?CE?COTOQCSdfw",
+    "O?`?GC@A?@C@CCG@PAYn^", "O?A@A??`G_?PQOEAcu_B^",
+)
 
 
 def test_coloring_validation():
@@ -127,6 +139,67 @@ def test_rainbow_matchings_agree_with_brute_force():
                 assert out.ok == (not expected)
                 if expected:
                     assert out.witness.matching == expected[0]
+
+
+def _split_largest_class(col: EdgeColoring) -> EdgeColoring:
+    """The coloring with each edge of its largest class in a class of its
+    own."""
+    largest = max(col.classes(), key=len)
+    colors = list(col.colors)
+    for offset, e in enumerate(largest[1:]):
+        colors[e] = col.num_colors + offset
+    return EdgeColoring.from_sequence(colors)
+
+
+def test_rainbow_walk_agrees_with_combinations_oracle():
+    # random colorings of order 8..12 members, and the greedy seed colorings
+    # of order-15 and order-16 members, which admit no rainbow 5-matching,
+    # each also with its largest class split up so that a rainbow matching
+    # appears
+    rng = random.Random(2022)
+    cases = []
+    for n in range(8, 13):
+        for g in rng.sample(enumerate_mops(n), 2):
+            m = g.edge_count
+            for k in range(3, min(5, n // 2) + 1):
+                for _ in range(2):
+                    col = _random_coloring(rng, m, rng.randint(k, m))
+                    cases.append((g, k, col))
+    for g6 in LARGE_MEMBERS:
+        g = graph6_decode(g6)
+        seed = seed_incumbent(g, 5)
+        cases.append((g, 5, seed))
+        cases.append((g, 5, _split_largest_class(seed)))
+    reasons = []
+    for g, k, col in cases:
+        expected = next(iter_k_matchings_by_filter(g, k, col.colors), None)
+        witness = find_rainbow_matching(g, col, k)
+        assert (witness and witness.matching) == expected
+        outcome = verify_certificate(g, col, k, col.num_colors)
+        assert outcome.reason == (OK if expected is None else RAINBOW_FOUND)
+        reasons.append(outcome.reason)
+    assert reasons.count(OK) >= len(LARGE_MEMBERS)
+    assert reasons.count(RAINBOW_FOUND) >= len(LARGE_MEMBERS)
+
+
+def test_rainbow_imports_nothing_from_mopar_but_graphs():
+    # the checker must share no code with the solver or the matching lists
+    # whose results it checks
+    tree = ast.parse(Path(mopar.rainbow.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                imported.append("." * node.level + (node.module or ""))
+            else:
+                imported.append(node.module)
+        elif isinstance(node, ast.Import):
+            imported.extend(alias.name for alias in node.names)
+    ours = [
+        name for name in imported
+        if name.startswith(".") or name.split(".")[0] == "mopar"
+    ]
+    assert ours and all(name in (".graphs", "mopar.graphs") for name in ours)
 
 
 def test_merging_classes_never_creates_a_rainbow_matching():
