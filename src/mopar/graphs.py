@@ -98,13 +98,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
-    def edge_index(self, u: int, v: int) -> int:
-        """Position of edge uv in `edges`; ValueError if it is not an edge."""
-        return self.edges.index((min(u, v), max(u, v)))
-
     def spanning_subgraph(self, edge_indices: Iterable[int]) -> Graph:
         """Subgraph on the same vertex set keeping only the given edges."""
         return Graph.from_edges(self.n, [self.edges[i] for i in edge_indices])

@@ -8,14 +8,16 @@ The rainbow search, which checks every witness coloring, is one plain
 recursive walk over a mask of candidate edges: those after the last edge
 picked that share neither a vertex nor a color with any edge picked.
 Picking edge i narrows the mask by `later[i]`, and the last edge is read
-straight off the mask's bits.  This module imports only `graphs`, so the
-checker shares no code with the solver or the matching lists it checks.
+straight off the mask's bits.  The walk stops at the lexicographically
+first rainbow k-matching: one is enough to refute a witness, and it is the
+one a refusal reports.  This module imports only `graphs`, so the checker
+shares no code with the solver or the matching lists it checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable
 
 from .graphs import Graph
 
@@ -53,23 +55,6 @@ class EdgeColoring:
             out.append(remap[label])
         return EdgeColoring(tuple(out), len(remap))
 
-    def normal_form(self) -> EdgeColoring:
-        return EdgeColoring.from_sequence(self.colors)
-
-    def merge_classes(self, a: int, b: int) -> EdgeColoring:
-        """Coloring with classes a and b merged, renumbered to normal form."""
-        if a == b:
-            raise ValueError("cannot merge a class with itself")
-        return EdgeColoring.from_sequence(
-            a if c == b else c for c in self.colors
-        )
-
-    def classes(self) -> list[tuple[int, ...]]:
-        out: list[list[int]] = [[] for _ in range(self.num_colors)]
-        for idx, c in enumerate(self.colors):
-            out[c].append(idx)
-        return [tuple(c) for c in out]
-
 
 @dataclass(frozen=True)
 class RainbowWitness:
@@ -87,20 +72,14 @@ def _check_lengths(g: Graph, coloring: EdgeColoring) -> None:
 
 
 def _walk(
-    out: list[tuple[int, ...]], first: bool, vmask: list[int],
-    cbit: list[int], free: list[int], hues: list[int], later: list[int],
-    cand: int, used: int, seen: int, picked: tuple[int, ...], left: int,
-) -> bool:
-    # append to out every extension of `picked` by `left` edges from the
-    # mask cand, in order; True once `first` holds its one matching
+    vmask: list[int], cbit: list[int], free: list[int], hues: list[int],
+    later: list[int], cand: int, used: int, seen: int,
+    picked: tuple[int, ...], left: int,
+) -> tuple[int, ...] | None:
+    # the first extension of `picked` by `left` edges from the mask cand,
+    # which is never empty
     if left == 1:
-        while cand:
-            low = cand & -cand
-            out.append(picked + (low.bit_length() - 1,))
-            if first:
-                return True
-            cand ^= low
-        return False
+        return picked + ((cand & -cand).bit_length() - 1,)
     while cand:
         low = cand & -cand
         i = low.bit_length() - 1
@@ -108,31 +87,35 @@ def _walk(
             (free[i] & ~used).bit_count() < 2 * left
             or (hues[i] & ~seen).bit_count() < left
         ):
-            return False
+            return None
         cand ^= low
         rest = cand & later[i]
-        if rest and _walk(
-            out, first, vmask, cbit, free, hues, later, rest,
-            used | vmask[i], seen | cbit[i], picked + (i,), left - 1,
-        ):
-            return True
-    return False
+        if rest:
+            found = _walk(
+                vmask, cbit, free, hues, later, rest,
+                used | vmask[i], seen | cbit[i], picked + (i,), left - 1,
+            )
+            if found is not None:
+                return found
+    return None
 
 
-def _rainbow_matchings(
-    g: Graph, colors: Sequence[int], k: int, first: bool
-) -> list[tuple[int, ...]]:
-    """The rainbow k-matchings in lexicographic order, or only the first.
+def find_rainbow_matching(
+    g: Graph, coloring: EdgeColoring, k: int
+) -> RainbowWitness | None:
+    """The lexicographically first rainbow k-matching under the coloring,
+    or None.
 
     `later[i]` holds the edges after edge i that share neither a vertex nor
     a color with it.  A partial matching that still needs `left` edges
     stops at the first candidate i from which the edges i..m-1 cover fewer
     than 2 * left unused vertices or carry fewer than `left` unseen colors:
-    no rainbow k-matching lies in the rest of its subtree, so nothing
-    found changes.
+    no rainbow k-matching lies in the rest of its subtree.
     """
+    _check_lengths(g, coloring)
     if k < 1:
-        return [()] if k == 0 else []
+        return RainbowWitness((), ()) if k == 0 else None
+    colors = coloring.colors
     edges = g.edges
     m = len(edges)
     vmask = [0] * m
@@ -159,34 +142,12 @@ def _rainbow_matchings(
         cbit[i] = 1 << c
         free[i] = free[i + 1] | vmask[i]
         hues[i] = hues[i + 1] | cbit[i]
-    out: list[tuple[int, ...]] = []
-    _walk(
-        out, first, vmask, cbit, free, hues, later, (1 << m) - 1, 0, 0, (), k
+    matching = _walk(
+        vmask, cbit, free, hues, later, (1 << m) - 1, 0, 0, (), k
     )
-    return out
-
-
-def iterate_rainbow_matchings(
-    g: Graph, colors: Sequence[int], k: int
-) -> Iterator[tuple[int, ...]]:
-    """All k-matchings with pairwise distinct colors, lexicographically.
-
-    `colors` may be any per-edge label sequence of non-negative integers;
-    only equality matters.
-    """
-    yield from _rainbow_matchings(g, colors, k, first=False)
-
-
-def find_rainbow_matching(
-    g: Graph, coloring: EdgeColoring, k: int
-) -> RainbowWitness | None:
-    """First rainbow k-matching under the coloring, or None."""
-    _check_lengths(g, coloring)
-    for matching in _rainbow_matchings(g, coloring.colors, k, first=True):
-        return RainbowWitness(
-            matching, tuple(coloring.colors[i] for i in matching)
-        )
-    return None
+    if matching is None:
+        return None
+    return RainbowWitness(matching, tuple(colors[i] for i in matching))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 
 from .graphs import canonical_form, graph6_decode
@@ -153,13 +153,22 @@ class ResultCache:
 def verify_result(result: ArResult) -> bool:
     """The result's witness verifies at exactly its value, without trusting
     the solver, and its upper bound, if any, is not below that value; only
-    k = 1, whose value is 0, has no witness."""
+    k = 1, whose value is 0, has no witness.
+
+    A pass is recorded on the result, so each result is checked once: a
+    cache line verified on load is not checked again by
+    `verify_class_result`.  A failure is not recorded."""
+    if result._verified:
+        return True
     if result.upper is not None and result.upper < result.value:
         return False
     if result.witness is None:
-        return result.k == 1
-    g = graph6_decode(result.graph6)
-    return verify_certificate(g, result.witness, result.k, result.value).ok
+        ok = result.k == 1
+    else:
+        g = graph6_decode(result.graph6)
+        ok = verify_certificate(g, result.witness, result.k, result.value).ok
+    result._verified = ok
+    return ok
 
 
 def verify_class_result(result: ClassResult) -> bool:
@@ -171,13 +180,16 @@ def _solve(graph6: str, k: int, max_nodes: int | None, floor: int) -> ArResult:
     return ar_exact(graph6_decode(graph6), k, max_nodes=max_nodes, floor=floor)
 
 
-def _class_members(n: int) -> list[str]:
+@lru_cache(maxsize=1)
+def _class_members(n: int) -> tuple[str, ...]:
     """Canonical graph6 of every class member, sorted.
 
     Solving the canonical labeling makes witness edge indices, cache keys,
     and per-graph results all refer to one labeling of each class member.
+    The last order's list is kept, so a range sweep, which runs its cells
+    n-major, lists each order once.
     """
-    return sorted(canonical_form(g).graph6 for g in enumerate_mops(n))
+    return tuple(sorted(canonical_form(g).graph6 for g in enumerate_mops(n)))
 
 
 def table_cells(

@@ -66,7 +66,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
 
@@ -103,6 +103,9 @@ class ArResult:
     witness: EdgeColoring | None
     nodes: int
     elapsed_ms: float
+    # runner.verify_result's memo of a passed check; `dataclasses.replace`
+    # and `from_json` start unchecked
+    _verified: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def value(self) -> int:
@@ -131,9 +134,7 @@ class ArResult:
     def from_json(data: dict) -> ArResult:
         """Read `to_json` output.  A missing or wrongly typed field, a
         witness for another graph or k, and a value or mode that the
-        witness and upper do not give are ValueErrors.  A line without
-        "upper" predates the field; only EXACT results were written then,
-        at upper = value."""
+        witness and upper do not give are ValueErrors."""
         if not isinstance(data, dict):
             raise ValueError("result must be a JSON object")
 
@@ -149,10 +150,8 @@ class ArResult:
             "elapsed_ms", lambda v: is_int(v) or isinstance(v, float),
             "a number",
         )
-        upper = value if mode == EXACT else None
-        if "upper" in data:
-            upper = read("upper", lambda v: v is None or is_int(v),
-                         "an integer or null")
+        upper = read("upper", lambda v: v is None or is_int(v),
+                     "an integer or null")
         witness = None
         cert = read("witness", lambda v: v is None or isinstance(v, dict),
                     "a certificate or null")

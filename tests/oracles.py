@@ -155,6 +155,14 @@ def counting_seed(g: Graph, k: int) -> EdgeColoring:
     return EdgeColoring.from_sequence(cls)
 
 
+def merge_classes(col: EdgeColoring, a: int, b: int) -> EdgeColoring:
+    """The coloring with classes a and b merged, in first-occurrence
+    numbering."""
+    if a == b:
+        raise ValueError("cannot merge a class with itself")
+    return EdgeColoring.from_sequence(a if c == b else c for c in col.colors)
+
+
 def greedy_maximal_matching_lower_bound(g: Graph) -> int:
     used = 0
     size = 0

@@ -28,7 +28,12 @@ from mopar.mops import (
 from mopar.rainbow import EdgeColoring, find_rainbow_matching, verify_certificate
 from mopar.runner import ResultCache, ar_class, lemma_bipartite_check
 from mopar.solver import ar_brute_force, ar_exact
-from oracles import catalan_recurrence, random_connected_graph, random_graph
+from oracles import (
+    catalan_recurrence,
+    merge_classes,
+    random_connected_graph,
+    random_graph,
+)
 
 MOP_CLASS_COUNTS = {4: 1, 5: 1, 6: 3, 7: 4, 8: 12, 9: 27, 10: 82}
 
@@ -205,7 +210,7 @@ def test_criterion_10_property_suites():
             col = EdgeColoring.from_sequence(
                 list(range(4)) + [rng.randrange(4) for _ in range(m - 4)]
             )
-            merged = col.merge_classes(*rng.sample(range(col.num_colors), 2))
+            merged = merge_classes(col, *rng.sample(range(col.num_colors), 2))
             witness = find_rainbow_matching(g, merged, 3)
             if witness is not None:
                 assert len({col.colors[e] for e in witness.matching}) == 3

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from mopar import cli
+from mopar import cli, runner
 from mopar.cli import build_parser, main
 from mopar.graphs import graph6_decode
 from mopar.rainbow import EdgeColoring, certificate_to_json
@@ -309,6 +309,21 @@ def test_table_contents_and_determinism(capsys, tmp_path):
     # a warm-cache rerun prints the same bytes
     code, again, _ = run(capsys, *argv)
     assert code == 0 and again == first
+
+
+def test_range_sweep_lists_each_order_once(capsys, monkeypatch):
+    calls = []
+    enumerate_mops = runner.enumerate_mops
+
+    def counted(n):
+        calls.append(n)
+        return enumerate_mops(n)
+
+    monkeypatch.setattr(runner, "enumerate_mops", counted)
+    runner._class_members.cache_clear()
+    code, out, _ = run(capsys, "ar-class", "--n", "7", "--k", "2..3")
+    assert code == 0 and len(out.splitlines()) == 2
+    assert calls == [7]
 
 
 def test_table_command(capsys, tmp_path):

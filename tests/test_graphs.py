@@ -32,7 +32,7 @@ def graphs(draw, max_n=8):
 def test_edges_are_lexicographic():
     g = Graph.from_edges(4, [(3, 1), (2, 0), (1, 0)])
     assert g.edges == ((0, 1), (0, 2), (1, 3))
-    assert g.edge_index(3, 1) == 2
+    assert g.edges.index((1, 3)) == 2
 
 
 def test_rejects_self_loops_and_bad_sizes():

@@ -113,7 +113,7 @@ def test_class_members_match_fixture():
     pinned = json.loads(CLASS_MEMBERS.read_text())
     assert list(pinned) == [str(n) for n in range(3, 12)]
     for n, members in pinned.items():
-        assert _class_members(int(n)) == members, n
+        assert list(_class_members(int(n))) == members, n
 
 
 @pytest.mark.parametrize("n", range(3, 10))
@@ -126,7 +126,7 @@ def test_mop_invariants(n):
         if n >= 4:
             assert degs.count(2) >= 2
         # polygon cycle is present as a Hamiltonian cycle
-        assert all(g.has_edge(i, (i + 1) % n) for i in range(n))
+        assert all(g.adj[i] >> (i + 1) % n & 1 for i in range(n))
         assert is_outerplanar(g)
 
 

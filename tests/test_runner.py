@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -5,7 +6,7 @@ import pytest
 
 from mopar import runner
 from mopar.graphs import graph6_decode, graph6_encode
-from mopar.rainbow import verify_certificate
+from mopar.rainbow import EdgeColoring, verify_certificate
 from mopar.runner import (
     HOLDS,
     NOT_APPLICABLE,
@@ -21,6 +22,7 @@ from mopar.runner import (
     lemma_bipartite_check,
     table_cells,
     verify_class_result,
+    verify_result,
 )
 from mopar.solver import EXACT, ArResult, ar_exact
 
@@ -142,6 +144,7 @@ def test_negative_limits_are_an_error(monkeypatch):
         raise AssertionError("enumerated despite a negative budget")
 
     monkeypatch.setattr(runner, "enumerate_mops", no_enumeration)
+    runner._class_members.cache_clear()
     with pytest.raises(ValueError, match="max_nodes"):
         ar_class(8, 3, max_nodes=-5)
     # every cell skipped (n < 2k): a range sweep still rejects the budget
@@ -263,9 +266,8 @@ def test_result_from_json_rejects_malformed_lines():
     for key in data:
         broken = dict(data)
         del broken[key]
-        if key != "upper":  # a line without upper predates the field
-            with pytest.raises(ValueError, match=repr(key)):
-                ArResult.from_json(broken)
+        with pytest.raises(ValueError, match=repr(key)):
+            ArResult.from_json(broken)
     for key, bad in (("k", "3"), ("value", True), ("nodes", None),
                      ("elapsed_ms", "1"), ("mode", "AT_MOST"),
                      ("witness", [0, 1]), ("upper", 7.0)):
@@ -307,15 +309,22 @@ def test_cache_reads_lines_written_before_value_was_derived(tmp_path):
         assert fresh == data
 
 
-def test_cache_reads_lines_without_upper(tmp_path):
-    # cache lines written before results carried "upper" were all EXACT
+def test_cache_skips_lines_without_upper(tmp_path):
+    # every writer gives "upper"; a line without it is corrupt, and the
+    # sweep solves its member again
     path = tmp_path / "cache.jsonl"
-    result = ar_class(6, 3).results[0]
-    data = result.to_json()
+    first = ar_class(6, 3)
+    data = first.results[0].to_json()
     del data["upper"]
     path.write_text(json.dumps(data) + "\n")
-    cache = ResultCache(path)
-    assert cache.get(result.graph6, 3) == result and cache.hits == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cache = ResultCache(path)
+    assert [str(w.message).endswith("skipping corrupt cache line")
+            for w in caught] == [True]
+    assert cache.entries == {}
+    again = ar_class(6, 3, cache=cache)
+    assert cache.hits == 0 and _class_json(again) == _class_json(first)
 
 
 def test_cache_prefers_exact_line_in_either_order(tmp_path):
@@ -365,6 +374,44 @@ def test_cold_sweep_solves_each_member_once(tmp_path, monkeypatch):
     result = ar_class(8, 4, cache=ResultCache(tmp_path / "cache.jsonl"))
     # the audit samples only cache hits, and a cold cache has none
     assert result.complete and len(calls) == len(result.results)
+
+
+def test_each_result_is_verified_once(tmp_path, monkeypatch):
+    path = tmp_path / "cache.jsonl"
+    calls = []
+    verify = runner.verify_certificate
+
+    def counted(g, coloring, k, claimed):
+        calls.append(graph6_encode(g))
+        return verify(g, coloring, k, claimed)
+
+    monkeypatch.setattr(runner, "verify_certificate", counted)
+    monkeypatch.setattr(runner, "AUDIT_FRACTION", 0.0)
+    cold = ar_class(9, 4, cache=ResultCache(path))
+    assert verify_class_result(cold)
+    members = [r.graph6 for r in cold.results]
+    assert calls == members
+    # a resumed sweep checks each line on load and not again after
+    calls.clear()
+    cache = ResultCache(path)
+    resumed = ar_class(9, 4, cache=cache)
+    assert cache.hits == len(members)
+    assert verify_class_result(resumed) and verify_class_result(resumed)
+    assert sorted(calls) == sorted(members)
+
+
+def test_verified_memo_does_not_vouch_for_a_changed_result():
+    result = ar_class(6, 3).results[0]
+    assert verify_result(result)
+    m = len(result.witness.colors)
+    distinct = EdgeColoring(tuple(range(m)), m)
+    # the new witness has a rainbow 3-matching; without the upper bound
+    # only the rainbow check can refuse it
+    for changes in ({"witness": distinct}, {"witness": distinct, "upper": None}):
+        copy = dataclasses.replace(result, **changes)
+        assert not verify_result(copy)
+        assert not verify_class_result(ClassResult(6, 3, [result, copy]))
+    assert verify_result(result)
 
 
 def test_floor_cache_serves_floor_reruns(tmp_path, monkeypatch):
