@@ -91,16 +91,21 @@ class ResultCache:
     bound.
 
     Keyed by (canonical graph6, k); of the lines for one key the lowest
-    upper wins, and of those the highest value.  Results a budget ended
-    (upper None) are never written.  Lines that `ArResult.from_json`
-    rejects or that fail `verify_result` are skipped with a warning.
-    Appends are one line per result so concurrent readers always see whole
-    records.
+    upper wins, then the highest value, then the earliest line.  Results a
+    budget ended (upper None) are never written.  Lines that
+    `ArResult.from_json` rejects are skipped with a warning on load.  A
+    line's witness is checked by `verify_result` only when `get` is about
+    to serve it, so lines for cells a sweep never reads and lines a better
+    one supersedes cost nothing; a line that fails is dropped with a
+    warning and the key's next line is tried.  Appends are one line per
+    result so concurrent readers always see whole records.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
+        # the winning line of each key, and every line of it in file order
         self.entries: dict[tuple[str, int], ArResult] = {}
+        self._lines: dict[tuple[str, int], list[ArResult]] = {}
         self.hits = 0
         if self.path.exists():
             self._load()
@@ -113,11 +118,8 @@ class ResultCache:
                     continue
                 try:
                     result = ArResult.from_json(json.loads(line))
-                    corrupt = not verify_result(result)
                 except ValueError:
                     # also json.JSONDecodeError and Graph6Error
-                    corrupt = True
-                if corrupt:
                     warnings.warn(
                         f"{self.path}:{lineno}: skipping corrupt cache line"
                     )
@@ -127,18 +129,31 @@ class ResultCache:
 
     def _keep(self, result: ArResult) -> None:
         key = (result.graph6, result.k)
+        self._lines.setdefault(key, []).append(result)
         held = self.entries.get(key)
-        if held is None or (
-            (result.upper, -result.value) < (held.upper, -held.value)
-        ):
+        if held is None or _rank(result) < _rank(held):
             self.entries[key] = result
 
     def get(self, graph6: str, k: int, floor: int = 0) -> ArResult | None:
         """The cached result for the member if it settles the member above
-        `floor`: it is EXACT, or proves ar <= floor."""
-        found = self.entries.get((graph6, k))
+        `floor`: it is EXACT, or proves ar <= floor.  When the winning line
+        does not settle it no other line of the key can, so only lines
+        about to be served are checked."""
+        key = (graph6, k)
+        found = self.entries.get(key)
         if found is None or not (found.mode == EXACT or found.upper <= floor):
             return None
+        if not verify_result(found):
+            warnings.warn(
+                f"{self.path}: {graph6!r}, k={k}: skipping corrupt cache line"
+            )
+            lines = self._lines[key]
+            lines.remove(found)
+            if lines:
+                self.entries[key] = min(lines, key=_rank)
+            else:
+                del self.entries[key]
+            return self.get(graph6, k, floor)
         self.hits += 1
         return found
 
@@ -150,13 +165,18 @@ class ResultCache:
             handle.write(result.dumps() + "\n")
 
 
+def _rank(result: ArResult) -> tuple[int, int]:
+    # the cache's order of lines for one key: lowest upper, then highest value
+    return result.upper, -result.value
+
+
 def verify_result(result: ArResult) -> bool:
     """The result's witness verifies at exactly its value, without trusting
     the solver, and its upper bound, if any, is not below that value; only
     k = 1, whose value is 0, has no witness.
 
     A pass is recorded on the result, so each result is checked once: a
-    cache line verified on load is not checked again by
+    cache line checked when it was served is not checked again by
     `verify_class_result`.  A failure is not recorded."""
     if result._verified:
         return True
@@ -286,7 +306,7 @@ def ar_class(
 def _audit_cache(hits: dict[str, ArResult], member_count: int, k: int) -> None:
     """Re-solve a seeded sample of the cache hits above their cached upper
     bound: a search above that floor must find nothing.  The witness
-    checked on load already proves the lower direction.
+    checked when the cache served it already proves the lower direction.
     """
     if not hits:
         return

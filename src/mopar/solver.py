@@ -32,6 +32,14 @@ root nothing is banned and tau is the k-matching transversal number, so
 the first cut is ar(G, M_k) <= ex(G, M_k) = m - tau.  Nodes of both
 searches count against the budget.
 
+The hitting-set search returns the set it found, and every child the
+node builds inherits that set with class b renamed to a.  A child's
+violated matchings are among its parent's, and the merged class holds
+every edge of a and b, so the renamed set still meets each of them.  A
+child whose inherited set fits its own budget therefore skips its
+search, which would succeed; only transversal nodes disappear, so the
+partition tree, the incumbents and the witnesses are unchanged.
+
 A child one merge above the bound can beat the incumbent only by a single
 merge to a feasible partition, so its parent settles it without building
 it (leaf fusion).  The child's cut at need 2 keeps the classes of its
@@ -45,17 +53,20 @@ of matchings that touch it, and the violated matchings form one mask.  Ids
 run in reverse lexicographic order (the i-th of N k-matchings from
 `iterate_k_matchings` has id N - 1 - i), so the first violated matching,
 which every node branches on, is the top bit, `mask.bit_length() - 1`,
-read without building a new int.  Merging classes a and b satisfies
-exactly `msets[a] & msets[b]`, so the child's violated mask is
+read without building a new int.  Each edge's mask is parsed from one row
+of "0"/"1" bytes over the matchings instead of being OR-ed together one
+bit at a time.  Merging classes a and b satisfies exactly
+`msets[a] & msets[b]`, so the child's violated mask is
 `violated ^ (violated & msets[a] & msets[b])`: a difference written this
 way, and a subset test written `x & y == x`, cost the width of the
 narrower operand, where `x & ~y` costs the width of y.  Masks lose their
 first matchings first, so they narrow as the search deepens.  The
 transversal bound and the greedy seed read the same masks: the seed
 counts the violated matchings that hold both classes a and b as
-`(violated & msets[a] & msets[b]).bit_count()`.  The apart pairs are one
-mask per class over class labels, merged like `msets`; a pair marked
-apart is never a child.
+`(violated & msets[a] & msets[b]).bit_count()`, and between merges keeps
+each class's best count as a bound, so it recounts only the classes
+whose bound could still win.  The apart pairs are one mask per class over
+class labels, merged like `msets`; a pair marked apart is never a child.
 
 An independent oracle enumerates every set partition of the edge list
 (restricted-growth strings with rainbow pruning) for graphs with few
@@ -242,14 +253,21 @@ def ar_brute_force(g: Graph, k: int) -> int:
 def _matching_masks(g: Graph, k: int) -> tuple[list[tuple[int, ...]], list[int]]:
     """The k-matchings of g by id, and for each edge the mask of the
     matching ids that contain it.  Ids run in reverse lexicographic order,
-    so the lexicographically first matching in a mask is its top bit."""
+    so the lexicographically first matching in a mask is its top bit.
+
+    Each edge's mask is read from a row of ASCII digits, one per matching
+    in lexicographic order, with a "1" where the matching holds the edge:
+    the j-th of N matchings has id N - 1 - j, so the row read as a binary
+    numeral is the mask, and no int is built per (matching, edge)."""
     matchings = list(iterate_k_matchings(g, k))
-    matchings.reverse()
     touch = [0] * g.edge_count
-    for mid, matching in enumerate(matchings):
-        bit = 1 << mid
-        for e in matching:
-            touch[e] |= bit
+    if matchings:
+        rows = [bytearray(b"0" * len(matchings)) for _ in touch]
+        for j, matching in enumerate(matchings):
+            for e in matching:
+                rows[e][j] = 49  # ord("1")
+        touch = [int(row, 2) for row in rows]
+        matchings.reverse()
     return matchings, touch
 
 
@@ -264,8 +282,16 @@ def seed_incumbent(
 
     A matching id is in msets[c] exactly when the matching has an edge in
     class c, so pair (a, b) occurs in
-    `(violated & msets[a] & msets[b]).bit_count()` violated matchings; a
-    class whose own count cannot beat the best pair so far is skipped.
+    `(violated & msets[a] & msets[b]).bit_count()` violated matchings.
+
+    Each class a keeps a bound on the counts of its pairs (a, b) with
+    b > a, and a scan counts a's pairs only when that bound beats the
+    best pair found so far; a counted class's bound is its exact best
+    count.  A merge of b into a can raise only the counts of a's pairs;
+    every other count can only fall, since `violated` shrinks and the
+    masks stay.  So after a merge a's bound is the count of its own
+    violated matchings, and each earlier class takes its count with a
+    when that is higher.
 
     `_masks` is `_matching_masks(g, k)` when ar_exact has built it already,
     so a solve enumerates the k-matchings once.
@@ -281,17 +307,23 @@ def seed_incumbent(
     msets = list(msets)
     live = list(range(m))
     violated = (1 << len(matchings)) - 1
+    # top[a] bounds the count of every pair (a, b) with b > a
+    top = [mask.bit_count() for mask in msets]
 
     while violated:
         best = 0
         for i, a in enumerate(live):
-            sa = violated & msets[a]
-            if sa.bit_count() <= best:
+            if top[a] <= best:
                 continue
+            sa = violated & msets[a]
+            most = 0
             for b in live[i + 1:]:
                 count = (sa & msets[b]).bit_count()
-                if count > best:
-                    best, pair = count, (a, b)
+                if count > most:
+                    most = count
+                    if count > best:
+                        best, pair = count, (a, b)
+            top[a] = most
         a, b = pair
         live.remove(b)
         violated ^= violated & msets[a] & msets[b]
@@ -299,6 +331,11 @@ def seed_incumbent(
         for e in range(m):
             if cls[e] == b:
                 cls[e] = a
+        # only a's pairs can count more than before
+        sa = violated & msets[a]
+        top[a] = sa.bit_count()
+        for x in live[:live.index(a)]:
+            top[x] = max(top[x], (sa & msets[x]).bit_count())
     return EdgeColoring.from_sequence(cls)
 
 
@@ -330,9 +367,11 @@ class _Search:
     def _meets(
         self, cls: list[int], msets: list[int], unmet: int, budget: int,
         banned: int,
-    ) -> bool:
-        """True when at most `budget` classes outside the mask `banned`
-        meet every matching in `unmet`.
+    ) -> int | None:
+        """The mask of at most `budget` class labels outside the mask
+        `banned` that meet every matching in `unmet`, or None when no such
+        set exists.  The empty set, 0, is a valid answer (an empty
+        `unmet`), so callers test `is None`.
 
         Branches on the classes of the first unmet matching (the top id),
         banning each in the later siblings, so subtrees are disjoint.  The
@@ -356,7 +395,7 @@ class _Search:
         """
         self._tick()
         if not unmet:
-            return True
+            return 0
         matchings = self.matchings
         packed = 0
         cand = unmet
@@ -364,7 +403,7 @@ class _Search:
         while cand:
             packed += 1
             if packed > budget:
-                return False
+                return None
             hit = 0
             for e in matchings[cand.bit_length() - 1]:
                 c = cls[e]
@@ -372,7 +411,7 @@ class _Search:
                     hit |= msets[c]
             if not hit:
                 # every class of the matching is banned
-                return False
+                return None
             cand ^= cand & hit
             if packed > 1:
                 other |= hit
@@ -382,12 +421,14 @@ class _Search:
             if banned >> c & 1:
                 continue
             mc = msets[c]
-            if only & mc == only and self._meets(
-                cls, msets, unmet ^ (unmet & mc), budget - 1, banned
-            ):
-                return True
+            if only & mc == only:
+                found = self._meets(
+                    cls, msets, unmet ^ (unmet & mc), budget - 1, banned
+                )
+                if found is not None:
+                    return found | 1 << c
             banned |= 1 << c
-        return False
+        return None
 
     def _last_merge(
         self, cls: list[int], msets: list[int], apart: list[int],
@@ -432,17 +473,24 @@ class _Search:
         apart: list[int],
         violated: int,
         count: int,
+        hitting: int | None = None,
     ) -> None:
         # class labels are canonical (each class is named by its least edge);
         # this node owns `apart` and marks each finished sibling pair in it.
         # A child one merge above the bound is settled here by _last_merge
-        # (leaf fusion) instead of being run.
+        # (leaf fusion) instead of being run.  `hitting` is the parent's
+        # hitting set with the merged class renamed: it meets every
+        # violated matching here, so when it fits the budget the cut's
+        # search would succeed and is skipped.
         self._tick()
         bound = max(self.best_value, self.floor)
         if count - 1 <= bound:
             return
-        if not self._meets(cls, msets, violated, count - bound - 1, 0):
-            return
+        need = count - bound - 1
+        if hitting is None or hitting.bit_count() > need:
+            hitting = self._meets(cls, msets, violated, need, 0)
+            if hitting is None:
+                return
 
         mid = violated.bit_length() - 1
         roots = sorted(cls[e] for e in self.matchings[mid])
@@ -477,9 +525,12 @@ class _Search:
                 child_apart[b] = 0
                 for x in iter_bits(row):
                     child_apart[x] = child_apart[x] & ~(1 << b) | 1 << a
+                child_hitting = hitting
+                if hitting >> b & 1:
+                    child_hitting = hitting ^ 1 << b | 1 << a
                 self.run(
                     _renamed(cls, b, a), child_msets, child_apart,
-                    child_violated, count - 1,
+                    child_violated, count - 1, child_hitting,
                 )
             # later siblings keep this pair apart, whether its child was
             # searched, recorded as a leaf or cut by the bound

@@ -298,13 +298,15 @@ def test_cache_reads_lines_written_before_value_was_derived(tmp_path):
         cache = ResultCache(path)
     lines = OLD_CACHE_LINES.splitlines()
     assert [r.dumps() for r in cache.entries.values()] == lines
-    # and they are what the solver gives today, up to the solve time
+    # and they are what the solver gives today, up to the solve time and
+    # the node count, which a search that cuts more can only lower
     for line in lines:
         data = json.loads(line)
         fresh = ar_exact(
             graph6_decode(data["graph"]), data["k"],
             floor=11 if data["k"] == 4 else 0,
         ).to_json()
+        assert fresh.pop("nodes") <= data.pop("nodes")
         fresh["elapsed_ms"] = data["elapsed_ms"]
         assert fresh == data
 
@@ -391,13 +393,69 @@ def test_each_result_is_verified_once(tmp_path, monkeypatch):
     assert verify_class_result(cold)
     members = [r.graph6 for r in cold.results]
     assert calls == members
-    # a resumed sweep checks each line on load and not again after
+    # a resumed sweep checks each line when it is served and not again after
     calls.clear()
     cache = ResultCache(path)
     resumed = ar_class(9, 4, cache=cache)
     assert cache.hits == len(members)
     assert verify_class_result(resumed) and verify_class_result(resumed)
     assert sorted(calls) == sorted(members)
+
+
+def test_cache_checks_only_the_lines_it_serves(tmp_path, monkeypatch):
+    # a cache shared by two cells: resuming one checks only its own lines
+    path = tmp_path / "cache.jsonl"
+    for n in (9, 10):
+        ar_class(n, 4, cache=ResultCache(path))
+    calls = []
+    verify = runner.verify_certificate
+
+    def counted(g, coloring, k, claimed):
+        calls.append(graph6_encode(g))
+        return verify(g, coloring, k, claimed)
+
+    monkeypatch.setattr(runner, "verify_certificate", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cache = ResultCache(path)
+        assert calls == [] and len(cache.entries) == 27 + 82
+        resumed = ar_class(9, 4, cache=cache)
+    members = [r.graph6 for r in resumed.results]
+    assert cache.hits == len(members) == 27
+    assert sorted(calls) == sorted(members)
+
+
+def test_cache_falls_back_when_a_served_witness_fails(tmp_path):
+    good = ar_class(8, 3).results[0]
+    g = graph6_decode(good.graph6)
+    v, m = good.value, g.edge_count
+    # v colors, the first v - 1 edges each alone in its class: the same
+    # value and upper, but a witness with a rainbow 3-matching
+    bad = dataclasses.replace(
+        good, witness=EdgeColoring(tuple(range(v - 1)) + (v - 1,) * (m - v + 1), v)
+    )
+    assert not verify_certificate(g, bad.witness, 3, v).ok
+    key = (good.graph6, 3)
+    path = tmp_path / "cache.jsonl"
+    # the bad line ties with the good one and comes first, so it wins
+    path.write_text(bad.dumps() + "\n" + good.dumps() + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cache = ResultCache(path)
+    assert cache.entries[key] == bad
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cache.get(*key) == good
+    assert [str(w.message).endswith("skipping corrupt cache line")
+            for w in caught] == [True]
+    assert cache.entries[key] == good and cache.hits == 1
+    # with no good line left the member is solved again
+    path.write_text(bad.dumps() + "\n")
+    cache = ResultCache(path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cache.get(*key) is None
+    assert len(caught) == 1 and key not in cache.entries
 
 
 def test_verified_memo_does_not_vouch_for_a_changed_result():

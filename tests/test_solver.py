@@ -177,6 +177,16 @@ def _packing(cls, matchings, unmet, banned):
     return packed
 
 
+def _is_hitting_set(found, cls, matchings, unmet, budget, banned):
+    """`found` is a mask of at most `budget` class labels, none of them
+    banned, that meets every matching id in `unmet`."""
+    chosen = set(iter_bits(found))
+    return (
+        chosen <= set(cls) and not chosen & banned and len(chosen) <= budget
+        and all(chosen & {cls[e] for e in matchings[mid]} for mid in unmet)
+    )
+
+
 def test_prunable_is_the_exact_class_transversal_bound(monkeypatch):
     rng = random.Random(9)
     unmeetable = 0
@@ -226,9 +236,14 @@ def test_prunable_is_the_exact_class_transversal_bound(monkeypatch):
                 )
                 mask = sum(1 << mid for mid in violated)
                 for need in range(1, len(set(cls)) + 2):
-                    assert (
-                        not search._meets(cls, msets, mask, need - 1, 0)
-                    ) == (tau >= need), (graph6_encode(g), cls, need)
+                    found = search._meets(cls, msets, mask, need - 1, 0)
+                    assert (found is None) == (tau >= need), (
+                        graph6_encode(g), cls, need
+                    )
+                    # what it returns is a hitting set within the budget
+                    assert found is None or _is_hitting_set(
+                        found, cls, matchings, violated, need - 1, set()
+                    ), (graph6_encode(g), cls, need, found)
                 # _meets under bans: only unbanned classes may meet a
                 # matching, and a matching with every class banned is never met
                 classes = sorted(set(cls))
@@ -241,11 +256,14 @@ def test_prunable_is_the_exact_class_transversal_bound(monkeypatch):
                     )
                     unmeetable += least is None
                     for budget in range(len(classes) + 1):
-                        assert search._meets(
-                            cls, msets, mask, budget, banned
-                        ) == (least is not None and least <= budget), (
-                            graph6_encode(g), cls, banned, budget
-                        )
+                        found = search._meets(cls, msets, mask, budget, banned)
+                        assert (found is not None) == (
+                            least is not None and least <= budget
+                        ), (graph6_encode(g), cls, banned, budget)
+                        assert found is None or _is_hitting_set(
+                            found, cls, matchings, violated, budget,
+                            set(iter_bits(banned)),
+                        ), (graph6_encode(g), cls, banned, budget, found)
     assert unmeetable
     assert forced and tight > forced, (tight, forced)
 
@@ -323,6 +341,36 @@ def test_matching_ids_run_in_reverse_lexicographic_order():
                     mid for mid, matching in enumerate(matchings)
                     if e in matching
                 }
+
+
+def test_matching_masks_match_an_oracle():
+    # every bit of every edge's mask, against masks built one matching at a
+    # time from the lexicographic list: the j-th of N matchings has id
+    # N - 1 - j.  Members of orders 6-12 (a seeded sample past order 9),
+    # with k up to one past the matching number, so some graphs have no
+    # k-matching at all
+    rng = random.Random(6)
+    empty = missed = 0
+    for n in range(6, 13):
+        members = _class_members(n)
+        if n > 9:
+            members = rng.sample(members, 6)
+        for g6 in members:
+            g = graph6_decode(g6)
+            for k in range(2, n // 2 + 2):
+                matchings, touch = solver._matching_masks(g, k)
+                lexicographic = list(iterate_k_matchings(g, k))
+                size = len(lexicographic)
+                expect = [0] * g.edge_count
+                for j, matching in enumerate(lexicographic):
+                    for e in matching:
+                        expect[e] |= 1 << size - 1 - j
+                assert matchings == lexicographic[::-1], (g6, k)
+                assert touch == expect, (g6, k)
+                empty += not size
+                missed += bool(size) and 0 in touch
+    # graphs with no k-matching, and edges in none of a graph's k-matchings
+    assert empty and missed, (empty, missed)
 
 
 def test_brute_force_never_exceeds_edges_less_transversal():
@@ -506,6 +554,9 @@ def test_seed_equals_counting_oracle():
         for k in ks
     ]
     cases += [(graph6_decode(s), 5) for s in ORDER_15_MEMBERS]
+    # an order-12 member whose seed goes wrong if a merged class's pair
+    # counts are not raised: one of them grows past every other bound
+    cases.append((graph6_decode("K?`COTcDGecN"), 5))
     for g, k in cases:
         assert seed_incumbent(g, k) == counting_seed(g, k)
 
