@@ -211,13 +211,16 @@ def json_field(
 
 def certificate_from_json(data: dict) -> tuple[str, int, EdgeColoring]:
     """Parse a coloring certificate into its graph6 string, k and coloring;
-    a missing or wrongly typed field is a ValueError naming it."""
+    a missing or wrongly typed field, or a k below 1, is a ValueError
+    naming it."""
     if not isinstance(data, dict):
         raise ValueError("certificate must be a JSON object")
     graph = json_field(
         data, "graph", lambda v: isinstance(v, str), "a graph6 string"
     )
-    k = json_field(data, "k", is_int, "an integer")
+    k = json_field(
+        data, "k", lambda v: is_int(v) and v >= 1, "a positive integer"
+    )
     colors = json_field(
         data, "colors", lambda v: isinstance(v, list) and all(map(is_int, v)),
         "a list of integers",

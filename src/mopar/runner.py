@@ -8,6 +8,7 @@ never depends on worker scheduling.
 
 from __future__ import annotations
 
+import bisect
 import json
 import random
 import warnings
@@ -90,25 +91,26 @@ class ResultCache:
     """Append-only JSON-lines store of solver results with a proved upper
     bound.
 
-    Keyed by (canonical graph6, k); of the lines for one key the lowest
-    upper wins, then the highest value, then the earliest line.  Results a
-    budget ended (upper None) are never written.  Lines that
+    Keyed by (canonical graph6, k); each key keeps every line of it in
+    rank order: lowest upper, then highest value, then the earliest line.
+    Results a budget ended (upper None) are never written.  Lines that
     `ArResult.from_json` rejects are skipped with a warning on load.  A
     line's witness is checked by `verify_result` only when `get` is about
     to serve it, so lines for cells a sweep never reads and lines a better
     one supersedes cost nothing; a line that fails is dropped with a
-    warning and the key's next line is tried.  Appends are one line per
-    result so concurrent readers always see whole records.
+    warning and the key's next line is tried.  The path is opened for
+    appending when the cache is made, so an unwritable one fails before
+    any sweep.  Appends are one line per result so concurrent readers
+    always see whole records.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        # the winning line of each key, and every line of it in file order
-        self.entries: dict[tuple[str, int], ArResult] = {}
-        self._lines: dict[tuple[str, int], list[ArResult]] = {}
+        self.entries: dict[tuple[str, int], list[ArResult]] = {}
         self.hits = 0
-        if self.path.exists():
-            self._load()
+        with self.path.open("a"):
+            pass
+        self._load()
 
     def _load(self) -> None:
         with self.path.open() as handle:
@@ -128,34 +130,30 @@ class ResultCache:
                     self._keep(result)
 
     def _keep(self, result: ArResult) -> None:
-        key = (result.graph6, result.k)
-        self._lines.setdefault(key, []).append(result)
-        held = self.entries.get(key)
-        if held is None or _rank(result) < _rank(held):
-            self.entries[key] = result
+        lines = self.entries.setdefault((result.graph6, result.k), [])
+        bisect.insort(lines, result, key=_rank)
 
     def get(self, graph6: str, k: int, floor: int = 0) -> ArResult | None:
-        """The cached result for the member if it settles the member above
-        `floor`: it is EXACT, or proves ar <= floor.  When the winning line
-        does not settle it no other line of the key can, so only lines
-        about to be served are checked."""
+        """The first line of the member that verifies, if it settles the
+        member above `floor`: it is EXACT, or proves ar <= floor.  When a
+        line does not settle it no later line of the key can, so only
+        lines about to be served are checked."""
         key = (graph6, k)
-        found = self.entries.get(key)
-        if found is None or not (found.mode == EXACT or found.upper <= floor):
-            return None
-        if not verify_result(found):
+        lines = self.entries.get(key, [])
+        while lines:
+            found = lines[0]
+            if not (found.mode == EXACT or found.upper <= floor):
+                return None
+            if verify_result(found):
+                self.hits += 1
+                return found
             warnings.warn(
                 f"{self.path}: {graph6!r}, k={k}: skipping corrupt cache line"
             )
-            lines = self._lines[key]
-            lines.remove(found)
-            if lines:
-                self.entries[key] = min(lines, key=_rank)
-            else:
+            del lines[0]
+            if not lines:
                 del self.entries[key]
-            return self.get(graph6, k, floor)
-        self.hits += 1
-        return found
+        return None
 
     def put(self, result: ArResult) -> None:
         if result.upper is None:
@@ -173,7 +171,8 @@ def _rank(result: ArResult) -> tuple[int, int]:
 def verify_result(result: ArResult) -> bool:
     """The result's witness verifies at exactly its value, without trusting
     the solver, and its upper bound, if any, is not below that value; only
-    k = 1, whose value is 0, has no witness.
+    k = 1, whose value is 0, has no witness.  A witness that colors a
+    different number of edges than the graph has fails.
 
     A pass is recorded on the result, so each result is checked once: a
     cache line checked when it was served is not checked again by
@@ -186,7 +185,10 @@ def verify_result(result: ArResult) -> bool:
         ok = result.k == 1
     else:
         g = graph6_decode(result.graph6)
-        ok = verify_certificate(g, result.witness, result.k, result.value).ok
+        ok = (
+            len(result.witness.colors) == g.edge_count
+            and verify_certificate(g, result.witness, result.k, result.value).ok
+        )
     result._verified = ok
     return ok
 
@@ -196,7 +198,8 @@ def verify_class_result(result: ClassResult) -> bool:
     return all(map(verify_result, result.results))
 
 
-def _solve(graph6: str, k: int, max_nodes: int | None, floor: int) -> ArResult:
+def _solve(item: tuple[str, int, int | None], k: int) -> ArResult:
+    graph6, floor, max_nodes = item
     return ar_exact(graph6_decode(graph6), k, max_nodes=max_nodes, floor=floor)
 
 
@@ -270,8 +273,9 @@ def ar_class(
     every member's upper bound is at most the class value, so a floor at
     or above the class value leaves it incomplete.  A seeded
     AUDIT_FRACTION of the results read from the cache is re-solved above
-    its cached upper bound (raising CacheMismatch if a coloring with more
-    colors exists); results solved by this call are not.
+    its cached upper bound, after the members and in the same way
+    (raising CacheMismatch if a coloring with more colors exists); results
+    solved by this call are not.
     """
     check_sweep([(n, k)], max_nodes=max_nodes, jobs=jobs)
     members = _class_members(n)
@@ -280,16 +284,25 @@ def ar_class(
         cached = {
             g6: hit for g6 in members if (hit := cache.get(g6, k, floor))
         }
-    todo = [g6 for g6 in members if g6 not in cached]
-    solve = partial(_solve, k=k, max_nodes=max_nodes, floor=floor)
+    # the members the cache does not settle, then the audit sample: the
+    # witness checked when the cache served a hit proves its lower
+    # direction, and a search above its upper bound must find nothing
+    items = [(g6, floor, max_nodes) for g6 in members if g6 not in cached]
+    audit: list[ArResult] = []
+    if cached and AUDIT_FRACTION > 0:
+        rng = random.Random(f"audit:{k}:{len(members)}")
+        size = min(len(cached), max(1, int(len(cached) * AUDIT_FRACTION)))
+        audit = rng.sample(list(cached.values()), size)
+        items += [(hit.graph6, hit.upper, None) for hit in audit]
+    solve = partial(_solve, k=k)
 
     ordered: list[ArResult] = []
     with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
         if pool:
-            chunk = min(MAX_CHUNK, max(1, len(todo) // (8 * jobs)))
-            fresh = pool.map(solve, todo, chunksize=chunk)
+            chunk = min(MAX_CHUNK, max(1, len(items) // (8 * jobs)))
+            fresh = pool.map(solve, items, chunksize=chunk)
         else:
-            fresh = map(solve, todo)
+            fresh = map(solve, items)
         for g6 in members:
             result = cached.get(g6)
             if result is None:
@@ -297,29 +310,14 @@ def ar_class(
                 if cache is not None:
                     cache.put(result)
             ordered.append(result)
-
-    if AUDIT_FRACTION > 0:
-        _audit_cache(cached, len(members), k)
+        # the rest are the audit's results, neither cached nor returned
+        for hit, result in zip(audit, fresh):
+            if result.value > hit.upper:
+                raise CacheMismatch(
+                    f"cache says ar<={hit.upper} but recomputation finds "
+                    f"{result.value} colors for {hit.graph6!r}, k={k}"
+                )
     return ClassResult(n, k, ordered)
-
-
-def _audit_cache(hits: dict[str, ArResult], member_count: int, k: int) -> None:
-    """Re-solve a seeded sample of the cache hits above their cached upper
-    bound: a search above that floor must find nothing.  The witness
-    checked when the cache served it already proves the lower direction.
-    """
-    if not hits:
-        return
-    rng = random.Random(f"audit:{k}:{member_count}")
-    sample_size = max(1, int(len(hits) * AUDIT_FRACTION))
-    for g6 in rng.sample(list(hits), min(sample_size, len(hits))):
-        cached = hits[g6]
-        fresh = ar_exact(graph6_decode(g6), k, floor=cached.upper)
-        if fresh.value > cached.upper:
-            raise CacheMismatch(
-                f"cache says ar<={cached.upper} but recomputation finds "
-                f"{fresh.value} colors for {g6!r}, k={k}"
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -354,9 +354,10 @@ class _Search:
     ):
         self.matchings = matchings
         self.max_nodes = max_nodes
-        self.floor = floor
         self.nodes = 0
-        self.best_value = seed.num_colors
+        # the color count a coloring must beat: the floor, or the best
+        # coloring recorded so far when that has more colors
+        self.bound = max(seed.num_colors, floor)
         self.best_coloring: Sequence[int] = seed.colors
 
     def _tick(self) -> None:
@@ -483,10 +484,9 @@ class _Search:
         # violated matching here, so when it fits the budget the cut's
         # search would succeed and is skipped.
         self._tick()
-        bound = max(self.best_value, self.floor)
-        if count - 1 <= bound:
+        if count - 1 <= self.bound:
             return
-        need = count - bound - 1
+        need = count - self.bound - 1
         if hitting is None or hitting.bit_count() > need:
             hitting = self._meets(cls, msets, violated, need, 0)
             if hitting is None:
@@ -500,21 +500,21 @@ class _Search:
             child_violated = violated ^ (violated & msets[a] & msets[b])
             if not child_violated:
                 # feasible one merge away: record without building the child
-                if count - 1 > self.best_value:
-                    self.best_value = count - 1
+                if count - 1 > self.bound:
+                    self.bound = count - 1
                     self.best_coloring = _renamed(cls, b, a)
-            elif count - 3 == max(self.best_value, self.floor):
+            elif count - 3 == self.bound:
                 # the child is one merge above the bound: only its first
                 # feasible merge can count, so find it without the child
                 self._tick()
                 pair = self._last_merge(cls, msets, apart, child_violated, a, b)
                 if pair is not None:
                     x, y = pair
-                    self.best_value = count - 2
+                    self.bound = count - 2
                     self.best_coloring = [
                         x if c == y else c for c in _renamed(cls, b, a)
                     ]
-            elif count - 2 > max(self.best_value, self.floor):
+            elif count - 2 > self.bound:
                 child_msets = list(msets)
                 child_msets[a] = msets[a] | msets[b]
                 child_msets[b] = 0
@@ -575,7 +575,7 @@ def ar_exact(
         search.run(
             list(range(m)), touch, [0] * m, (1 << len(matchings)) - 1, m
         )
-        upper = max(search.best_value, floor)
+        upper = search.bound
     except _Budget:
         pass
 

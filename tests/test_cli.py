@@ -8,7 +8,7 @@ import pytest
 
 from mopar import cli, runner
 from mopar.cli import build_parser, main
-from mopar.graphs import graph6_decode
+from mopar.graphs import graph6_decode, graph6_encode
 from mopar.rainbow import EdgeColoring, certificate_to_json
 from mopar.runner import VIOLATED, ClassResult, ResultCache, ar_class, table_cells
 from mopar.solver import ArResult, ar_exact, seed_incumbent
@@ -293,6 +293,54 @@ def test_bad_options_fail_before_the_cache_is_read(capsys, monkeypatch, tmp_path
     assert not (tmp_path / "t.jsonl").exists()
 
 
+def test_unwritable_cache_fails_before_the_sweep(capsys, monkeypatch, tmp_path):
+    def no_enumeration(n):
+        raise AssertionError("enumerated despite an unwritable cache")
+
+    monkeypatch.setattr(runner, "enumerate_mops", no_enumeration)
+    runner._class_members.cache_clear()
+    for jobs in ("1", "2"):
+        code, out, err = run(capsys, "ar-class", "--n", "6", "--k", "3",
+                             "--jobs", jobs,
+                             "--cache", str(tmp_path / "missing" / "c.jsonl"))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "missing" in err
+
+
+def test_cache_line_whose_witness_misfits_its_graph_is_solved_again(
+    capsys, monkeypatch, tmp_path
+):
+    cache = tmp_path / "c.jsonl"
+    argv = ("ar-class", "--n", "6", "--k", "3", "--cache", str(cache))
+    code, first, _ = run(capsys, *argv)
+    assert code == 0
+    # one color too many: the coloring is still well formed, but covers
+    # one edge more than the graph has
+    lines = cache.read_text().splitlines()
+    data = json.loads(lines[0])
+    data["witness"]["colors"].append(0)
+    cache.write_text("\n".join([json.dumps(data), *lines[1:]]) + "\n")
+    solved = []
+    solve = runner.ar_exact
+
+    def counted(g, k, **kwargs):
+        solved.append(g)
+        return solve(g, k, **kwargs)
+
+    monkeypatch.setattr(runner, "ar_exact", counted)
+    monkeypatch.setattr(runner, "AUDIT_FRACTION", 0.0)
+    with pytest.warns(UserWarning) as caught:
+        code, again, _ = run(capsys, *argv)
+    assert [str(w.message).endswith("skipping corrupt cache line")
+            for w in caught] == [True]
+    assert [graph6_encode(g) for g in solved] == [data["graph"]]
+    # the same summary, up to the re-solved member's solve time
+    summaries = [json.loads(out) for out in (first, again)]
+    for summary in summaries:
+        del summary["elapsed_ms"]
+    assert code == 0 and summaries[0] == summaries[1]
+
+
 def test_table_contents_and_determinism(capsys, tmp_path):
     # a range sweep prints one summary per cell of `table_cells`, in order
     argv = ("ar-class", "--n", "4..6", "--k", "2..3",
@@ -431,9 +479,12 @@ def test_verify_accepts_every_result_witness(capsys, tmp_path):
 
 def test_verify_rejects_malformed_certificate(capsys, tmp_path):
     cert = tmp_path / "cert.json"
-    for data, field in (({}, "'graph'"), (
-        {"graph": "Cr", "k": 2, "colors": 5, "num_colors": 1}, "'colors'"
-    )):
+    for data, field in (
+        ({}, "'graph'"),
+        ({"graph": "Cr", "k": 2, "colors": 5, "num_colors": 1}, "'colors'"),
+        ({"graph": FAN4, "k": -1, "colors": [0, 1, 2, 3, 4], "num_colors": 5},
+         "'k'"),
+    ):
         cert.write_text(json.dumps(data))
         code, out, err = run(capsys, "verify", "--cert", str(cert))
         assert code == 1 and out == ""

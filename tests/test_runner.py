@@ -114,9 +114,9 @@ def test_floor_sweep_argmax_is_exact_and_cached(tmp_path):
     # exact or proved to admit at most 13 colors, and the cache keeps both
     for r in sweep.results:
         assert r.upper == max(r.value, 13)
-        assert cache.entries[(r.graph6, 5)] == r
+        assert cache.entries[(r.graph6, 5)][0] == r
     for g6 in sweep.argmax:
-        hit = cache.entries[(g6, 5)]
+        hit = cache.entries[(g6, 5)][0]
         assert hit.mode == EXACT
         assert hit.value == ar_exact(graph6_decode(g6), 5).value == 15
 
@@ -188,11 +188,13 @@ def test_cache_audit_detects_tampering(tmp_path, monkeypatch):
         data["value"] = data["upper"] = data["witness"]["num_colors"] = 1
         data["witness"]["colors"] = [0] * len(data["witness"]["colors"])
     path.write_text("\n".join(json.dumps(d) for d in lines) + "\n")
-    tampered = ResultCache(path)
-    assert len(tampered.entries) == len(lines)
     monkeypatch.setattr(runner, "AUDIT_FRACTION", 1.0)
-    with pytest.raises(CacheMismatch):
-        ar_class(6, 3, cache=tampered)
+    # the audit runs in the sweep's pool too
+    for jobs in (1, 2):
+        tampered = ResultCache(path)
+        assert len(tampered.entries) == len(lines)
+        with pytest.raises(CacheMismatch):
+            ar_class(6, 3, cache=tampered, jobs=jobs)
 
 
 def test_audit_searches_above_each_cached_value(tmp_path, monkeypatch):
@@ -214,9 +216,9 @@ def test_audit_searches_above_each_cached_value(tmp_path, monkeypatch):
     # every member is a cache hit, and each is re-solved above its upper
     # bound: its value when EXACT, the sweep's floor otherwise
     assert len(floors) == len(cache.entries)
-    assert all(floor == cache.entries[(g6, 4)].upper for g6, floor in floors)
+    assert all(floor == cache.entries[(g6, 4)][0].upper for g6, floor in floors)
     assert any(
-        floor > cache.entries[(g6, 4)].value for g6, floor in floors
+        floor > cache.entries[(g6, 4)][0].value for g6, floor in floors
     )
 
 
@@ -297,7 +299,7 @@ def test_cache_reads_lines_written_before_value_was_derived(tmp_path):
         warnings.simplefilter("error")
         cache = ResultCache(path)
     lines = OLD_CACHE_LINES.splitlines()
-    assert [r.dumps() for r in cache.entries.values()] == lines
+    assert [held[0].dumps() for held in cache.entries.values()] == lines
     # and they are what the solver gives today, up to the solve time and
     # the node count, which a search that cuts more can only lower
     for line in lines:
@@ -342,7 +344,7 @@ def test_cache_prefers_exact_line_in_either_order(tmp_path):
         path = tmp_path / "cache.jsonl"
         path.write_text("".join(r.dumps() + "\n" for r in lines))
         cache = ResultCache(path)
-        assert cache.entries[(g6, 4)] == exact
+        assert cache.entries[(g6, 4)][0] == exact
         assert cache.get(g6, 4) == exact
 
 
@@ -442,13 +444,13 @@ def test_cache_falls_back_when_a_served_witness_fails(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         cache = ResultCache(path)
-    assert cache.entries[key] == bad
+    assert cache.entries[key][0] == bad
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert cache.get(*key) == good
     assert [str(w.message).endswith("skipping corrupt cache line")
             for w in caught] == [True]
-    assert cache.entries[key] == good and cache.hits == 1
+    assert cache.entries[key][0] == good and cache.hits == 1
     # with no good line left the member is solved again
     path.write_text(bad.dumps() + "\n")
     cache = ResultCache(path)
