@@ -90,11 +90,15 @@ def _cmd_ar(args: argparse.Namespace) -> int:
 def _cmd_ar_class(args: argparse.Namespace) -> int:
     cells = table_cells(args.n, args.k)
     # a bad option, then an unwritable --out, fails before a large cache
-    # is read and verified; open's OSError names the path
+    # is read and verified; open's OSError names the path.  --out is
+    # opened for appending and emptied only once the cache has opened, so
+    # a bad --cache leaves an existing file as it was
     check_sweep(cells, max_nodes=args.budget_nodes, jobs=args.jobs)
     ok = complete = True
-    with open(args.out, "w") if args.out else nullcontext() as out:
+    with open(args.out, "a") if args.out else nullcontext() as out:
         cache = ResultCache(args.cache) if args.cache else None
+        if out:
+            out.truncate(0)
         for n, k in cells:
             result = ar_class(
                 n, k, max_nodes=args.budget_nodes, jobs=args.jobs,

@@ -269,7 +269,8 @@ def ar_class(
     leaves its upper bound unknown.  Members are taken in
     canonical order: a cached result that settles the member above
     `floor` as it is, any other solved in this process (jobs=1) or in
-    chunks by a pool of `jobs` processes.  The sweep is complete when
+    chunks by a pool of `jobs` processes, which starts only when some
+    member is not a cache hit.  The sweep is complete when
     every member's upper bound is at most the class value, so a floor at
     or above the class value leaves it incomplete.  A seeded
     AUDIT_FRACTION of the results read from the cache is re-solved above
@@ -288,6 +289,8 @@ def ar_class(
     # witness checked when the cache served a hit proves its lower
     # direction, and a search above its upper bound must find nothing
     items = [(g6, floor, max_nodes) for g6 in members if g6 not in cached]
+    # a pool starts only for members to solve, not for the audit alone
+    pooled = jobs > 1 and bool(items)
     audit: list[ArResult] = []
     if cached and AUDIT_FRACTION > 0:
         rng = random.Random(f"audit:{k}:{len(members)}")
@@ -297,7 +300,7 @@ def ar_class(
     solve = partial(_solve, k=k)
 
     ordered: list[ArResult] = []
-    with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
+    with ProcessPoolExecutor(jobs) if pooled else nullcontext() as pool:
         if pool:
             chunk = min(MAX_CHUNK, max(1, len(items) // (8 * jobs)))
             fresh = pool.map(solve, items, chunksize=chunk)

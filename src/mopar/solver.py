@@ -22,15 +22,31 @@ branches like the partition search (disjoint subtrees, each earlier class
 banned in later siblings) and prunes by a greedy packing of matchings
 whose unbanned classes are disjoint; only those classes may be chosen, so
 a packed matching with every class banned ends its hitting-set node at
-once.  A packing of exactly as many matchings as the hitting set may
-hold is tight: such a set takes exactly one unbanned class from each
-packed matching and no other class.  So the class chosen from the first
-packed matching, the one the node branches on, must meet every unmet
-matching that no unbanned class of the other packed matchings meets; a
-class that does not is skipped and banned like a failed sibling.  At the
-root nothing is banned and tau is the k-matching transversal number, so
-the first cut is ar(G, M_k) <= ex(G, M_k) = m - tau.  Nodes of both
-searches count against the budget.
+once.  A hitting set within the budget takes one unbanned class from
+each packed matching and at most `slack` others, the budget less the
+packing's size.  No unbanned class of packed matchings 2..p meets a
+matching of `only`, the unmet matchings that share none of their
+classes, so once the node's branch class, a class of the first packed
+matching, is chosen, the rest of `only` is met by at most `slack`
+classes: at slack 0 it must be empty, and at slack 1 one unbanned class
+of its top matching must meet all of it.  A branch class that fails is
+skipped and banned like a failed sibling.  At the root nothing is banned
+and tau is the k-matching transversal number, so the first cut is
+ar(G, M_k) <= ex(G, M_k) = m - tau.  Nodes of both searches count
+against the budget.
+
+The partition search applies the same rule to its children.  Each node
+builds the packing of its violated matchings with nothing banned, once,
+and hands it to its hitting-set search.  A child merging classes a and
+b of the top matching, the first packed one, keeps packed matchings
+2..p violated and class-disjoint, and its budget is at most need - 1 (a
+bound raised by an earlier sibling only lowers it).  So the rest of
+`only`, `only ^ (only & msets[a] & msets[b])`, is met by at most `slack`
+classes of the child, the merged class reading msets[a] | msets[b]; a
+child that fails is marked apart without being built, settled or
+searched.  Both rules drop only subtrees that would be searched and
+found empty, and keep the order of the rest, so every answer and
+witness is as it was without them; only node counts fall.
 
 The hitting-set search returns the set it found, and every child the
 node builds inherits that set with class b renamed to a.  A child's
@@ -365,38 +381,26 @@ class _Search:
         if self.max_nodes is not None and self.nodes > self.max_nodes:
             raise _Budget
 
-    def _meets(
+    def _pack(
         self, cls: list[int], msets: list[int], unmet: int, budget: int,
         banned: int,
-    ) -> int | None:
-        """The mask of at most `budget` class labels outside the mask
-        `banned` that meet every matching in `unmet`, or None when no such
-        set exists.  The empty set, 0, is a valid answer (an empty
-        `unmet`), so callers test `is None`.
+    ) -> tuple[int, int] | None:
+        """The slack of the greedy packing that bounds a hitting set of
+        `unmet` within `budget` classes outside `banned`, and its `only`
+        mask; None when the packing alone shows that no such set exists.
 
-        Branches on the classes of the first unmet matching (the top id),
-        banning each in the later siblings, so subtrees are disjoint.  The
-        bound is a greedy packing of unmet matchings, in lexicographic
-        order (descending id, each the top id of what is left), whose
-        unbanned class sets are pairwise disjoint: only unbanned classes
-        may be chosen, so each needs a class of its own.  A matching meets
-        class c iff its id is in msets[c], so dropping the masks of a
-        packed matching's unbanned classes leaves exactly the candidates
-        that share none of them.  A packed matching with every class
-        banned can never be met, which ends the node.
-
-        A packing of exactly `budget` matchings is tight: a hitting set
-        within budget takes exactly one unbanned class from each packed
-        matching and no other class.  The first packed matching is the one
-        the node branches on, so the class c chosen from it must meet
-        every unmet matching that no unbanned class of packed matchings
-        2..p meets (`only`); a class with `only & msets[c] != only` is
-        skipped and banned like a failed sibling.  At budget 1 `only` is
-        all of `unmet`, so no child is left to fail at budget 0.
+        The packing takes unmet matchings in lexicographic order
+        (descending id, each the top id of what is left) whose unbanned
+        class sets are pairwise disjoint: only unbanned classes may be
+        chosen, so each needs a class of its own.  A matching meets class
+        c iff its id is in msets[c], so dropping the masks of a packed
+        matching's unbanned classes leaves exactly the candidates that
+        share none of them.  More than `budget` packed matchings, or one
+        with every class banned, ends the node.  The slack is `budget`
+        less the packing's size; at slack 0 or 1, `only` is the unmet
+        matchings that share no unbanned class with packed matchings
+        2..p, and at a larger slack it is 0, which prunes nothing.
         """
-        self._tick()
-        if not unmet:
-            return 0
         matchings = self.matchings
         packed = 0
         cand = unmet
@@ -416,13 +420,64 @@ class _Search:
             cand ^= cand & hit
             if packed > 1:
                 other |= hit
-        only = unmet ^ (unmet & other) if packed == budget else 0
-        for e in matchings[unmet.bit_length() - 1]:
+        slack = budget - packed
+        return slack, unmet ^ (unmet & other) if slack < 2 else 0
+
+    def _one_meets(
+        self, cls: list[int], msets: list[int], rest: int, banned: int,
+        a: int, b: int,
+    ) -> bool:
+        """Whether one class outside `banned` meets every matching in
+        `rest`, with class b read as a and a's mask as msets[a] | msets[b]
+        (the child of that merge; a == b for no merge).  Such a class
+        meets the top matching of `rest`, so only its classes are tried."""
+        for e in self.matchings[rest.bit_length() - 1]:
+            x = cls[e]
+            if x == a or x == b:
+                if rest & (msets[a] | msets[b]) == rest:
+                    return True
+            elif not banned >> x & 1 and rest & msets[x] == rest:
+                return True
+        return False
+
+    def _meets(
+        self, cls: list[int], msets: list[int], unmet: int, budget: int,
+        banned: int, packing: tuple[int, int] | None = None,
+    ) -> int | None:
+        """The mask of at most `budget` class labels outside the mask
+        `banned` that meet every matching in `unmet`, or None when no such
+        set exists.  The empty set, 0, is a valid answer (an empty
+        `unmet`), so callers test `is None`.  `packing` is `_pack`'s
+        answer for these arguments when the caller has it already.
+
+        Branches on the classes of the first unmet matching (the top id),
+        banning each in the later siblings, so subtrees are disjoint.  That
+        matching is the first packed one, and a hitting set within budget
+        takes one unbanned class from each packed matching and at most
+        `slack` others; those it takes from packed matchings 2..p meet no
+        matching of `only`.  So the rest of `only` once class c is chosen,
+        `only ^ (only & msets[c])`, must be met by at most `slack` other
+        classes: none at slack 0, one at slack 1.  A class that fails is
+        skipped and banned like a failed sibling.  At budget 1 `only` is
+        all of `unmet`, so no child is left to fail at budget 0.
+        """
+        self._tick()
+        if not unmet:
+            return 0
+        if packing is None:
+            packing = self._pack(cls, msets, unmet, budget, banned)
+            if packing is None:
+                return None
+        slack, only = packing
+        for e in self.matchings[unmet.bit_length() - 1]:
             c = cls[e]
             if banned >> c & 1:
                 continue
             mc = msets[c]
-            if only & mc == only:
+            rest = only ^ (only & mc)
+            if not rest or slack and self._one_meets(
+                cls, msets, rest, banned, c, c
+            ):
                 found = self._meets(
                     cls, msets, unmet ^ (unmet & mc), budget - 1, banned
                 )
@@ -487,22 +542,36 @@ class _Search:
         if count - 1 <= self.bound:
             return
         need = count - self.bound - 1
+        packing = self._pack(cls, msets, violated, need, 0)
+        if packing is None:
+            return
         if hitting is None or hitting.bit_count() > need:
-            hitting = self._meets(cls, msets, violated, need, 0)
+            hitting = self._meets(cls, msets, violated, need, 0, packing)
             if hitting is None:
                 return
 
+        # a child merging a and b keeps packed matchings 2..p violated at a
+        # budget of need - 1 or less, so it must meet the rest of `only`
+        # with at most `slack` classes (the module docstring has the rule)
+        slack, only = packing
         mid = violated.bit_length() - 1
         roots = sorted(cls[e] for e in self.matchings[mid])
         for a, b in combinations(roots, 2):
             if apart[a] >> b & 1:
                 continue
-            child_violated = violated ^ (violated & msets[a] & msets[b])
+            both = msets[a] & msets[b]
+            child_violated = violated ^ (violated & both)
+            rest = only ^ (only & both)
             if not child_violated:
                 # feasible one merge away: record without building the child
                 if count - 1 > self.bound:
                     self.bound = count - 1
                     self.best_coloring = _renamed(cls, b, a)
+            elif count - 2 <= self.bound or rest and not (
+                slack and self._one_meets(cls, msets, rest, 0, a, b)
+            ):
+                # the bound, or the child's transversal cut, would end it
+                pass
             elif count - 3 == self.bound:
                 # the child is one merge above the bound: only its first
                 # feasible merge can count, so find it without the child
@@ -514,7 +583,7 @@ class _Search:
                     self.best_coloring = [
                         x if c == y else c for c in _renamed(cls, b, a)
                     ]
-            elif count - 2 > self.bound:
+            else:
                 child_msets = list(msets)
                 child_msets[a] = msets[a] | msets[b]
                 child_msets[b] = 0
@@ -533,7 +602,7 @@ class _Search:
                     child_violated, count - 1, child_hitting,
                 )
             # later siblings keep this pair apart, whether its child was
-            # searched, recorded as a leaf or cut by the bound
+            # searched, recorded as a leaf or cut
             apart[a] |= 1 << b
             apart[b] |= 1 << a
 

@@ -307,6 +307,21 @@ def test_unwritable_cache_fails_before_the_sweep(capsys, monkeypatch, tmp_path):
         assert err.startswith("error: ") and "missing" in err
 
 
+def test_bad_cache_leaves_an_existing_out_file(capsys, tmp_path):
+    out = tmp_path / "x.json"
+    out.write_text('{"old": 1}')
+    code, _, err = run(capsys, "ar-class", "--n", "6", "--k", "3",
+                       "--out", str(out),
+                       "--cache", str(tmp_path / "missing" / "c.jsonl"))
+    assert code == 1 and "missing" in err
+    assert out.read_text() == '{"old": 1}'
+    # a good run replaces it
+    code, _, _ = run(capsys, "ar-class", "--n", "6", "--k", "3",
+                     "--out", str(out))
+    assert code == 0
+    assert json.loads(out.read_text())["n"] == 6
+
+
 def test_cache_line_whose_witness_misfits_its_graph_is_solved_again(
     capsys, monkeypatch, tmp_path
 ):

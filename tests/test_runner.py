@@ -189,12 +189,36 @@ def test_cache_audit_detects_tampering(tmp_path, monkeypatch):
         data["witness"]["colors"] = [0] * len(data["witness"]["colors"])
     path.write_text("\n".join(json.dumps(d) for d in lines) + "\n")
     monkeypatch.setattr(runner, "AUDIT_FRACTION", 1.0)
-    # the audit runs in the sweep's pool too
+    # every member is a hit, so at jobs=2 too the audit runs in this
+    # process; a resume with members to solve runs it in the pool
     for jobs in (1, 2):
         tampered = ResultCache(path)
         assert len(tampered.entries) == len(lines)
         with pytest.raises(CacheMismatch):
             ar_class(6, 3, cache=tampered, jobs=jobs)
+
+
+def test_fully_cached_resume_starts_no_pool(tmp_path, monkeypatch):
+    path = tmp_path / "cache.jsonl"
+    cold = ar_class(8, 4, cache=ResultCache(path), jobs=2)
+    lines = path.read_text().splitlines()
+    pools = []
+    pool = runner.ProcessPoolExecutor
+
+    def counted(*args):
+        pools.append(args)
+        return pool(*args)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", counted)
+    monkeypatch.setattr(runner, "AUDIT_FRACTION", 1.0)
+    resumed = ar_class(8, 4, cache=ResultCache(path), jobs=2)
+    assert not pools
+    assert resumed.to_json() == cold.to_json()
+    # with half the members left to solve, they and the audit share a pool
+    path.write_text("\n".join(lines[: len(lines) // 2]) + "\n")
+    half = ar_class(8, 4, cache=ResultCache(path), jobs=2)
+    assert pools == [(2,)]
+    assert half.value == cold.value
 
 
 def test_audit_searches_above_each_cached_value(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from itertools import combinations
@@ -268,6 +269,178 @@ def test_prunable_is_the_exact_class_transversal_bound(monkeypatch):
     assert forced and tight > forced, (tight, forced)
 
 
+def _random_cases(rng, n, k, per_member):
+    """(graph, matchings, cls, msets, violated ids) for random partitions
+    of every order-n member's edges."""
+    for g in enumerate_mops(n):
+        m = g.edge_count
+        matchings, touch = solver._matching_masks(g, k)
+        for _ in range(per_member):
+            cls = _random_partition(rng, m, rng.randrange(m - 1))
+            msets = [0] * m
+            for e in range(m):
+                msets[cls[e]] |= touch[e]
+            violated = [
+                mid for mid, matching in enumerate(matchings)
+                if len({cls[e] for e in matching}) == k
+            ]
+            yield g, matchings, cls, msets, violated
+
+
+def _skipped_classes(calls, i, cls, matchings, msets):
+    """The classes that the i-th recorded _meets node skipped, read off
+    the children it did call: (slack, child's unmet ids, child's bans)
+    for each.  `calls` lists [depth, unmet, budget, bans, answer] in call
+    order."""
+    level, unmet, budget, bans, found = calls[i]
+    ids = set(iter_bits(unmet))
+    packed = _packing(cls, matchings, ids, set(iter_bits(bans)))
+    if not ids or packed is None or len(packed) > budget:
+        return  # no branching
+    order = [cls[e] for e in matchings[max(ids)] if not bans >> cls[e] & 1]
+    # the child of the j-th class bans classes 0..j-1 as well
+    prefix = [bans]
+    for c in order:
+        prefix.append(prefix[-1] | 1 << c)
+    children = []
+    for later in calls[i + 1:]:
+        if later[0] <= level:
+            break
+        if later[0] == level + 1:
+            children.append(prefix.index(later[3]))
+    # a node that finds a set stops at that child
+    tried = len(order) if found is None else children[-1] + 1
+    for j in sorted(set(range(tried)) - set(children)):
+        mc = msets[order[j]]
+        child = [mid for mid in ids if not mc >> mid & 1]
+        yield budget - len(packed), child, prefix[j]
+
+
+def test_meets_skips_only_classes_whose_child_fails(monkeypatch):
+    # a _meets node skips a class of its top matching, without a child,
+    # when the rest of `only` cannot be met by its slack's worth of
+    # classes: none at slack 0, one at slack 1.  The child each skipped
+    # class would have built must find no hitting set within budget - 1
+    rng = random.Random(13)
+    calls: list[list] = []
+    depth = 0
+    meets = solver._Search._meets
+
+    def recording_meets(self, cls, msets, unmet, budget, banned, *packing):
+        nonlocal depth
+        call = [depth, unmet, budget, banned, None]
+        calls.append(call)
+        depth += 1
+        try:
+            call[4] = meets(self, cls, msets, unmet, budget, banned, *packing)
+        finally:
+            depth -= 1
+        return call[4]
+
+    monkeypatch.setattr(solver._Search, "_meets", recording_meets)
+    skips = {0: 0, 1: 0}
+    for n, k in ((8, 3), (9, 4)):
+        for g, matchings, cls, msets, violated in _random_cases(rng, n, k, 3):
+            search = solver._Search(
+                matchings, None, 0, solver._all_distinct(g.edge_count)
+            )
+            mask = sum(1 << mid for mid in violated)
+            classes = sorted(set(cls))
+            for p in (0, 0.2, 0.5):
+                banned = sum(1 << c for c in classes if rng.random() < p)
+                for budget in range(1, len(classes) + 1):
+                    calls.clear()
+                    search._meets(cls, msets, mask, budget, banned)
+                    for i, call in enumerate(calls):
+                        for slack, child, bans in _skipped_classes(
+                            calls, i, cls, matchings, msets
+                        ):
+                            least = min_class_transversal(
+                                cls, [matchings[mid] for mid in child], bans
+                            )
+                            assert least is None or least >= call[2], (
+                                graph6_encode(g), cls, call, child, bans
+                            )
+                            skips[slack] += 1
+    assert skips[0] and skips[1] and len(skips) == 2, skips
+
+
+def test_run_cuts_only_children_beyond_the_budget(monkeypatch):
+    # run cuts a child that merges two classes of its top matching when the
+    # rest of the root packing's `only` cannot be met within the child's
+    # budget, need - 1.  Each such child must have a class transversal of
+    # at least need.  The node's children are recorded, not searched, and
+    # every pair after the first that raises the bound is left out.
+    rng = random.Random(17)
+    built: list[tuple[int, ...]] = []
+    fused: list[tuple[int, int, bool]] = []
+    depth = 0
+    run = solver._Search.run
+    last_merge = solver._Search._last_merge
+
+    def shallow_run(self, cls, *args):
+        nonlocal depth
+        if depth:
+            built.append(tuple(cls))
+            return
+        depth += 1
+        try:
+            run(self, cls, *args)
+        finally:
+            depth -= 1
+
+    def recording_last_merge(self, cls, msets, apart, violated, a, b):
+        pair = last_merge(self, cls, msets, apart, violated, a, b)
+        fused.append((a, b, pair is not None))
+        return pair
+
+    monkeypatch.setattr(solver._Search, "run", shallow_run)
+    monkeypatch.setattr(solver._Search, "_last_merge", recording_last_merge)
+    cuts = {0: 0, 1: 0}
+    for n, k in ((8, 3), (9, 4)):
+        for g, matchings, cls, msets, violated in _random_cases(rng, n, k, 4):
+            m = g.edge_count
+            count = len(set(cls))
+            tau = min_class_transversal(
+                cls, [matchings[mid] for mid in violated]
+            )
+            search = solver._Search(matchings, None, 0, solver._all_distinct(m))
+            for bound in range(count - 2):
+                need = count - bound - 1
+                if not violated or tau > need:
+                    continue  # no branching, or the node itself is cut
+                slack = need - len(
+                    _packing(cls, matchings, set(violated), set())
+                )
+                built.clear()
+                fused.clear()
+                search.bound = bound
+                search.run(
+                    cls, list(msets), [0] * m,
+                    sum(1 << mid for mid in violated), count,
+                )
+                mid = max(violated)
+                roots = sorted({cls[e] for e in matchings[mid]})
+                for a, b in combinations(roots, 2):
+                    both = msets[a] & msets[b]
+                    child_violated = [
+                        v for v in violated if not both >> v & 1
+                    ]
+                    if not child_violated:
+                        break  # recorded: the bound rises to count - 1
+                    child = [a if c == b else c for c in cls]
+                    if (a, b, True) in fused:
+                        break  # recorded: the bound rises to count - 2
+                    if tuple(child) in built or (a, b, False) in fused:
+                        continue
+                    least = min_class_transversal(
+                        child, [matchings[v] for v in child_violated]
+                    )
+                    assert least >= need, (graph6_encode(g), cls, bound, a, b)
+                    cuts[min(slack, 2)] += 1
+    assert cuts[0] and cuts[1] and not cuts.get(2), cuts
+
+
 def test_last_merge_is_the_first_feasible_pair_of_the_child():
     # a child one merge above the bound is settled inside its parent; it
     # must pick the merge its own node would: the first pair of the classes
@@ -442,17 +615,24 @@ def test_every_member_value_matches_fixture():
     # _class_members order, from an earlier solver: a cut that lowers any
     # member, not just a class argmax, shows here, and so does any change
     # to the search itself.  A change that cuts nodes on purpose
-    # regenerates "nodes_at_floor_0".
+    # regenerates "nodes_at_floor_0"; the SHA-256 of each cell's (value,
+    # upper, witness colors) list stays, so a pruning rule must leave
+    # every witness as it was, not only every value.
     pinned = json.loads(MEMBER_VALUES.read_text())
     values, nodes = pinned["values_at_floor_0"], pinned["nodes_at_floor_0"]
+    digests = pinned["witness_sha256_at_floor_0"]
     assert sum(map(len, values.values())) == 443
-    assert nodes.keys() == values.keys()
+    assert nodes.keys() == values.keys() == digests.keys()
     for cell, expected in values.items():
         n, k = map(int, cell.split(","))
         solved = [ar_exact(graph6_decode(g6), k) for g6 in _class_members(n)]
         assert [r.value for r in solved] == expected, cell
         assert all(r.mode == EXACT for r in solved), cell
         assert [r.nodes for r in solved] == nodes[cell], cell
+        witnesses = json.dumps(
+            [[r.value, r.upper, list(r.witness.colors)] for r in solved]
+        )
+        assert hashlib.sha256(witnesses.encode()).hexdigest() == digests[cell]
 
 
 def test_every_member_upper_above_floor_matches_fixture():
