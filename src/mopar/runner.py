@@ -2,8 +2,10 @@
 
 ar over the class is the max of the per-graph values, so a sweep solves
 every isomorphism class representative, caches results keyed by
-(canonical graph6, k), and reduces in canonical graph order so output
-never depends on worker scheduling.
+(polygon name, k), and reduces in member order so output never depends
+on worker scheduling.  A member's polygon name is the graph6 of the
+polygon labeling `enumerate_mops` gives it, the line `mop enumerate`
+prints (see `_class_members`).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
 from pathlib import Path
 
-from .graphs import canonical_form, graph6_decode
+from .graphs import canonical_form, graph6_decode, graph6_encode
 from .mops import MAX_ENUM_N, bipartite_outerplanar_corpus, enumerate_mops
 from .rainbow import verify_certificate
 from .solver import EXACT, ArResult, ar_exact, check_budget
@@ -41,8 +43,9 @@ UNKNOWN = "UNKNOWN"
 
 @dataclass
 class ClassResult:
-    """A sweep's member results, in canonical order; the class value,
-    argmax and unsolved members are read off them."""
+    """A sweep's member results, in `_class_members` order, each named by
+    its member's polygon name; the class value, argmax and unsolved
+    members are read off them."""
 
     n: int
     k: int
@@ -91,17 +94,17 @@ class ResultCache:
     """Append-only JSON-lines store of solver results with a proved upper
     bound.
 
-    Keyed by (canonical graph6, k); each key keeps every line of it in
-    rank order: lowest upper, then highest value, then the earliest line.
-    Results a budget ended (upper None) are never written.  Lines that
-    `ArResult.from_json` rejects are skipped with a warning on load.  A
-    line's witness is checked by `verify_result` only when `get` is about
-    to serve it, so lines for cells a sweep never reads and lines a better
-    one supersedes cost nothing; a line that fails is dropped with a
-    warning and the key's next line is tried.  The path is opened for
-    appending when the cache is made, so an unwritable one fails before
-    any sweep.  Appends are one line per result so concurrent readers
-    always see whole records.
+    Keyed by (polygon name, k), as `ar_class` names members; each key
+    keeps every line of it in rank order: lowest upper, then highest
+    value, then the earliest line.  Results a budget ended (upper None)
+    are never written.  Lines that `ArResult.from_json` rejects are
+    skipped with a warning on load.  A line's witness is checked by
+    `verify_result` only when `get` is about to serve it, so lines for
+    cells a sweep never reads and lines a better one supersedes cost
+    nothing; a line that fails is dropped with a warning and the key's
+    next line is tried.  The path is opened for appending when the cache
+    is made, so an unwritable one fails before any sweep.  Appends are one
+    line per result so concurrent readers always see whole records.
     """
 
     def __init__(self, path: str | Path):
@@ -205,14 +208,17 @@ def _solve(item: tuple[str, int, int | None], k: int) -> ArResult:
 
 @lru_cache(maxsize=1)
 def _class_members(n: int) -> tuple[str, ...]:
-    """Canonical graph6 of every class member, sorted.
+    """The polygon name of every class member, in `enumerate_mops` order.
 
-    Solving the canonical labeling makes witness edge indices, cache keys,
-    and per-graph results all refer to one labeling of each class member.
+    A member's name is the graph6 of its polygon labeling, the graph
+    `enumerate_mops` builds from the member's dihedral key and
+    `mop enumerate` prints; witness edge indices, cache keys and
+    per-graph results all refer to it.  The key depends on the class
+    alone and the labeling on the key alone, so the name is canonical.
     The last order's list is kept, so a range sweep, which runs its cells
     n-major, lists each order once.
     """
-    return tuple(sorted(canonical_form(g).graph6 for g in enumerate_mops(n)))
+    return tuple(graph6_encode(g) for g in enumerate_mops(n))
 
 
 def table_cells(
@@ -234,8 +240,8 @@ def check_sweep(
 ) -> None:
     """Raise ValueError unless a sweep can honour its options: the node
     budget is not negative, jobs >= 1, there is at least one (n, k) cell
-    and every cell has 2k <= n <= MAX_ENUM_N, so each class member
-    contains a k-matching."""
+    and every cell has k >= 1 and max(3, 2k) <= n <= MAX_ENUM_N, so the
+    class is enumerable and each member contains a k-matching."""
     check_budget(max_nodes)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1; got jobs={jobs}")
@@ -245,9 +251,10 @@ def check_sweep(
             "has n < 2k"
         )
     for n, k in cells:
-        if not 2 * k <= n <= MAX_ENUM_N:
+        if not (k >= 1 and max(3, 2 * k) <= n <= MAX_ENUM_N):
             raise ValueError(
-                f"class query needs 2k <= n <= {MAX_ENUM_N}; got n={n}, k={k}"
+                f"class query needs k >= 1 and max(3, 2k) <= n <= "
+                f"{MAX_ENUM_N}; got n={n}, k={k}"
             )
 
 
@@ -266,11 +273,11 @@ def ar_class(
     The options must pass `check_sweep`.  Every member is a complete
     search above `floor`, so it ends EXACT or proved to have ar <= floor,
     unless its node budget (max_nodes, as in ar_exact) stops it and
-    leaves its upper bound unknown.  Members are taken in
-    canonical order: a cached result that settles the member above
-    `floor` as it is, any other solved in this process (jobs=1) or in
-    chunks by a pool of `jobs` processes, which starts only when some
-    member is not a cache hit.  The sweep is complete when
+    leaves its upper bound unknown.  Members are taken in `_class_members`
+    order and named by their polygon names: a cached result that settles
+    the member above `floor` as it is, any other solved in this process
+    (jobs=1) or in chunks by a pool of `jobs` processes, which starts only
+    when some member is not a cache hit.  The sweep is complete when
     every member's upper bound is at most the class value, so a floor at
     or above the class value leaves it incomplete.  A seeded
     AUDIT_FRACTION of the results read from the cache is re-solved above

@@ -101,7 +101,7 @@ def test_criterion_06_extended_order_fifteen(tmp_path):
     # --jobs 2 --cache <file>` (about half a core-hour, so
     # opt-in), on two processes with a budget of 2,000,000 nodes per
     # member (about 5 s at (15,5)'s cost per node): the first
-    # member in canonical order reaches 19, which certifies the lower
+    # member in enumeration order reaches 19, which certifies the lower
     # direction, and any member the budget stops is reported unsolved,
     # exactly as a budget-exhausted run must
     cache = ResultCache(tmp_path / "extended-15-5.jsonl")

@@ -8,7 +8,7 @@ import pytest
 
 from mopar import cli, runner
 from mopar.cli import build_parser, main
-from mopar.graphs import graph6_decode, graph6_encode
+from mopar.graphs import canonical_form, graph6_decode, graph6_encode
 from mopar.rainbow import EdgeColoring, certificate_to_json
 from mopar.runner import VIOLATED, ClassResult, ResultCache, ar_class, table_cells
 from mopar.solver import ArResult, ar_exact, seed_incumbent
@@ -48,6 +48,27 @@ def test_enumerate_labeled_format(capsys):
     assert lines[0].startswith("#")  # versioned header
     assert len(lines) == 3  # header + Catalan(2) triangulations
     assert all(line.startswith("4: ") for line in lines[1:])
+
+
+@pytest.mark.parametrize("n", range(3, 12))
+def test_sweep_members_are_the_enumerated_graphs(capsys, n):
+    # a member's one name is the graph6 `mop enumerate` prints, in its order
+    code, out, _ = run(capsys, "enumerate", "--n", str(n))
+    listed = out.splitlines()
+    assert code == 0 and list(runner._class_members(n)) == listed
+    # and names one isomorphism class each
+    canonical = {canonical_form(graph6_decode(g6)).graph6 for g6 in listed}
+    assert len(canonical) == len(listed)
+
+
+def test_ar_class_out_names_the_enumerated_graphs(capsys, tmp_path):
+    _, listed, _ = run(capsys, "enumerate", "--n", "8")
+    out_path = tmp_path / "class.json"
+    code, _, _ = run(capsys, "ar-class", "--n", "8", "--k", "3",
+                     "--out", str(out_path))
+    assert code == 0
+    results = json.loads(out_path.read_text())["results"]
+    assert [r["graph"] for r in results] == listed.splitlines()
 
 
 def test_ar_command_with_oracle(capsys):
@@ -305,6 +326,25 @@ def test_unwritable_cache_fails_before_the_sweep(capsys, monkeypatch, tmp_path):
                              "--cache", str(tmp_path / "missing" / "c.jsonl"))
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "missing" in err
+
+
+def test_matching_size_below_one_fails_before_the_out_file(
+    capsys, monkeypatch, tmp_path
+):
+    def no_enumeration(n):
+        raise AssertionError("enumerated despite k < 1")
+
+    monkeypatch.setattr(runner, "enumerate_mops", no_enumeration)
+    runner._class_members.cache_clear()
+    out = tmp_path / "x.json"
+    out.write_text('{"old": 1}')
+    # k = 0 alone, in a range, and an order too small to enumerate
+    for n, k in (("6", "0"), ("6", "0..2"), ("2", "1")):
+        code, printed, err = run(capsys, "ar-class", "--n", n, "--k", k,
+                                 "--out", str(out))
+        assert code == 1 and printed == "" and err.startswith("error: ")
+        assert "k >= 1" in err
+        assert out.read_text() == '{"old": 1}'
 
 
 def test_bad_cache_leaves_an_existing_out_file(capsys, tmp_path):

@@ -107,9 +107,8 @@ def test_dihedral_dedup_agrees_with_canonical_form(n):
 
 
 def test_class_members_match_fixture():
-    # sorted canonical graph6 of every class member, from the enumeration
-    # of all labeled triangulations: solver inputs, cache keys and
-    # member_values.json all follow this list
+    # the polygon name of every class member, in enumeration order:
+    # solver inputs, cache keys and member_values.json all follow this list
     pinned = json.loads(CLASS_MEMBERS.read_text())
     assert list(pinned) == [str(n) for n in range(3, 12)]
     for n, members in pinned.items():

@@ -27,7 +27,7 @@ P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 C6 = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
 # polygon fans: every diagonal ends at vertex 0
 FAN5, FAN6 = "D|c", "E|eG"
-# canonical class members of orders 15 and 16
+# class members of orders 15 and 16, canonically relabeled
 LARGE_MEMBERS = (
     "N?AA??o`P@?PQ`BSaLw", "N??cA?CE?COTOQCSdfw",
     "O?`?GC@A?@C@CCG@PAYn^", "O?A@A??`G_?PQOEAcu_B^",

@@ -6,6 +6,7 @@ import pytest
 
 from mopar import runner
 from mopar.graphs import graph6_decode, graph6_encode
+from mopar.mops import enumerate_mops
 from mopar.rainbow import EdgeColoring, verify_certificate
 from mopar.runner import (
     HOLDS,
@@ -40,6 +41,8 @@ def test_class_refuses_small_n():
         ar_class(5, 3)  # n < 2k
     with pytest.raises(ValueError):
         ar_class(17, 2)
+    with pytest.raises(ValueError, match="k >= 1"):
+        ar_class(6, 0)
 
 
 def test_verify_class_result_checks_value_and_argmax():
@@ -61,11 +64,11 @@ def test_verify_class_result_checks_value_and_argmax():
     assert verify_class_result(empty)
 
 
-def test_class_results_in_canonical_order_and_witnesses_verify():
+def test_class_results_in_member_order_and_witnesses_verify():
     result = ar_class(7, 3)
     assert result.value == 7
     keys = [r.graph6 for r in result.results]
-    assert keys == sorted(keys)
+    assert keys == [graph6_encode(g) for g in enumerate_mops(7)]
     for entry in result.results:
         g = graph6_decode(entry.graph6)
         assert verify_certificate(g, entry.witness, 3, entry.value).ok
