@@ -9,6 +9,7 @@ that list.
 
 from __future__ import annotations
 
+import binascii
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -211,15 +212,23 @@ def _labeling_key(n: int, adj: tuple[int, ...], order: list[int]) -> int:
     return key
 
 
+# base64's digits, in value order, mapped to graph6's: value + 63
+_BASE64_TO_GRAPH6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+    bytes(range(63, 127)),
+)
+
+
 def _graph6_of_key(n: int, key: int) -> str:
-    # a labeling key holds graph6's bits in order; pad to whole 6-bit bytes
+    # a labeling key holds graph6's bits in order, six to a byte, as
+    # base64 reads them; base64 takes whole 3-byte blocks, so pad to one
+    # and keep the digits the key fills
     nbits = n * (n - 1) // 2
-    pad = -nbits % 6
-    key <<= pad
-    nbits += pad
-    return chr(n + 63) + "".join(
-        chr((key >> shift & 63) + 63) for shift in range(nbits - 6, -1, -6)
-    )
+    digits = -(-nbits // 6)
+    nbytes = -(-digits // 4) * 3
+    data = (key << 8 * nbytes - nbits).to_bytes(nbytes, "big")
+    body = binascii.b2a_base64(data, newline=False)[:digits]
+    return chr(n + 63) + body.translate(_BASE64_TO_GRAPH6).decode()
 
 
 def _find(parent: list[int], x: int) -> int:

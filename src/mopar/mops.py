@@ -5,18 +5,28 @@ the convex n-gon, so labeled enumeration is the Catalan recursion and
 isomorphism collapses to the dihedral action on the polygon (the outer
 Hamiltonian cycle is unique for n >= 4).  A triangulation is fixed by its
 quiddity sequence, so the classes are grown directly as sequences by ear
-insertion, one per least rotation or reversal, and only the class
-representatives are built as graphs.
+insertion, one per least rotation or reversal, and each is named by the
+graph6 of its polygon labeling, read off the sequence without building a
+graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
-from .graphs import Graph, canonical_form, bipartition_of
+from .graphs import (
+    Graph,
+    _graph6_of_key,
+    bipartition_of,
+    canonical_form,
+    graph6_decode,
+)
 
-MAX_ENUM_N = 16
+# the class limit: order 18 has 983,244 classes (OEIS A000207)
+MAX_ENUM_N = 18
+# the labeled limit: Catalan(n - 2) triangulations, 2,674,440 at order 16
+MAX_LABELED_N = 16
 MAX_CORPUS_N = 9
 
 TRIANGULATION_FORMAT_HEADER = "# polygon-triangulation-format 1"
@@ -46,8 +56,8 @@ def enumerate_triangulations(n: int) -> Iterator[Triangulation]:
     on that edge, then triangulate the two sub-chains.  No deduplication is
     needed; distinct apex choices give distinct diagonal sets.
     """
-    if not 3 <= n <= MAX_ENUM_N:
-        raise ValueError(f"polygon size {n} outside 3..{MAX_ENUM_N}")
+    if not 3 <= n <= MAX_LABELED_N:
+        raise ValueError(f"polygon size {n} outside 3..{MAX_LABELED_N}")
 
     def chords(chain: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
         # chain is a run of polygon vertices; its first-last pair is the base
@@ -73,78 +83,113 @@ def enumerate_triangulations(n: int) -> Iterator[Triangulation]:
         yield Triangulation(n, tuple(sorted(diag)))
 
 
-def _dihedral_key(quiddity: bytes) -> bytes:
-    """Least rotation or reversal of a quiddity sequence.
+_EAR = b"\x01"
+
+
+def _ear_children(quiddity: bytes) -> set[bytes]:
+    """The least dihedral keys of the triangulations one order up whose
+    key starts at an ear that, clipped, leaves this key's class.
 
     The quiddity sequence counts the triangles at each polygon vertex and
     determines the triangulation (Conway and Coxeter, 1973), so two
-    triangulations share a key exactly when a rotation or reflection of the
-    polygon maps one onto the other.  The least image starts at a smallest
-    entry, so only those rotations are compared.  Sequences are bytes (no
-    entry exceeds n - 2): smaller than tuples, and freed outright where
-    freed tuples would stay on CPython's tuple free lists.
+    triangulations share a key, their least rotation or reversal, exactly
+    when a rotation or reflection of the polygon maps one onto the other.
+    Inserting an ear between two cyclic neighbours adds 1 to both.  A key
+    starts at an ear (a 1), and no two ears are neighbours from order 4
+    on, so a key is read as the list of runs between its ears: two
+    rotations compare as those lists do, since a run's end meets a 1,
+    below every entry of a longer run.  A child is kept only when its new
+    ear starts one of its least rotations or reversals (canonical
+    augmentation, McKay 1998).  Every class then comes from one parent,
+    the class its key's first ear leaves when clipped, so only insertions
+    into the same parent can repeat it.
     """
-    n = len(quiddity)
-    low = min(quiddity)
-    forward = quiddity + quiddity
-    backward = forward[::-1]
-    return min(
-        w[r:r + n] for w in (forward, backward) for r in range(n) if w[r] == low
-    )
+    children = set()
+    for i in range(len(quiddity)):
+        # the child's sequence from the new ear's right neighbour round
+        # to its left one
+        r = bytearray(quiddity[i + 1:] + quiddity[:i + 1])
+        r[0] += 1
+        r[-1] += 1
+        forward = bytes(r).split(_EAR)
+        r.reverse()
+        backward = bytes(r).split(_EAR)
+        least = min(min(forward), min(backward))
+        own = min(forward, backward)
+        if own[0] != least:
+            continue
+        # only rotations that start at a least run can be below own
+        if all(
+            own <= runs[j:] + runs[:j]
+            for runs in (forward, backward)
+            for j in range(1, len(runs))
+            if runs[j] == least
+        ):
+            children.add(_EAR + _EAR.join(own))
+    return children
 
 
-def _polygon_graph(quiddity: bytes) -> Graph:
-    """The triangulation of the polygon 0..n-1 with this quiddity sequence.
+def _polygon_namer(n: int) -> Callable[[bytes], str]:
+    """The graph6 of the polygon 0..n-1 triangulated as a key says.
 
-    Clipping a vertex of quiddity 1 cuts off an ear: its two neighbours
-    gain a diagonal and lose a triangle each.  The walk around the shrinking
-    polygon steps back after each clip, since the left neighbour may have
-    become an ear, and stops when a triangle is left.
+    Vertices are pushed in polygon order.  One whose quiddity has fallen
+    to 1 while it is on top of the stack is an ear between the vertex
+    under it and the next one: it is clipped, its two neighbours gain a
+    diagonal and lose a triangle each, and the new top is tested again.
+    Vertex 0, an ear of every key, stays at the bottom; the last clip
+    joins it to n - 1, a side.  Sides and diagonals are set as bits of a
+    labeling key, graph6's bits in order.
     """
-    n = len(quiddity)
-    q = list(quiddity)
-    ring = list(range(n))
-    adj = [1 << (v - 1) % n | 1 << (v + 1) % n for v in range(n)]
-    j = 0
-    while len(ring) > 3:
-        if q[ring[j]] == 1:
-            a, b = ring[j - 1], ring[(j + 1) % len(ring)]
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-            q[a] -= 1
-            q[b] -= 1
-            del ring[j]
-            j = (j - 1) % len(ring)
-        else:
-            j = (j + 1) % len(ring)
-    return Graph(n, adj)
+    nbits = n * (n - 1) // 2
+    # pair_bit[v][a], a < v: the key bit of the pair (a, v)
+    pair_bit = [
+        [1 << nbits - 1 - v * (v - 1) // 2 - a for a in range(v)]
+        for v in range(n)
+    ]
+    sides = pair_bit[n - 1][0]
+    for v in range(1, n):
+        sides |= pair_bit[v][v - 1]
+
+    def name(quiddity: bytes) -> str:
+        q = list(quiddity)
+        q[0] = 0  # vertex 0 is never clipped off the bottom of the stack
+        key = sides
+        stack = [0]
+        for v in range(1, n):
+            column = pair_bit[v]
+            while q[stack[-1]] == 1:
+                stack.pop()
+                a = stack[-1]
+                key |= column[a]
+                q[a] -= 1
+                q[v] -= 1
+            stack.append(v)
+        return _graph6_of_key(n, key)
+
+    return name
 
 
-def enumerate_mops(n: int) -> list[Graph]:
-    """One representative per isomorphism class of maximal outerplanar graphs.
+def enumerate_mops(n: int) -> list[str]:
+    """One name per isomorphism class of maximal outerplanar graphs.
 
     Classes grow by ear insertion from the triangle 1, 1, 1: every
     triangulation of order n >= 4 has an ear, and cutting it off leaves one
-    of order n - 1, so inserting a 1 between each pair of cyclic neighbours
-    (each gaining a triangle) of every order n - 1 class reaches every order
-    n class.  Each representative is the polygon 0..n-1 labeled by its
-    dihedral key, in ascending key order.
+    of order n - 1, so inserting an ear into every order n - 1 class
+    reaches every order n class; `_ear_children` keeps each once.  A
+    class's name is the graph6 of the polygon 0..n-1 labeled by its least
+    dihedral key, and the names come in ascending key order.
     """
     if not 3 <= n <= MAX_ENUM_N:
         raise ValueError(f"polygon size {n} outside 3..{MAX_ENUM_N}")
-    level = {bytes((1, 1, 1))}
+    level = [bytes((1, 1, 1))]
     for _ in range(n - 3):
-        grown = set()
-        for q in level:
-            for i in range(len(q)):
-                # rotate so the ear goes after the last entry, before the first
-                r = bytearray(q[i + 1:] + q[:i + 1])
-                r[0] += 1
-                r[-1] += 1
-                r.append(1)
-                grown.add(_dihedral_key(bytes(r)))
-        level = grown
-    return [_polygon_graph(q) for q in sorted(level)]
+        level = [key for q in level for key in _ear_children(q)]
+    level.sort()
+    name = _polygon_namer(n)
+    # each key is freed as its name takes its place
+    for i, q in enumerate(level):
+        level[i] = name(q)
+    return level
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +211,7 @@ def bipartite_outerplanar_corpus(n_max: int) -> Iterator[Graph]:
         if n == 2:
             hosts = [Graph.from_edges(2, [(0, 1)])]
         else:
-            hosts = enumerate_mops(n)
+            hosts = map(graph6_decode, enumerate_mops(n))
         seen: set[str] = set()
         labeled: set[tuple[int, ...]] = set()
         for host in hosts:

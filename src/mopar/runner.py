@@ -3,9 +3,9 @@
 ar over the class is the max of the per-graph values, so a sweep solves
 every isomorphism class representative, caches results keyed by
 (polygon name, k), and reduces in member order so output never depends
-on worker scheduling.  A member's polygon name is the graph6 of the
-polygon labeling `enumerate_mops` gives it, the line `mop enumerate`
-prints (see `_class_members`).
+on worker scheduling.  A member's polygon name is the graph6 of its
+polygon labeling, as `enumerate_mops` returns it and `mop enumerate`
+prints it (see `_class_members`).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
 from pathlib import Path
 
-from .graphs import canonical_form, graph6_decode, graph6_encode
+from .graphs import canonical_form, graph6_decode
 from .mops import MAX_ENUM_N, bipartite_outerplanar_corpus, enumerate_mops
 from .rainbow import verify_certificate
 from .solver import EXACT, ArResult, ar_exact, check_budget
@@ -208,17 +208,16 @@ def _solve(item: tuple[str, int, int | None], k: int) -> ArResult:
 
 @lru_cache(maxsize=1)
 def _class_members(n: int) -> tuple[str, ...]:
-    """The polygon name of every class member, in `enumerate_mops` order.
-
-    A member's name is the graph6 of its polygon labeling, the graph
-    `enumerate_mops` builds from the member's dihedral key and
-    `mop enumerate` prints; witness edge indices, cache keys and
+    """The polygon name of every class member, as `enumerate_mops` lists
+    them: the graph6 of the polygon labeling it reads off the member's
+    least dihedral quiddity key, in ascending key order, the lines
+    `mop enumerate` prints.  Witness edge indices, cache keys and
     per-graph results all refer to it.  The key depends on the class
     alone and the labeling on the key alone, so the name is canonical.
-    The last order's list is kept, so a range sweep, which runs its cells
+    The last order's tuple is kept, so a range sweep, which runs its cells
     n-major, lists each order once.
     """
-    return tuple(graph6_encode(g) for g in enumerate_mops(n))
+    return tuple(enumerate_mops(n))
 
 
 def table_cells(
@@ -307,9 +306,12 @@ def ar_class(
     solve = partial(_solve, k=k)
 
     ordered: list[ArResult] = []
-    with ProcessPoolExecutor(jobs) if pooled else nullcontext() as pool:
+    # a forked pool starts all its workers at the first submit, so it is
+    # given no more than there are items
+    workers = min(jobs, len(items))
+    with ProcessPoolExecutor(workers) if pooled else nullcontext() as pool:
         if pool:
-            chunk = min(MAX_CHUNK, max(1, len(items) // (8 * jobs)))
+            chunk = min(MAX_CHUNK, max(1, len(items) // (8 * workers)))
             fresh = pool.map(solve, items, chunksize=chunk)
         else:
             fresh = map(solve, items)

@@ -5,12 +5,14 @@ isomorphism, branch-set enumeration for minors by assigning every vertex
 to every part, the Catalan recurrence, the raw minimum of the matching
 formula over all vertex subsets, every k-subset of edges filtered to the
 (rainbow) matchings, the least dihedral image of a triangulation's
-diagonal set, and the fewest partition classes meeting a
+diagonal set, the polygon graph of a quiddity sequence by ear clipping,
+and the fewest partition classes meeting a
 set of matchings by trying every set of unbanned classes.  The greedy seed
 has a counting twin that recounts every class pair with a Counter after
 each merge.  Beside them are degree and cut helpers and an exact
 outerplanarity test through the forbidden minors K_4 and K_{2,3}, which
-checks that every enumerated MOP is outerplanar.
+checks that every enumerated MOP is outerplanar, and `mop_graphs`, the
+enumerated classes decoded for tests that want graphs.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from collections import Counter
 from itertools import combinations, permutations
 from typing import Iterable, Iterator, Sequence
 
-from mopar.graphs import Graph, iter_bits
+from mopar.graphs import Graph, graph6_decode, iter_bits
 from mopar.matchings import components, formula_value, iterate_k_matchings
+from mopar.mops import enumerate_mops
 from mopar.rainbow import EdgeColoring
 
 
@@ -101,6 +104,38 @@ def diagonal_dihedral_key(n: int, diagonals: Iterable[tuple[int, int]]) -> tuple
             if best is None or img < best:
                 best = img
     return best
+
+
+def polygon_graph(quiddity: bytes) -> Graph:
+    """The triangulation of the polygon 0..n-1 with this quiddity sequence.
+
+    Clipping a vertex of quiddity 1 cuts off an ear: its two neighbours
+    gain a diagonal and lose a triangle each.  The walk around the shrinking
+    polygon steps back after each clip, since the left neighbour may have
+    become an ear, and stops when a triangle is left.
+    """
+    n = len(quiddity)
+    q = list(quiddity)
+    ring = list(range(n))
+    adj = [1 << (v - 1) % n | 1 << (v + 1) % n for v in range(n)]
+    j = 0
+    while len(ring) > 3:
+        if q[ring[j]] == 1:
+            a, b = ring[j - 1], ring[(j + 1) % len(ring)]
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+            q[a] -= 1
+            q[b] -= 1
+            del ring[j]
+            j = (j - 1) % len(ring)
+        else:
+            j = (j + 1) % len(ring)
+    return Graph(n, adj)
+
+
+def mop_graphs(n: int) -> list[Graph]:
+    """One graph per class of order n: `enumerate_mops`'s names decoded."""
+    return [graph6_decode(name) for name in enumerate_mops(n)]
 
 
 def tutte_berge_minimum(g: Graph) -> int:

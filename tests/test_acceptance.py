@@ -31,6 +31,7 @@ from mopar.solver import ar_brute_force, ar_exact
 from oracles import (
     catalan_recurrence,
     merge_classes,
+    mop_graphs,
     random_connected_graph,
     random_graph,
 )
@@ -143,7 +144,7 @@ def test_criterion_07_bipartite_edge_bound():
 def test_criterion_08_matching_number_certificates():
     checked = 0
     for n in range(3, 11):
-        for g in enumerate_mops(n):
+        for g in mop_graphs(n):
             cert = tutte_berge_certificate(g)
             assert cert.value == matching_number(g)
             assert certificate_is_valid(g, cert)
@@ -162,7 +163,7 @@ def test_criterion_09_oracle_equivalence():
     graphs = []
     seen = set()
     for n in range(3, 7):
-        for host in enumerate_mops(n):
+        for host in mop_graphs(n):
             m = host.edge_count
             for subset in range(1, 1 << m):
                 if subset.bit_count() > 9:
@@ -195,7 +196,7 @@ def test_criterion_09_oracle_equivalence():
 def test_criterion_10_property_suites():
     rng = random.Random(424242)
     # rainbow monotonicity over random colorings
-    for g in enumerate_mops(8)[:8]:
+    for g in mop_graphs(8)[:8]:
         m = g.edge_count
         for _ in range(6):
             labels = [rng.randrange(6) for _ in range(m)]
@@ -204,7 +205,7 @@ def test_criterion_10_property_suites():
                 if find_rainbow_matching(g, col, k) is None:
                     assert find_rainbow_matching(g, col, k + 1) is None
     # merge safety
-    for g in enumerate_mops(7)[:4]:
+    for g in mop_graphs(7)[:4]:
         m = g.edge_count
         for _ in range(6):
             col = EdgeColoring.from_sequence(
@@ -215,11 +216,11 @@ def test_criterion_10_property_suites():
             if witness is not None:
                 assert len({col.colors[e] for e in witness.matching}) == 3
     # k-monotonicity of the solved values
-    for g in enumerate_mops(8)[:6]:
+    for g in mop_graphs(8)[:6]:
         values = [ar_exact(g, k).value for k in (2, 3, 4, 5)]
         assert values == sorted(values)
     # witness closure
-    for g in enumerate_mops(7):
+    for g in mop_graphs(7):
         result = ar_exact(g, 3)
         assert verify_certificate(g, result.witness, 3, result.value).ok
     # determinism under parallel scheduling

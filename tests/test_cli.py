@@ -290,12 +290,12 @@ def test_bad_options_fail_before_the_cache_is_read(capsys, monkeypatch, tmp_path
     for argv in (
         ("ar-class", "--n", "6", "--k", "3", "--budget-nodes", "-1"),
         ("ar-class", "--n", "6", "--k", "3", "--jobs", "0"),
-        ("ar-class", "--n", "17", "--k", "5"),
+        ("ar-class", "--n", "19", "--k", "5"),
         ("ar-class", "--n", "6..7", "--k", "3..3", "--budget-nodes", "-1",
          "--out", str(tmp_path / "t.jsonl")),
         ("ar-class", "--n", "6..7", "--k", "3..3", "--jobs", "0",
          "--out", str(tmp_path / "t.jsonl")),
-        ("ar-class", "--n", "6..17", "--k", "3"),
+        ("ar-class", "--n", "6..19", "--k", "3"),
         # ranges that leave no cell: n < 2k everywhere, or reversed
         ("ar-class", "--n", "4", "--k", "3"),
         ("ar-class", "--n", "4..5", "--k", "3..3",

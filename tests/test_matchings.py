@@ -15,9 +15,9 @@ from mopar.matchings import (
     matching_number,
     tutte_berge_certificate,
 )
-from mopar.mops import enumerate_mops
 from oracles import (
     k_matchings_by_filter,
+    mop_graphs,
     random_connected_graph,
     random_graph,
     scattered_graph,
@@ -41,7 +41,7 @@ def test_matching_number_examples():
 
 @pytest.mark.parametrize("n", range(3, 11))
 def test_mop_matching_number_is_half_order(n):
-    for g in enumerate_mops(n):
+    for g in mop_graphs(n):
         assert matching_number(g) == n // 2
 
 
@@ -54,7 +54,7 @@ def test_k_matching_iteration_examples():
 
 
 def test_k_matchings_are_sorted_and_disjoint():
-    for g in (C6, K4, *enumerate_mops(6)):
+    for g in (C6, K4, *mop_graphs(6)):
         for k in (1, 2, 3):
             out = list(iterate_k_matchings(g, k))
             assert out == sorted(out)
@@ -70,7 +70,7 @@ def test_k_matchings_agree_with_combination_filter():
     # the free-vertex cut drops only subtrees without a k-matching, so the
     # output must be the plain filter's, in the same order
     rng = random.Random(41)
-    graphs = [g for n in range(3, 10) for g in enumerate_mops(n)]
+    graphs = [g for n in range(3, 10) for g in mop_graphs(n)]
     graphs += [scattered_graph(rng) for _ in range(40)]
     for g in graphs:
         for k in range(1, 6):
@@ -107,7 +107,7 @@ def test_certificate_rejects_large_graphs():
 
 @pytest.mark.parametrize("n", range(3, 10))
 def test_mop_certificates(n):
-    for g in enumerate_mops(n):
+    for g in mop_graphs(n):
         cert = tutte_berge_certificate(g)
         assert cert.value == matching_number(g) == n // 2
         assert certificate_is_valid(g, cert)

@@ -9,6 +9,7 @@ from mopar.graphs import (
     Graph,
     bipartition_of,
     canonical_form,
+    graph6_encode,
     iter_bits,
 )
 from mopar.matchings import components
@@ -32,6 +33,8 @@ from oracles import (
     find_minor,
     has_minor,
     is_outerplanar,
+    mop_graphs,
+    polygon_graph,
 )
 
 CLASS_MEMBERS = Path(__file__).resolve().parent / "class_members.json"
@@ -74,18 +77,45 @@ def test_triangulation_text_format():
 @pytest.mark.parametrize(
     "n,expected",
     [(3, 1), (4, 1), (5, 1), (6, 3), (7, 4), (8, 12), (9, 27), (10, 82),
-     (11, 228), (12, 733), (13, 2282)],
+     (11, 228), (12, 733), (13, 2282), (14, 7528), (15, 24834),
+     (16, 83898),
+     pytest.param(17, 285357, marks=pytest.mark.extended),
+     pytest.param(18, 983244, marks=pytest.mark.extended)],
 )
 def test_mop_isomorphism_class_counts(n, expected):
     # OEIS A000207: triangulations of the n-gon up to rotation and reflection
-    assert len(enumerate_mops(n)) == expected
+    names = enumerate_mops(n)
+    assert len(names) == expected
+    assert len(set(names)) == expected
 
 
 def test_mop_range_checks():
     with pytest.raises(ValueError):
         enumerate_mops(2)
     with pytest.raises(ValueError):
-        enumerate_mops(17)
+        enumerate_mops(19)
+
+
+def _least_dihedral_image(quiddity: bytes) -> bytes:
+    rotations = [quiddity[r:] + quiddity[:r] for r in range(len(quiddity))]
+    return min(rotations + [w[::-1] for w in rotations])
+
+
+@pytest.mark.parametrize("n", range(3, 14))
+def test_names_are_polygon_graphs_of_the_least_keys(n):
+    # a vertex with d diagonals lies in d + 1 triangles: every labeled
+    # triangulation's quiddity sequence, least of its 2n images, is one
+    # class's key, and the class's name is that key's polygon graph
+    keys = set()
+    for tri in enumerate_triangulations(n):
+        quiddity = [1] * n
+        for a, b in tri.diagonals:
+            quiddity[a] += 1
+            quiddity[b] += 1
+        keys.add(_least_dihedral_image(bytes(quiddity)))
+    assert enumerate_mops(n) == [
+        graph6_encode(polygon_graph(q)) for q in sorted(keys)
+    ]
 
 
 def _diagonals(g):
@@ -96,7 +126,7 @@ def _diagonals(g):
 @pytest.mark.parametrize("n", range(3, 12))
 def test_dihedral_dedup_agrees_with_canonical_form(n):
     triangulations = list(enumerate_triangulations(n))
-    mops = enumerate_mops(n)
+    mops = mop_graphs(n)
     # one representative per dihedral class of labeled triangulations
     keys = [diagonal_dihedral_key(n, _diagonals(g)) for g in mops]
     assert len(set(keys)) == len(mops)
@@ -117,7 +147,7 @@ def test_class_members_match_fixture():
 
 @pytest.mark.parametrize("n", range(3, 10))
 def test_mop_invariants(n):
-    for g in enumerate_mops(n):
+    for g in mop_graphs(n):
         mn, _, degs = degree_stats(g)
         assert g.edge_count == 2 * n - 3
         assert mn == 2

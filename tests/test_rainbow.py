@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 import mopar.rainbow
 from mopar.graphs import Graph, graph6_decode
 from mopar.matchings import iterate_k_matchings, matching_number
-from mopar.mops import enumerate_mops
 from mopar.rainbow import (
     NOT_SURJECTIVE,
     OK,
@@ -21,7 +20,12 @@ from mopar.rainbow import (
     verify_certificate,
 )
 from mopar.solver import ar_exact, seed_incumbent
-from oracles import iter_k_matchings_by_filter, merge_classes, scattered_graph
+from oracles import (
+    iter_k_matchings_by_filter,
+    merge_classes,
+    mop_graphs,
+    scattered_graph,
+)
 
 P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 C6 = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
@@ -49,7 +53,7 @@ def test_p4_with_repeated_end_colors_has_no_rainbow_pair():
 
 
 def test_all_distinct_coloring_always_has_witness():
-    for g in enumerate_mops(6):
+    for g in mop_graphs(6):
         col = EdgeColoring(tuple(range(g.edge_count)), g.edge_count)
         for k in range(1, matching_number(g) + 1):
             witness = find_rainbow_matching(g, col, k)
@@ -100,7 +104,7 @@ def _random_coloring(rng, m, c):
 def test_rainbow_monotonicity_over_random_mop_colorings():
     rng = random.Random(321)
     for n in (6, 7, 8):
-        for g in enumerate_mops(n)[:6]:
+        for g in mop_graphs(n)[:6]:
             m = g.edge_count
             for _ in range(12):
                 col = _random_coloring(rng, m, rng.randint(1, m))
@@ -113,7 +117,7 @@ def test_rainbow_matchings_agree_with_brute_force():
     # random colorings of MOPs and of scattered graphs, plus the witness
     # colorings ar_exact returns, which admit no rainbow k-matching at all
     rng = random.Random(57)
-    graphs = [g for n in range(5, 9) for g in enumerate_mops(n)]
+    graphs = [g for n in range(5, 9) for g in mop_graphs(n)]
     graphs += [scattered_graph(rng) for _ in range(20)]
     for g in graphs:
         m = g.edge_count
@@ -152,7 +156,7 @@ def test_rainbow_walk_agrees_with_combinations_oracle():
     rng = random.Random(2022)
     cases = []
     for n in range(8, 13):
-        for g in rng.sample(enumerate_mops(n), 2):
+        for g in rng.sample(mop_graphs(n), 2):
             m = g.edge_count
             for k in range(3, min(5, n // 2) + 1):
                 for _ in range(2):
@@ -197,7 +201,7 @@ def test_rainbow_imports_nothing_from_mopar_but_graphs():
 
 def test_merging_classes_never_creates_a_rainbow_matching():
     rng = random.Random(17)
-    for g in enumerate_mops(7)[:4]:
+    for g in mop_graphs(7)[:4]:
         m = g.edge_count
         for _ in range(15):
             col = _random_coloring(rng, m, rng.randint(2, m))

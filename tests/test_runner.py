@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import warnings
+from functools import partial
 
 import pytest
 
@@ -40,7 +41,7 @@ def test_class_refuses_small_n():
     with pytest.raises(ValueError):
         ar_class(5, 3)  # n < 2k
     with pytest.raises(ValueError):
-        ar_class(17, 2)
+        ar_class(19, 2)
     with pytest.raises(ValueError, match="k >= 1"):
         ar_class(6, 0)
 
@@ -68,7 +69,7 @@ def test_class_results_in_member_order_and_witnesses_verify():
     result = ar_class(7, 3)
     assert result.value == 7
     keys = [r.graph6 for r in result.results]
-    assert keys == [graph6_encode(g) for g in enumerate_mops(7)]
+    assert keys == enumerate_mops(7)
     for entry in result.results:
         g = graph6_decode(entry.graph6)
         assert verify_certificate(g, entry.witness, 3, entry.value).ok
@@ -222,6 +223,51 @@ def test_fully_cached_resume_starts_no_pool(tmp_path, monkeypatch):
     half = ar_class(8, 4, cache=ResultCache(path), jobs=2)
     assert pools == [(2,)]
     assert half.value == cold.value
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool asked for and
+    solves its items in this process, so no worker starts."""
+
+    def __init__(self, record, max_workers):
+        self.record = record
+        record.append({"max_workers": max_workers})
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        items = list(items)
+        self.record[-1].update(items=len(items), chunksize=chunksize)
+        return map(fn, items)
+
+
+def test_pool_starts_no_more_workers_than_items(tmp_path, monkeypatch):
+    pools = []
+    monkeypatch.setattr(
+        runner, "ProcessPoolExecutor", partial(_RecordingPool, pools)
+    )
+    # a cold sweep of three members at jobs=16 asks for three workers
+    path = tmp_path / "cache.jsonl"
+    cold = ar_class(6, 3, jobs=16, cache=ResultCache(path))
+    assert pools == [{"max_workers": 3, "items": 3, "chunksize": 1}]
+    # a resume with three members to solve, and one audit re-solve of the
+    # nine cached, asks for four
+    cold8 = ar_class(8, 3, cache=ResultCache(path))
+    assert cold.complete
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:len(lines) - 3]) + "\n")
+    pools.clear()
+    resumed = ar_class(8, 3, jobs=16, cache=ResultCache(path))
+    assert pools == [{"max_workers": 4, "items": 4, "chunksize": 1}]
+    assert resumed.argmax == cold8.argmax and resumed.complete
+    # with more items than jobs the pool has jobs workers, eight chunks each
+    pools.clear()
+    ar_class(10, 3, jobs=2)
+    assert pools == [{"max_workers": 2, "items": 82, "chunksize": 5}]
 
 
 def test_audit_searches_above_each_cached_value(tmp_path, monkeypatch):

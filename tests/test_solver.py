@@ -9,7 +9,6 @@ import pytest
 from mopar import solver
 from mopar.graphs import Graph, graph6_decode, graph6_encode, iter_bits
 from mopar.matchings import iterate_k_matchings, matching_number
-from mopar.mops import enumerate_mops
 from mopar.rainbow import verify_certificate
 from mopar.runner import _class_members
 from mopar.solver import (
@@ -20,7 +19,7 @@ from mopar.solver import (
     ar_exact,
     seed_incumbent,
 )
-from oracles import counting_seed, min_class_transversal
+from oracles import counting_seed, min_class_transversal, mop_graphs
 
 K3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
 P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -31,7 +30,7 @@ MEMBER_VALUES = Path(__file__).resolve().parent / "member_values.json"
 
 
 def test_unique_mop4_value_three():
-    (g,) = enumerate_mops(4)
+    (g,) = mop_graphs(4)
     result = ar_exact(g, 2)
     assert result.value == 3 and result.mode == EXACT
     assert ar_brute_force(g, 2) == 3
@@ -39,12 +38,12 @@ def test_unique_mop4_value_three():
 
 
 def test_unique_mop5_value_one():
-    (g,) = enumerate_mops(5)
+    (g,) = mop_graphs(5)
     assert ar_exact(g, 2).value == 1
 
 
 def test_vacuous_when_no_k_matching_exists():
-    for g in enumerate_mops(6):
+    for g in mop_graphs(6):
         result = ar_exact(g, 4)  # beta = 3 < 4
         assert result.value == g.edge_count == 9
         assert result.mode == EXACT
@@ -78,11 +77,11 @@ def test_k1_has_no_rainbow_free_coloring():
 def _oracle_corpus():
     graphs = []
     for n in range(3, 7):
-        for g in enumerate_mops(n):
+        for g in mop_graphs(n):
             if g.edge_count <= 9:
                 graphs.append(g)
     rng = random.Random(5)
-    for host in enumerate_mops(6):
+    for host in mop_graphs(6):
         m = host.edge_count
         for _ in range(10):
             idxs = [i for i in range(m) if rng.random() < 0.7]
@@ -123,7 +122,7 @@ def test_search_never_revisits_a_partition(monkeypatch):
     # a lost apart row seldom shows as a revisit; the next test checks the
     # rows themselves
     for n, k in ((8, 3), (8, 4), (9, 4), (10, 4)):
-        for g in enumerate_mops(n):
+        for g in mop_graphs(n):
             keys.clear()
             result = ar_exact(g, k)
             assert len(set(keys)) == len(keys)
@@ -148,7 +147,7 @@ def test_apart_rows_are_symmetric_over_live_classes(monkeypatch):
 
     monkeypatch.setattr(solver._Search, "run", checking_run)
     for n, k in ((8, 3), (8, 4), (9, 4), (10, 4)):
-        for g in enumerate_mops(n):
+        for g in mop_graphs(n):
             ar_exact(g, k)
     assert calls > 1000
 
@@ -219,7 +218,7 @@ def test_prunable_is_the_exact_class_transversal_bound(monkeypatch):
 
     monkeypatch.setattr(solver._Search, "_meets", recording_meets)
     for n, k in ((8, 3), (9, 4)):
-        for g in enumerate_mops(n):
+        for g in mop_graphs(n):
             m = g.edge_count
             matchings, touch = solver._matching_masks(g, k)
             search = solver._Search(matchings, None, 0, solver._all_distinct(m))
@@ -272,7 +271,7 @@ def test_prunable_is_the_exact_class_transversal_bound(monkeypatch):
 def _random_cases(rng, n, k, per_member):
     """(graph, matchings, cls, msets, violated ids) for random partitions
     of every order-n member's edges."""
-    for g in enumerate_mops(n):
+    for g in mop_graphs(n):
         m = g.edge_count
         matchings, touch = solver._matching_masks(g, k)
         for _ in range(per_member):
@@ -450,7 +449,7 @@ def test_last_merge_is_the_first_feasible_pair_of_the_child():
     rng = random.Random(5)
     found = onto_merged = 0
     for n, k in ((8, 3), (9, 4)):
-        for g in enumerate_mops(n):
+        for g in mop_graphs(n):
             m = g.edge_count
             matchings, touch = solver._matching_masks(g, k)
             search = solver._Search(matchings, None, 0, solver._all_distinct(m))
@@ -504,7 +503,7 @@ def test_matching_ids_run_in_reverse_lexicographic_order():
     # every node branches on its top violated id, which must be the
     # lexicographically first violated matching
     for n, k in ((8, 3), (9, 4), (10, 5)):
-        for g in enumerate_mops(n):
+        for g in mop_graphs(n):
             matchings, touch = solver._matching_masks(g, k)
             lexicographic = list(iterate_k_matchings(g, k))
             assert matchings[-1] == min(lexicographic)
@@ -584,7 +583,7 @@ def test_floor_boundary_every_member_9_4():
     # proves the value v; floor v proves nothing beats v but finds no
     # witness at v, so it is EXACT only when the greedy seed reaches v
     lower_bounds = 0
-    for g in enumerate_mops(9):
+    for g in mop_graphs(9):
         v = ar_exact(g, 4).value
         below = ar_exact(g, 4, floor=v - 1)
         assert below.mode == EXACT and below.value == v
@@ -598,13 +597,13 @@ def test_floor_boundary_every_member_9_4():
 
 
 def test_monotonicity_in_k():
-    for g in enumerate_mops(8)[:5]:
+    for g in mop_graphs(8)[:5]:
         values = [ar_exact(g, k).value for k in (2, 3, 4, 5)]
         assert values == sorted(values)
 
 
 def test_value_equals_edge_count_iff_no_matching():
-    for g in enumerate_mops(6) + enumerate_mops(7)[:2]:
+    for g in mop_graphs(6) + mop_graphs(7)[:2]:
         for k in (2, 3, 4, 5):
             result = ar_exact(g, k)
             assert (result.value == g.edge_count) == (matching_number(g) < k)
@@ -653,7 +652,7 @@ def test_every_member_upper_above_floor_matches_fixture():
 
 def test_every_exact_witness_verifies():
     for n, k in ((6, 2), (6, 3), (7, 3), (8, 4)):
-        for g in enumerate_mops(n):
+        for g in mop_graphs(n):
             result = ar_exact(g, k)
             assert result.mode == EXACT
             assert verify_certificate(g, result.witness, k, result.value).ok
@@ -702,14 +701,14 @@ def test_floor_mode_hunts_witnesses_above_floor():
 
 def test_seed_incumbent_contract():
     for n, k in ((6, 3), (8, 4), (10, 5)):
-        for g in enumerate_mops(n)[:8]:
+        for g in mop_graphs(n)[:8]:
             seed = seed_incumbent(g, k)
             assert verify_certificate(g, seed, k, seed.num_colors).ok
             assert seed.num_colors >= 1
 
 
 def test_seed_never_beats_exact():
-    for g in enumerate_mops(8)[:6]:
+    for g in mop_graphs(8)[:6]:
         seed = seed_incumbent(g, 4)
         assert seed.num_colors <= ar_exact(g, 4).value
 
@@ -730,7 +729,7 @@ def test_seed_equals_counting_oracle():
     cases = [
         (g, k)
         for n, ks in ((8, (2, 3, 4)), (9, (3, 4)), (10, (3, 4, 5)), (11, (5,)))
-        for g in enumerate_mops(n)
+        for g in mop_graphs(n)
         for k in ks
     ]
     cases += [(graph6_decode(s), 5) for s in ORDER_15_MEMBERS]
