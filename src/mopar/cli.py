@@ -14,7 +14,6 @@ import sys
 from contextlib import nullcontext
 
 from .graphs import Graph6Error, graph6_decode
-from .matchings import certificate_is_valid, tutte_berge_certificate
 from .mops import (
     TRIANGULATION_FORMAT_HEADER,
     enumerate_mops,
@@ -28,12 +27,11 @@ from .runner import (
     ar_class,
     check_sweep,
     evaluate_bounds,
-    lemma_bipartite_check,
     table_cells,
     verify_class_result,
     verify_result,
 )
-from .solver import EXACT, ar_brute_force, ar_exact
+from .solver import EXACT, ar_exact
 
 PASS, FAIL, INCOMPLETE = 0, 1, 2
 
@@ -76,14 +74,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 def _cmd_ar(args: argparse.Namespace) -> int:
     g = graph6_decode(args.graph)
     result = ar_exact(g, args.k, max_nodes=args.budget_nodes)
-    payload = result.to_json()
-    if args.oracle:
-        payload["oracle_value"] = ar_brute_force(g, args.k)
-    print(json.dumps(payload, sort_keys=True))
-    ok = verify_result(result)
-    if args.oracle:
-        ok = ok and payload["oracle_value"] == result.value
-    return _exit_code(ok, result.mode == EXACT)
+    print(result.dumps())
+    return _exit_code(verify_result(result), result.mode == EXACT)
 
 
 def _cmd_ar_class(args: argparse.Namespace) -> int:
@@ -139,19 +131,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return PASS if outcome.ok else FAIL
 
 
-def _cmd_lemma(args: argparse.Namespace) -> int:
-    report = lemma_bipartite_check(args.max_n)
-    print(json.dumps(report.to_json(), sort_keys=True))
-    return PASS if report.ok else FAIL
-
-
-def _cmd_tutte_berge(args: argparse.Namespace) -> int:
-    g = graph6_decode(args.graph)
-    cert = tutte_berge_certificate(g)
-    print(cert.dumps())
-    return PASS if certificate_is_valid(g, cert) else FAIL
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mop",
@@ -171,8 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ar", help="exact ar(G, M_k) for one graph6 graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--oracle", action="store_true",
-                   help="cross-check against full partition enumeration")
     p.add_argument("--budget-nodes", type=int, default=None)
     p.set_defaults(func=_cmd_ar)
 
@@ -196,15 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a coloring certificate file")
     p.add_argument("--cert", required=True)
     p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("lemma-bipartite",
-                       help="edge bound over all bipartite outerplanar graphs")
-    p.add_argument("--max-n", type=int, required=True)
-    p.set_defaults(func=_cmd_lemma)
-
-    p = sub.add_parser("tutte-berge", help="matching-number certificate for a graph")
-    p.add_argument("--graph", required=True)
-    p.set_defaults(func=_cmd_tutte_berge)
 
     return parser
 

@@ -122,55 +122,6 @@ class Graph:
         return f"Graph(n={self.n}, edges={list(self.edges)})"
 
 
-@dataclass(frozen=True)
-class Bipartition:
-    """Proper 2-coloring with the smaller side first (|X| <= |Y|)."""
-
-    x_mask: int
-    y_mask: int
-
-    @property
-    def sizes(self) -> tuple[int, int]:
-        return self.x_mask.bit_count(), self.y_mask.bit_count()
-
-
-def bipartition_of(g: Graph) -> Bipartition | None:
-    """Two-color g if bipartite, else None.
-
-    Sides are chosen per component so that |X| is as small as possible;
-    the per-component choices are independent, so putting each
-    component's smaller color class into X is exactly optimal.  Isolated
-    vertices therefore land in Y.
-    """
-    color = [-1] * g.n
-    x_mask = 0
-    y_mask = 0
-    for root in range(g.n):
-        if color[root] != -1:
-            continue
-        color[root] = 0
-        queue = [root]
-        side = [1 << root, 0]
-        while queue:
-            v = queue.pop()
-            for u in iter_bits(g.adj[v]):
-                if color[u] == -1:
-                    color[u] = color[v] ^ 1
-                    side[color[u]] |= 1 << u
-                    queue.append(u)
-                elif color[u] == color[v]:
-                    return None
-        if side[1].bit_count() < side[0].bit_count():
-            x_mask |= side[1]
-            y_mask |= side[0]
-        else:
-            x_mask |= side[0]
-            y_mask |= side[1]
-    if x_mask.bit_count() > y_mask.bit_count():
-        x_mask, y_mask = y_mask, x_mask
-    return Bipartition(x_mask, y_mask)
-
-
 # ---------------------------------------------------------------------------
 # canonical labeling
 # ---------------------------------------------------------------------------

@@ -15,19 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .graphs import (
-    Graph,
-    _graph6_of_key,
-    bipartition_of,
-    canonical_form,
-    graph6_decode,
-)
+from .graphs import Graph, _graph6_of_key
 
 # the class limit: order 18 has 983,244 classes (OEIS A000207)
 MAX_ENUM_N = 18
 # the labeled limit: Catalan(n - 2) triangulations, 2,674,440 at order 16
 MAX_LABELED_N = 16
-MAX_CORPUS_N = 9
 
 TRIANGULATION_FORMAT_HEADER = "# polygon-triangulation-format 1"
 
@@ -190,42 +183,3 @@ def enumerate_mops(n: int) -> list[str]:
     for i, q in enumerate(level):
         level[i] = name(q)
     return level
-
-
-# ---------------------------------------------------------------------------
-# bipartite outerplanar corpus
-# ---------------------------------------------------------------------------
-
-def bipartite_outerplanar_corpus(n_max: int) -> Iterator[Graph]:
-    """Every bipartite outerplanar graph of order 2..n_max, once per iso class.
-
-    Every outerplanar graph of order n is a spanning subgraph of some MOP of
-    order n, so the corpus is the bipartite edge subsets of all MOPs,
-    deduplicated by canonical form.  A labeled subgraph that an earlier
-    host or subset already gave is skipped before any of that work.
-    Disconnected graphs and isolated vertices are included.
-    """
-    if not 2 <= n_max <= MAX_CORPUS_N:
-        raise ValueError(f"corpus bound {n_max} outside 2..{MAX_CORPUS_N}")
-    for n in range(2, n_max + 1):
-        if n == 2:
-            hosts = [Graph.from_edges(2, [(0, 1)])]
-        else:
-            hosts = map(graph6_decode, enumerate_mops(n))
-        seen: set[str] = set()
-        labeled: set[tuple[int, ...]] = set()
-        for host in hosts:
-            m = host.edge_count
-            for subset in range(1 << m):
-                sub = host.spanning_subgraph(
-                    [i for i in range(m) if subset >> i & 1]
-                )
-                if sub.adj in labeled:
-                    continue
-                labeled.add(sub.adj)
-                if bipartition_of(sub) is None:
-                    continue
-                key = canonical_form(sub).graph6
-                if key not in seen:
-                    seen.add(key)
-                    yield sub

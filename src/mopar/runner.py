@@ -16,12 +16,13 @@ import random
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 from pathlib import Path
 
-from .graphs import canonical_form, graph6_decode
-from .mops import MAX_ENUM_N, bipartite_outerplanar_corpus, enumerate_mops
+# not called here; the benchmark tracer patches runner.canonical_form by name
+from .graphs import canonical_form, graph6_decode  # noqa: F401
+from .mops import MAX_ENUM_N, enumerate_mops
 from .rainbow import verify_certificate
 from .solver import EXACT, ArResult, ar_exact, check_budget
 
@@ -388,53 +389,3 @@ def evaluate_bounds(n: int, k: int, value: int, complete: bool) -> BoundCheck:
         value=value, complete=complete,
         lower_verdict=lower_verdict, upper_verdict=upper_verdict,
     )
-
-
-# ---------------------------------------------------------------------------
-# bipartite edge bound sweep
-# ---------------------------------------------------------------------------
-
-@dataclass
-class LemmaReport:
-    """Exhaustive check of e(G) <= n + |X| - 2 over bipartite outerplanar
-    graphs with the side X minimized; tight graphs listed per order."""
-
-    n_max: int
-    checked: int
-    violations: list[dict] = field(default_factory=list)
-    tight: dict[int, list[str]] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def to_json(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "checked": self.checked,
-            "ok": self.ok,
-            "violations": self.violations,
-            "tight": {str(n): sorted(g6s) for n, g6s in sorted(self.tight.items())},
-        }
-
-
-def lemma_bipartite_check(n_max: int) -> LemmaReport:
-    from .graphs import bipartition_of
-
-    report = LemmaReport(n_max=n_max, checked=0)
-    for g in bipartite_outerplanar_corpus(n_max):
-        bp = bipartition_of(g)
-        assert bp is not None
-        x_size = bp.sizes[0]
-        bound = g.n + x_size - 2
-        report.checked += 1
-        g6 = canonical_form(g).graph6
-        if g.edge_count > bound:
-            report.violations.append(
-                {"graph": g6, "n": g.n, "edges": g.edge_count,
-                 "x_size": x_size, "bound": bound}
-            )
-        elif g.edge_count == bound:
-            report.tight.setdefault(g.n, []).append(g6)
-    return report
-

@@ -83,10 +83,6 @@ counts the violated matchings that hold both classes a and b as
 each class's best count as a bound, so it recounts only the classes
 whose bound could still win.  The apart pairs are one mask per class over
 class labels, merged like `msets`; a pair marked apart is never a child.
-
-An independent oracle enumerates every set partition of the edge list
-(restricted-growth strings with rainbow pruning) for graphs with few
-edges.
 """
 
 from __future__ import annotations
@@ -108,7 +104,6 @@ EXACT = "EXACT"
 LOWER_BOUND = "LOWER_BOUND"
 
 MAX_K = 8
-BRUTE_FORCE_MAX_EDGES = 10
 
 
 @dataclass
@@ -224,46 +219,6 @@ def check_budget(max_nodes: int | None) -> None:
 
 def _all_distinct(m: int) -> EdgeColoring:
     return EdgeColoring(tuple(range(m)), m)
-
-
-def ar_brute_force(g: Graph, k: int) -> int:
-    """Maximum class count over all edge-set partitions in which every
-    k-matching repeats a class; full enumeration, so e(G) must be small."""
-    _validate(g, k)
-    m = g.edge_count
-    if m > BRUTE_FORCE_MAX_EDGES:
-        raise ValueError(f"brute force limited to {BRUTE_FORCE_MAX_EDGES} edges")
-    matchings = list(iterate_k_matchings(g, k))
-    if not matchings:
-        return m
-    if k == 1:
-        return 0
-
-    ending_at: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
-    for matching in matchings:
-        ending_at[matching[-1]].append(matching)
-
-    colors = [0] * m
-    best = 1
-
-    def assign(i: int, used: int) -> None:
-        nonlocal best
-        if used + (m - i) <= best:
-            return
-        if i == m:
-            best = used
-            return
-        for c in range(used + 1):
-            colors[i] = c
-            if any(
-                len({colors[e] for e in matching}) == k
-                for matching in ending_at[i]
-            ):
-                continue
-            assign(i + 1, used + (1 if c == used else 0))
-
-    assign(0, 0)
-    return best
 
 
 def _matching_masks(g: Graph, k: int) -> tuple[list[tuple[int, ...]], list[int]]:

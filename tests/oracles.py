@@ -1,6 +1,7 @@
 """Independent oracles and the graph helpers that only tests use.
 
-The brute-force oracles favor obviousness over speed: full permutation
+The brute-force oracles favor obviousness over speed: every set partition
+of a small graph's edges for ar itself, full permutation
 isomorphism, branch-set enumeration for minors by assigning every vertex
 to every part, the Catalan recurrence, the raw minimum of the matching
 formula over all vertex subsets, every k-subset of edges filtered to the
@@ -23,9 +24,12 @@ from itertools import combinations, permutations
 from typing import Iterable, Iterator, Sequence
 
 from mopar.graphs import Graph, graph6_decode, iter_bits
-from mopar.matchings import components, formula_value, iterate_k_matchings
+from mopar.matchings import iterate_k_matchings
 from mopar.mops import enumerate_mops
 from mopar.rainbow import EdgeColoring
+from side_checks import components, formula_value
+
+BRUTE_FORCE_MAX_EDGES = 10
 
 
 def catalan_recurrence(m: int) -> int:
@@ -136,6 +140,47 @@ def polygon_graph(quiddity: bytes) -> Graph:
 def mop_graphs(n: int) -> list[Graph]:
     """One graph per class of order n: `enumerate_mops`'s names decoded."""
     return [graph6_decode(name) for name in enumerate_mops(n)]
+
+
+def ar_brute_force(g: Graph, k: int) -> int:
+    """Maximum class count over all edge-set partitions in which every
+    k-matching repeats a class: every restricted-growth string over the
+    edges, pruned as soon as an edge completes a rainbow k-matching, so
+    e(G) must be small."""
+    m = g.edge_count
+    if m > BRUTE_FORCE_MAX_EDGES:
+        raise ValueError(f"brute force limited to {BRUTE_FORCE_MAX_EDGES} edges")
+    matchings = list(iterate_k_matchings(g, k))
+    if not matchings:
+        return m
+    if k == 1:
+        return 0
+
+    ending_at: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
+    for matching in matchings:
+        ending_at[matching[-1]].append(matching)
+
+    colors = [0] * m
+    best = 1
+
+    def assign(i: int, used: int) -> None:
+        nonlocal best
+        if used + (m - i) <= best:
+            return
+        if i == m:
+            best = used
+            return
+        for c in range(used + 1):
+            colors[i] = c
+            if any(
+                len({colors[e] for e in matching}) == k
+                for matching in ending_at[i]
+            ):
+                continue
+            assign(i + 1, used + (1 if c == used else 0))
+
+    assign(0, 0)
+    return best
 
 
 def tutte_berge_minimum(g: Graph) -> int:

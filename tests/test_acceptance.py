@@ -9,31 +9,27 @@ import random
 
 import pytest
 
-from mopar.graphs import (
-    bipartition_of,
-    canonical_form,
-    graph6_decode,
-)
-from mopar.matchings import (
-    certificate_is_valid,
-    components,
-    matching_number,
-    tutte_berge_certificate,
-)
-from mopar.mops import (
-    bipartite_outerplanar_corpus,
-    enumerate_mops,
-    enumerate_triangulations,
-)
+from mopar.graphs import canonical_form, graph6_decode
+from mopar.matchings import matching_number
+from mopar.mops import enumerate_mops, enumerate_triangulations
 from mopar.rainbow import EdgeColoring, find_rainbow_matching, verify_certificate
-from mopar.runner import ResultCache, ar_class, lemma_bipartite_check
-from mopar.solver import ar_brute_force, ar_exact
+from mopar.runner import ResultCache, ar_class
+from mopar.solver import ar_exact
 from oracles import (
+    ar_brute_force,
     catalan_recurrence,
     merge_classes,
     mop_graphs,
     random_connected_graph,
     random_graph,
+)
+from side_checks import (
+    bipartite_outerplanar_corpus,
+    bipartition_of,
+    certificate_is_valid,
+    components,
+    lemma_bipartite_check,
+    tutte_berge_certificate,
 )
 
 MOP_CLASS_COUNTS = {4: 1, 5: 1, 6: 3, 7: 4, 8: 12, 9: 27, 10: 82}

@@ -71,15 +71,6 @@ def test_ar_class_out_names_the_enumerated_graphs(capsys, tmp_path):
     assert [r["graph"] for r in results] == listed.splitlines()
 
 
-def test_ar_command_with_oracle(capsys):
-    code, out, _ = run(capsys, "ar", "--graph", FAN4, "--k", "2", "--oracle")
-    assert code == 0
-    data = json.loads(out)
-    assert data["value"] == 3 and data["oracle_value"] == 3
-    assert data["mode"] == "EXACT"
-    assert data["witness"]["num_colors"] == 3
-
-
 def test_ar_budget_exit_code(capsys):
     code, out, _ = run(capsys, "ar", "--graph", FAN9, "--k", "4",
                        "--budget-nodes", "4")
@@ -547,15 +538,15 @@ def test_verify_rejects_malformed_certificate(capsys, tmp_path):
         assert "Traceback" not in err
 
 
-def test_lemma_command(capsys):
-    code, out, _ = run(capsys, "lemma-bipartite", "--max-n", "4")
-    assert code == 0
-    data = json.loads(out)
-    assert data["ok"] and data["checked"] > 0
-
-
-def test_tutte_berge_command(capsys):
-    code, out, _ = run(capsys, "tutte-berge", "--graph", FAN5)
-    assert code == 0
-    data = json.loads(out)
-    assert data["value"] == 2  # beta of any MOP on 5 vertices
+def test_side_check_commands_are_usage_errors(capsys):
+    # the bipartite edge bound, the Tutte-Berge certificates and the
+    # partition oracle are checked by the test suite, not by `mop`
+    # (tests/side_checks.py and tests/oracles.py)
+    for argv in (
+        ("lemma-bipartite", "--max-n", "4"),
+        ("tutte-berge", "--graph", FAN5),
+        ("ar", "--graph", FAN4, "--k", "2", "--oracle"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("usage: mop"), argv

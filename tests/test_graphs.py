@@ -7,12 +7,12 @@ from hypothesis import given, strategies as st
 from mopar.graphs import (
     Graph,
     Graph6Error,
-    bipartition_of,
     canonical_form,
     graph6_decode,
     graph6_encode,
 )
 from oracles import brute_force_isomorphic, cut_edges, degree_stats, mask_of
+from side_checks import bipartition_of
 
 K3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
 STAR4 = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])

@@ -4,17 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mopar.graphs import Graph
-from mopar.matchings import (
-    TutteBergeCertificate,
-    certificate_is_valid,
-    components,
-    formula_value,
-    has_perfect_matching,
-    is_factor_critical,
-    iterate_k_matchings,
-    matching_number,
-    tutte_berge_certificate,
-)
+from mopar.matchings import iterate_k_matchings, matching_number
 from oracles import (
     k_matchings_by_filter,
     mop_graphs,
@@ -22,6 +12,15 @@ from oracles import (
     random_graph,
     scattered_graph,
     tutte_berge_minimum,
+)
+from side_checks import (
+    TutteBergeCertificate,
+    certificate_is_valid,
+    components,
+    formula_value,
+    has_perfect_matching,
+    is_factor_critical,
+    tutte_berge_certificate,
 )
 
 K3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])

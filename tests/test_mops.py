@@ -5,18 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from mopar.graphs import (
-    Graph,
-    bipartition_of,
-    canonical_form,
-    graph6_encode,
-    iter_bits,
-)
-from mopar.matchings import components
+from mopar.graphs import Graph, canonical_form, graph6_encode, iter_bits
 from mopar.mops import (
     TRIANGULATION_FORMAT_HEADER,
     Triangulation,
-    bipartite_outerplanar_corpus,
     enumerate_mops,
     enumerate_triangulations,
 )
@@ -36,6 +28,7 @@ from oracles import (
     mop_graphs,
     polygon_graph,
 )
+from side_checks import bipartite_outerplanar_corpus, bipartition_of, components
 
 CLASS_MEMBERS = Path(__file__).resolve().parent / "class_members.json"
 GRID23 = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)])

@@ -21,12 +21,12 @@ from mopar.runner import (
     ar_class,
     check_sweep,
     evaluate_bounds,
-    lemma_bipartite_check,
     table_cells,
     verify_class_result,
     verify_result,
 )
 from mopar.solver import EXACT, ArResult, ar_exact
+from side_checks import lemma_bipartite_check
 
 
 def test_class_values_small():

@@ -15,11 +15,15 @@ from mopar.solver import (
     EXACT,
     LOWER_BOUND,
     ArResult,
-    ar_brute_force,
     ar_exact,
     seed_incumbent,
 )
-from oracles import counting_seed, min_class_transversal, mop_graphs
+from oracles import (
+    ar_brute_force,
+    counting_seed,
+    min_class_transversal,
+    mop_graphs,
+)
 
 K3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
 P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
