@@ -12,6 +12,8 @@ from mopar.graphs import canonical_form, graph6_decode, graph6_encode
 from mopar.rainbow import EdgeColoring, certificate_to_json
 from mopar.runner import VIOLATED, ClassResult, ResultCache, ar_class, table_cells
 from mopar.solver import ArResult, ar_exact, seed_incumbent
+from oracles import ar_brute_force
+from side_checks import lemma_bipartite_check, tutte_berge_certificate
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 # the first order-15 member of the benchmark hunt (sample seed 1)
@@ -24,6 +26,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def assert_usage_error(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "", argv
+    assert err.startswith("usage: mop"), argv
 
 
 def test_enumerate_counts(capsys):
@@ -69,6 +77,17 @@ def test_ar_class_out_names_the_enumerated_graphs(capsys, tmp_path):
     assert code == 0
     results = json.loads(out_path.read_text())["results"]
     assert [r["graph"] for r in results] == listed.splitlines()
+
+
+def test_ar_command_with_oracle(capsys):
+    code, out, _ = run(capsys, "ar", "--graph", FAN4, "--k", "2")
+    assert code == 0
+    data = json.loads(out)
+    assert data["value"] == 3 == ar_brute_force(graph6_decode(FAN4), 2)
+    assert data["mode"] == "EXACT"
+    assert data["witness"]["num_colors"] == 3
+    # the partition oracle lives in the test suite (tests/oracles.py)
+    assert_usage_error(capsys, "ar", "--graph", FAN4, "--k", "2", "--oracle")
 
 
 def test_ar_budget_exit_code(capsys):
@@ -538,15 +557,17 @@ def test_verify_rejects_malformed_certificate(capsys, tmp_path):
         assert "Traceback" not in err
 
 
-def test_side_check_commands_are_usage_errors(capsys):
-    # the bipartite edge bound, the Tutte-Berge certificates and the
-    # partition oracle are checked by the test suite, not by `mop`
-    # (tests/side_checks.py and tests/oracles.py)
-    for argv in (
-        ("lemma-bipartite", "--max-n", "4"),
-        ("tutte-berge", "--graph", FAN5),
-        ("ar", "--graph", FAN4, "--k", "2", "--oracle"),
-    ):
-        code, out, err = run(capsys, *argv)
-        assert code == 1 and out == "", argv
-        assert err.startswith("usage: mop"), argv
+def test_lemma_command(capsys):
+    # the bipartite edge bound is checked by the test suite
+    # (tests/side_checks.py), not by `mop`
+    assert_usage_error(capsys, "lemma-bipartite", "--max-n", "4")
+    report = lemma_bipartite_check(4)
+    assert report.ok and report.checked > 0
+
+
+def test_tutte_berge_command(capsys):
+    # the Tutte-Berge certificates are checked by the test suite
+    # (tests/side_checks.py), not by `mop`
+    assert_usage_error(capsys, "tutte-berge", "--graph", FAN5)
+    cert = tutte_berge_certificate(graph6_decode(FAN5))
+    assert cert.value == 2  # beta of any MOP on 5 vertices
