@@ -5,16 +5,9 @@ ar(G, M_k) by branch and bound over edge-set partitions, verify every
 witness independently, and sweep whole orders with caching.
 """
 
-from .graphs import (
-    CanonicalForm,
-    Graph,
-    Graph6Error,
-    canonical_form,
-    graph6_decode,
-    graph6_encode,
-)
-from .matchings import iterate_k_matchings, matching_number
-from .mops import Triangulation, enumerate_mops, enumerate_triangulations
+from .graphs import Graph, Graph6Error, graph6_decode, graph6_encode
+from .matchings import iterate_k_matchings
+from .mops import enumerate_mops
 from .rainbow import (
     EdgeColoring,
     RainbowWitness,
@@ -28,11 +21,9 @@ from .solver import ArResult, ar_exact, seed_incumbent
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArResult", "BoundCheck", "CanonicalForm", "ClassResult",
-    "EdgeColoring", "Graph", "Graph6Error", "RainbowWitness", "ResultCache",
-    "Triangulation", "VerifyResult", "ar_class", "ar_exact",
-    "canonical_form", "enumerate_mops", "enumerate_triangulations",
-    "find_rainbow_matching", "graph6_decode", "graph6_encode",
-    "iterate_k_matchings", "matching_number", "seed_incumbent",
-    "verify_certificate",
+    "ArResult", "BoundCheck", "ClassResult", "EdgeColoring", "Graph",
+    "Graph6Error", "RainbowWitness", "ResultCache", "VerifyResult",
+    "ar_class", "ar_exact", "enumerate_mops", "find_rainbow_matching",
+    "graph6_decode", "graph6_encode", "iterate_k_matchings",
+    "seed_incumbent", "verify_certificate",
 ]

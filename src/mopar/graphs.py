@@ -99,10 +99,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def spanning_subgraph(self, edge_indices: Iterable[int]) -> Graph:
-        """Subgraph on the same vertex set keeping only the given edges."""
-        return Graph.from_edges(self.n, [self.edges[i] for i in edge_indices])
-
     def relabel(self, perm: Iterable[int]) -> Graph:
         """New graph where old vertex v becomes perm[v]."""
         perm = tuple(perm)

@@ -32,10 +32,9 @@ def _matching_number_masked(g: Graph, avail: int, memo: dict[int, int]) -> int:
     return best
 
 
-def matching_number(g: Graph, within: int | None = None) -> int:
-    """Size of a maximum matching (restricted to the masked vertices if given)."""
-    avail = g.vertex_mask if within is None else within
-    return _matching_number_masked(g, avail, {})
+def matching_number(g: Graph) -> int:
+    """Size of a maximum matching."""
+    return _matching_number_masked(g, g.vertex_mask, {})
 
 
 def _extend_matchings(

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .graphs import Graph, _graph6_of_key
+from .graphs import _graph6_of_key
 
 # the class limit: order 18 has 983,244 classes (OEIS A000207)
 MAX_ENUM_N = 18
@@ -31,10 +31,6 @@ class Triangulation:
 
     n: int
     diagonals: tuple[tuple[int, int], ...]
-
-    def graph(self) -> Graph:
-        cycle = [(i, (i + 1) % self.n) for i in range(self.n)]
-        return Graph.from_edges(self.n, cycle + list(self.diagonals))
 
     def text(self) -> str:
         """One-line text form "n: i-j,i-j,..." (no diagonals for n=3)."""

@@ -24,7 +24,7 @@ from pathlib import Path
 from .graphs import canonical_form, graph6_decode  # noqa: F401
 from .mops import MAX_ENUM_N, enumerate_mops
 from .rainbow import verify_certificate
-from .solver import EXACT, ArResult, ar_exact, check_budget
+from .solver import EXACT, MAX_K, ArResult, ar_exact, check_budget
 
 # a pool takes a cell's members in chunks, about eight per worker, so that
 # a slow member rarely holds up the tail; capped so that a long sweep still
@@ -240,8 +240,9 @@ def check_sweep(
 ) -> None:
     """Raise ValueError unless a sweep can honour its options: the node
     budget is not negative, jobs >= 1, there is at least one (n, k) cell
-    and every cell has k >= 1 and max(3, 2k) <= n <= MAX_ENUM_N, so the
-    class is enumerable and each member contains a k-matching."""
+    and every cell has 1 <= k <= MAX_K and max(3, 2k) <= n <= MAX_ENUM_N,
+    so the solver takes k, the class is enumerable and each member
+    contains a k-matching.  Every cell is checked before any is swept."""
     check_budget(max_nodes)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1; got jobs={jobs}")
@@ -251,10 +252,10 @@ def check_sweep(
             "has n < 2k"
         )
     for n, k in cells:
-        if not (k >= 1 and max(3, 2 * k) <= n <= MAX_ENUM_N):
+        if not (1 <= k <= MAX_K and max(3, 2 * k) <= n <= MAX_ENUM_N):
             raise ValueError(
-                f"class query needs k >= 1 and max(3, 2k) <= n <= "
-                f"{MAX_ENUM_N}; got n={n}, k={k}"
+                f"class query needs k >= 1, k <= {MAX_K} and "
+                f"max(3, 2k) <= n <= {MAX_ENUM_N}; got n={n}, k={k}"
             )
 
 
@@ -283,7 +284,8 @@ def ar_class(
     AUDIT_FRACTION of the results read from the cache is re-solved above
     its cached upper bound, after the members and in the same way
     (raising CacheMismatch if a coloring with more colors exists); results
-    solved by this call are not.
+    solved by this call are not.  When the sweep raises, a pool cancels
+    the chunks it has not started.
     """
     check_sweep([(n, k)], max_nodes=max_nodes, jobs=jobs)
     members = _class_members(n)
@@ -316,20 +318,28 @@ def ar_class(
             fresh = pool.map(solve, items, chunksize=chunk)
         else:
             fresh = map(solve, items)
-        for g6 in members:
-            result = cached.get(g6)
-            if result is None:
-                result = next(fresh)
-                if cache is not None:
-                    cache.put(result)
-            ordered.append(result)
-        # the rest are the audit's results, neither cached nor returned
-        for hit, result in zip(audit, fresh):
-            if result.value > hit.upper:
-                raise CacheMismatch(
-                    f"cache says ar<={hit.upper} but recomputation finds "
-                    f"{result.value} colors for {hit.graph6!r}, k={k}"
-                )
+        try:
+            for g6 in members:
+                result = cached.get(g6)
+                if result is None:
+                    result = next(fresh)
+                    if cache is not None:
+                        cache.put(result)
+                ordered.append(result)
+            # the rest are the audit's results, neither cached nor returned
+            for hit, result in zip(audit, fresh):
+                if result.value > hit.upper:
+                    raise CacheMismatch(
+                        f"cache says ar<={hit.upper} but recomputation "
+                        f"finds {result.value} colors for {hit.graph6!r}, "
+                        f"k={k}"
+                    )
+        except BaseException:
+            # map queued every chunk, and leaving the block would wait
+            # for them all; the ones not started are dropped
+            if pool:
+                pool.shutdown(cancel_futures=True)
+            raise
     return ClassResult(n, k, ordered)
 
 

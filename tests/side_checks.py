@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator
 
+from graph_helpers import spanning_subgraph
 from mopar.graphs import Graph, canonical_form, graph6_decode, iter_bits
 from mopar.matchings import matching_number
 from mopar.mops import enumerate_mops
@@ -32,7 +33,12 @@ MAX_CORPUS_N = 9
 def has_perfect_matching(g: Graph, within: int | None = None) -> bool:
     avail = g.vertex_mask if within is None else within
     size = avail.bit_count()
-    return size % 2 == 0 and matching_number(g, avail) == size // 2
+    if size % 2:
+        return False
+    # the vertices outside `avail` lose their edges, so a matching of the
+    # rest is one inside `avail`
+    inside = [row & avail if avail >> v & 1 else 0 for v, row in enumerate(g.adj)]
+    return matching_number(Graph(g.n, inside)) == size // 2
 
 
 def is_factor_critical(g: Graph, within: int | None = None) -> bool:
@@ -208,8 +214,8 @@ def bipartite_outerplanar_corpus(n_max: int) -> Iterator[Graph]:
         for host in hosts:
             m = host.edge_count
             for subset in range(1 << m):
-                sub = host.spanning_subgraph(
-                    [i for i in range(m) if subset >> i & 1]
+                sub = spanning_subgraph(
+                    host, [i for i in range(m) if subset >> i & 1]
                 )
                 if sub.adj in labeled:
                     continue

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from graph_helpers import spanning_subgraph, triangulation_graph
 from mopar.graphs import canonical_form, graph6_decode
 from mopar.matchings import matching_number
 from mopar.mops import enumerate_mops, enumerate_triangulations
@@ -48,7 +49,8 @@ def test_criterion_01_enumeration_counts():
         assert len(mops) == expected, f"class count at n={n}"
         # dedup oracle: canonical forms of every labeled triangulation
         oracle = {
-            canonical_form(t.graph()).graph6 for t in enumerate_triangulations(n)
+            canonical_form(triangulation_graph(t)).graph6
+            for t in enumerate_triangulations(n)
         }
         assert len(oracle) == expected, f"canonical dedup oracle at n={n}"
     _report(1, "Catalan counts 3..12 and class counts (1,1,3,4,12,27,82)")
@@ -164,8 +166,8 @@ def test_criterion_09_oracle_equivalence():
             for subset in range(1, 1 << m):
                 if subset.bit_count() > 9:
                     continue
-                sub = host.spanning_subgraph(
-                    [i for i in range(m) if subset >> i & 1]
+                sub = spanning_subgraph(
+                    host, [i for i in range(m) if subset >> i & 1]
                 )
                 if len(components(sub, sub.vertex_mask)) != 1:
                     continue

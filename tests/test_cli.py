@@ -357,6 +357,21 @@ def test_matching_size_below_one_fails_before_the_out_file(
         assert out.read_text() == '{"old": 1}'
 
 
+def test_range_past_the_solver_limit_fails_before_enumerating(
+    capsys, monkeypatch
+):
+    def no_enumeration(n):
+        raise AssertionError(f"enumerated order {n} despite k = 9")
+
+    monkeypatch.setattr(runner, "enumerate_mops", no_enumeration)
+    runner._class_members.cache_clear()
+    # (16,8), (17,8) and (18,8) are valid; (18,9) is checked before them
+    code = cli.main(["ar-class", "--n", "16..18", "--k", "8..9"])
+    out = capsys.readouterr()
+    assert code == 1 and out.out == ""
+    assert out.err.startswith("error: ") and "n=18, k=9" in out.err
+
+
 def test_bad_cache_leaves_an_existing_out_file(capsys, tmp_path):
     out = tmp_path / "x.json"
     out.write_text('{"old": 1}')

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from graph_helpers import triangulation_graph
 from mopar.graphs import Graph, canonical_form, graph6_encode, iter_bits
 from mopar.mops import (
     TRIANGULATION_FORMAT_HEADER,
@@ -46,7 +47,7 @@ def test_triangulations_are_valid_and_distinct():
             assert tri.diagonals not in seen
             seen.add(tri.diagonals)
             assert len(tri.diagonals) == n - 3
-            g = tri.graph()
+            g = triangulation_graph(tri)
             assert g.edge_count == 2 * n - 3
             # no two diagonals cross
             for (a, b), (c, d) in combinations(tri.diagonals, 2):
@@ -124,7 +125,9 @@ def test_dihedral_dedup_agrees_with_canonical_form(n):
     keys = [diagonal_dihedral_key(n, _diagonals(g)) for g in mops]
     assert len(set(keys)) == len(mops)
     assert set(keys) == {diagonal_dihedral_key(n, t.diagonals) for t in triangulations}
-    by_canon = {canonical_form(t.graph()).graph6 for t in triangulations}
+    by_canon = {
+        canonical_form(triangulation_graph(t)).graph6 for t in triangulations
+    }
     assert len(by_canon) == len(mops)
     assert {canonical_form(g).graph6 for g in mops} == by_canon
 

@@ -158,6 +158,12 @@ def test_negative_limits_are_an_error(monkeypatch):
         check_sweep(table_cells((4, 4), (3, 3)), max_nodes=None, jobs=1)
 
 
+def test_sweep_refuses_k_past_the_solver_limit():
+    # order 18 holds a 9-matching, but the solver stops at MAX_K = 8
+    with pytest.raises(ValueError, match="k <= 8"):
+        check_sweep([(18, 9)], max_nodes=None, jobs=1)
+
+
 # ---------------------------------------------------------------------------
 # cache
 # ---------------------------------------------------------------------------
@@ -244,6 +250,9 @@ class _RecordingPool:
         self.record[-1].update(items=len(items), chunksize=chunksize)
         return map(fn, items)
 
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        self.record[-1]["cancel_futures"] = cancel_futures
+
 
 def test_pool_starts_no_more_workers_than_items(tmp_path, monkeypatch):
     pools = []
@@ -268,6 +277,24 @@ def test_pool_starts_no_more_workers_than_items(tmp_path, monkeypatch):
     pools.clear()
     ar_class(10, 3, jobs=2)
     assert pools == [{"max_workers": 2, "items": 82, "chunksize": 5}]
+
+
+def test_failed_pooled_sweep_cancels_its_queued_chunks(tmp_path, monkeypatch):
+    pools = []
+    monkeypatch.setattr(
+        runner, "ProcessPoolExecutor", partial(_RecordingPool, pools)
+    )
+    cache = ResultCache(tmp_path / "cache.jsonl")
+
+    def full_disk(result):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(cache, "put", full_disk)
+    with pytest.raises(OSError, match="no space"):
+        ar_class(10, 3, jobs=2, cache=cache)
+    assert pools == [
+        {"max_workers": 2, "items": 82, "chunksize": 5, "cancel_futures": True}
+    ]
 
 
 def test_audit_searches_above_each_cached_value(tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from graph_helpers import spanning_subgraph
 from mopar import solver
 from mopar.graphs import Graph, graph6_decode, graph6_encode, iter_bits
 from mopar.matchings import iterate_k_matchings, matching_number
@@ -90,7 +91,7 @@ def _oracle_corpus():
         for _ in range(10):
             idxs = [i for i in range(m) if rng.random() < 0.7]
             if idxs:
-                graphs.append(host.spanning_subgraph(idxs))
+                graphs.append(spanning_subgraph(host, idxs))
     for _ in range(15):
         n = rng.randint(3, 6)
         edges = [
