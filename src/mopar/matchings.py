@@ -1,4 +1,11 @@
-"""Maximum matchings and k-matching iteration."""
+"""Maximum matchings and k-matching iteration.
+
+The k-matching list is the solver's largest input: an order-15 member has
+a few thousand 5-matchings, and at a seeded floor building them and their
+masks takes more than half of a typical order-15 solve at k = 5.  The list
+is built by recursion over candidate masks, with the last two edges of
+each matching picked in a flat loop.
+"""
 
 from __future__ import annotations
 
@@ -42,19 +49,29 @@ def _extend_matchings(
     later: list[int], cand: int, used: int, picked: tuple[int, ...],
     left: int,
 ) -> None:
-    # append every extension of `picked` by `left` edges from the mask cand
-    if left == 1:
-        while cand:
+    # append every extension of `picked` by `left` >= 2 edges from the mask
+    # cand; the last two edges are picked in one flat loop, not a call each
+    unused = ~used
+    if left == 2:
+        while cand & cand - 1:  # at least two candidates
             low = cand & -cand
-            out.append(picked + (low.bit_length() - 1,))
             cand ^= low
+            i = low.bit_length() - 1
+            if (free[i] & unused).bit_count() < 4:
+                return
+            rest = cand & later[i]
+            while rest:
+                low = rest & -rest
+                out.append(picked + (i, low.bit_length() - 1))
+                rest ^= low
         return
     need = left - 1
+    cover = 2 * left
     while cand.bit_count() > need:
         low = cand & -cand
         cand ^= low
         i = low.bit_length() - 1
-        if (free[i] & ~used).bit_count() < 2 * left:
+        if (free[i] & unused).bit_count() < cover:
             return
         rest = cand & later[i]
         if rest.bit_count() >= need:
@@ -70,17 +87,22 @@ def iterate_k_matchings(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
 
     A partial matching keeps the mask of its candidate edges: those after
     its last edge that share no vertex with any of its edges.  Taking edge
-    i narrows the mask by `later[i]`, the edges after i disjoint from it,
-    and the last edge is read straight off the mask's bits.  A partial
-    matching that still needs `left` edges stops once fewer than `left`
-    candidates remain, or once the edges from the next candidate on cover
-    fewer than 2 * left unused vertices; neither subtree holds a matching
-    of size k, so nothing yielded changes.  The list is built by plain
-    recursion and then yielded, so no chain of nested generators passes
-    each tuple up.
+    i narrows the mask by `later[i]`, the edges after i disjoint from it.
+    A partial matching that still needs `left` edges stops once fewer than
+    `left` candidates remain, or once the edges from the next candidate on
+    cover fewer than 2 * left unused vertices; neither subtree holds a
+    matching of size k, so nothing yielded changes.  The recursion stops
+    two edges short: one loop takes each candidate i as the next-to-last
+    edge and appends a matching for every bit of `cand & later[i]`, so no
+    call is made per last-edge block.  k = 1 is the edge list itself.  The
+    list is built by plain recursion and then yielded, so no chain of
+    nested generators passes each tuple up.
     """
     if k < 1:
         raise ValueError("matching size must be >= 1")
+    if k == 1:
+        yield from [(i,) for i in range(g.edge_count)]
+        return
     edges = g.edges
     m = len(edges)
     vmask = [1 << u | 1 << v for u, v in edges]

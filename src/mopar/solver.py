@@ -226,17 +226,21 @@ def _matching_masks(g: Graph, k: int) -> tuple[list[tuple[int, ...]], list[int]]
     matching ids that contain it.  Ids run in reverse lexicographic order,
     so the lexicographically first matching in a mask is its top bit.
 
-    Each edge's mask is read from a row of ASCII digits, one per matching
-    in lexicographic order, with a "1" where the matching holds the edge:
-    the j-th of N matchings has id N - 1 - j, so the row read as a binary
-    numeral is the mask, and no int is built per (matching, edge)."""
+    The matchings come from `iterate_k_matchings` (called by name, so a
+    tracer that wraps it sees the build).  Each edge's mask is read from a
+    row of ASCII digits, one per matching in lexicographic order, with a
+    "1" where the matching holds the edge: the j-th of N matchings has id
+    N - 1 - j, so the row read as a binary numeral is the mask, and no int
+    is built per (matching, edge)."""
     matchings = list(iterate_k_matchings(g, k))
     touch = [0] * g.edge_count
     if matchings:
-        rows = [bytearray(b"0" * len(matchings)) for _ in touch]
-        for j, matching in enumerate(matchings):
+        rows = [bytearray(b"0") * len(matchings) for _ in touch]
+        j = 0
+        for matching in matchings:
             for e in matching:
                 rows[e][j] = 49  # ord("1")
+            j += 1
         touch = [int(row, 2) for row in rows]
         matchings.reverse()
     return matchings, touch

@@ -22,6 +22,7 @@ from mopar.solver import (
 from oracles import (
     ar_brute_force,
     counting_seed,
+    k_matchings_by_filter,
     min_class_transversal,
     mop_graphs,
 )
@@ -522,30 +523,34 @@ def test_matching_ids_run_in_reverse_lexicographic_order():
 
 def test_matching_masks_match_an_oracle():
     # every bit of every edge's mask, against masks built one matching at a
-    # time from the lexicographic list: the j-th of N matchings has id
-    # N - 1 - j.  Members of orders 6-12 (a seeded sample past order 9),
-    # with k up to one past the matching number, so some graphs have no
-    # k-matching at all
+    # time from the lexicographic list of every k-subset of disjoint edges
+    # (a filter over `combinations`, not the solver's own enumeration): the
+    # j-th of N matchings has id N - 1 - j.  Members of orders 6-12 (a
+    # seeded sample past order 9), with k up to one past the matching
+    # number, so some graphs have no k-matching at all, and the benchmark
+    # hunt's two order-15 members at k = 5
     rng = random.Random(6)
-    empty = missed = 0
+    cases = []
     for n in range(6, 13):
         members = _class_members(n)
         if n > 9:
             members = rng.sample(members, 6)
-        for g6 in members:
-            g = graph6_decode(g6)
-            for k in range(2, n // 2 + 2):
-                matchings, touch = solver._matching_masks(g, k)
-                lexicographic = list(iterate_k_matchings(g, k))
-                size = len(lexicographic)
-                expect = [0] * g.edge_count
-                for j, matching in enumerate(lexicographic):
-                    for e in matching:
-                        expect[e] |= 1 << size - 1 - j
-                assert matchings == lexicographic[::-1], (g6, k)
-                assert touch == expect, (g6, k)
-                empty += not size
-                missed += bool(size) and 0 in touch
+        cases += [(g6, k) for g6 in members for k in range(2, n // 2 + 2)]
+    cases += [(g6, 5) for g6 in ORDER_15_MEMBERS[:2]]
+    empty = missed = 0
+    for g6, k in cases:
+        g = graph6_decode(g6)
+        matchings, touch = solver._matching_masks(g, k)
+        lexicographic = k_matchings_by_filter(g, k)
+        size = len(lexicographic)
+        expect = [0] * g.edge_count
+        for j, matching in enumerate(lexicographic):
+            for e in matching:
+                expect[e] |= 1 << size - 1 - j
+        assert matchings == lexicographic[::-1], (g6, k)
+        assert touch == expect, (g6, k)
+        empty += not size
+        missed += bool(size) and 0 in touch
     # graphs with no k-matching, and edges in none of a graph's k-matchings
     assert empty and missed, (empty, missed)
 
@@ -727,6 +732,43 @@ ORDER_15_MEMBERS = (
     "N?`@?aG@_P?@PD?ZEYw", "N??C@OEOA?aAKP_i@nw", "N?HC?O?_gG?DTA?|FHw",
     "N?AA??g`P@A@CP@shTw",
 )
+
+
+# ar_exact over ORDER_15_MEMBERS at a seeded floor near each cell's class
+# value, from an earlier solver: (k, floor) -> node counts, values, uppers
+# and the SHA-256 of the members' [value, upper, witness colors] list
+ORDER_15_PINNED = {
+    (5, 19): (
+        [54, 1658, 2902, 38, 1952, 38, 48, 700, 647, 52],
+        [17, 18, 18, 16, 19, 14, 16, 18, 17, 16],
+        [19] * 10,
+        "61abd32b7211f18f9d41a9092590a8ed6afbd1507ab22ab03197402657f4edc2",
+    ),
+    (6, 21): (
+        [457, 871, 2084, 216, 1044, 32, 205, 793, 859, 971],
+        [19, 21, 21, 19, 21, 18, 19, 21, 20, 19],
+        [21] * 10,
+        "7a8be2f7e2f7e00a5b96cbeef111880c3bd4cf71559cfb6c359e73679fdcd221",
+    ),
+}
+
+
+def test_order_15_members_match_pinned_solves():
+    # the only pinned searches above order 11: members with thousands of
+    # k-matchings, so a change to how their lists or masks are built, or
+    # to the search over them, shows in the nodes or the witnesses
+    for (k, floor), (nodes, values, uppers, digest) in ORDER_15_PINNED.items():
+        solved = [
+            ar_exact(graph6_decode(g6), k, floor=floor)
+            for g6 in ORDER_15_MEMBERS
+        ]
+        assert [r.nodes for r in solved] == nodes, k
+        assert [r.value for r in solved] == values, k
+        assert [r.upper for r in solved] == uppers, k
+        witnesses = json.dumps(
+            [[r.value, r.upper, list(r.witness.colors)] for r in solved]
+        )
+        assert hashlib.sha256(witnesses.encode()).hexdigest() == digest, k
 
 
 def test_seed_equals_counting_oracle():
