@@ -24,7 +24,7 @@ from pathlib import Path
 from .graphs import canonical_form, graph6_decode  # noqa: F401
 from .mops import MAX_ENUM_N, enumerate_mops
 from .rainbow import verify_certificate
-from .solver import EXACT, MAX_K, ArResult, ar_exact, check_budget
+from .solver import EXACT, ArResult, ar_exact, check_budget, check_k
 
 # a pool takes a cell's members in chunks, about eight per worker, so that
 # a slow member rarely holds up the tail; capped so that a long sweep still
@@ -174,25 +174,20 @@ def _rank(result: ArResult) -> tuple[int, int]:
 
 def verify_result(result: ArResult) -> bool:
     """The result's witness verifies at exactly its value, without trusting
-    the solver, and its upper bound, if any, is not below that value; only
-    k = 1, whose value is 0, has no witness.  A witness that colors a
-    different number of edges than the graph has fails.
+    the solver.  A witness that colors a different number of edges than
+    the graph has fails; `ArResult` itself refuses an upper bound below
+    the value.
 
     A pass is recorded on the result, so each result is checked once: a
     cache line checked when it was served is not checked again by
     `verify_class_result`.  A failure is not recorded."""
     if result._verified:
         return True
-    if result.upper is not None and result.upper < result.value:
-        return False
-    if result.witness is None:
-        ok = result.k == 1
-    else:
-        g = graph6_decode(result.graph6)
-        ok = (
-            len(result.witness.colors) == g.edge_count
-            and verify_certificate(g, result.witness, result.k, result.value).ok
-        )
+    g = graph6_decode(result.graph6)
+    ok = (
+        len(result.witness.colors) == g.edge_count
+        and verify_certificate(g, result.witness, result.k, result.value).ok
+    )
     result._verified = ok
     return ok
 
@@ -240,9 +235,9 @@ def check_sweep(
 ) -> None:
     """Raise ValueError unless a sweep can honour its options: the node
     budget is not negative, jobs >= 1, there is at least one (n, k) cell
-    and every cell has 1 <= k <= MAX_K and max(3, 2k) <= n <= MAX_ENUM_N,
-    so the solver takes k, the class is enumerable and each member
-    contains a k-matching.  Every cell is checked before any is swept."""
+    and every cell passes `check_k` and has 2k <= n <= MAX_ENUM_N, so the
+    solver takes k, the class is enumerable and each member contains a
+    k-matching.  Every cell is checked before any is swept."""
     check_budget(max_nodes)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1; got jobs={jobs}")
@@ -252,10 +247,10 @@ def check_sweep(
             "has n < 2k"
         )
     for n, k in cells:
-        if not (1 <= k <= MAX_K and max(3, 2 * k) <= n <= MAX_ENUM_N):
+        check_k(k)
+        if not 2 * k <= n <= MAX_ENUM_N:
             raise ValueError(
-                f"class query needs k >= 1, k <= {MAX_K} and "
-                f"max(3, 2k) <= n <= {MAX_ENUM_N}; got n={n}, k={k}"
+                f"class query needs 2k <= n <= {MAX_ENUM_N}; got n={n}, k={k}"
             )
 
 
@@ -385,8 +380,7 @@ def evaluate_bounds(n: int, k: int, value: int, complete: bool) -> BoundCheck:
         lower_verdict = HOLDS
     else:
         lower_verdict = VIOLATED if complete else UNKNOWN
-    if k < 2 or n < 3 * k - 3:
-        # at k = 1 the bound is n - 5, below ar(G, M_1) = 0 for n < 5
+    if n < 3 * k - 3:
         upper_verdict = NOT_APPLICABLE
     elif cap <= upper:
         upper_verdict = VACUOUS

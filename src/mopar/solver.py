@@ -115,47 +115,51 @@ class ArResult:
     proved: the value itself, or the floor a completed search found
     nothing above, or None when a budget ended the search.  `mode` is
     EXACT when upper == value and LOWER_BOUND otherwise; JSON carries
-    both.  For k = 1 no rainbow-free coloring exists at all, so the
-    witness is None and value is 0.
+    both.  An upper below the value is a ValueError, raised for a solved
+    result, a parsed cache line and a `dataclasses.replace` copy alike.
     """
 
     graph6: str
     k: int
     upper: int | None
-    witness: EdgeColoring | None
+    witness: EdgeColoring
     nodes: int
     elapsed_ms: float
     # runner.verify_result's memo of a passed check; `dataclasses.replace`
     # and `from_json` start unchecked
     _verified: bool = field(default=False, init=False, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        if self.upper is not None and self.upper < self.value:
+            raise ValueError(
+                f"upper {self.upper} is below the witness's {self.value} colors"
+            )
+
     @property
     def value(self) -> int:
-        return 0 if self.witness is None else self.witness.num_colors
+        return self.witness.num_colors
 
     @property
     def mode(self) -> str:
         return EXACT if self.upper == self.value else LOWER_BOUND
 
     def to_json(self) -> dict:
-        witness = None
-        if self.witness is not None:
-            witness = certificate_to_json(self.graph6, self.k, self.witness)
         return {
             "graph": self.graph6,
             "k": self.k,
             "value": self.value,
             "upper": self.upper,
             "mode": self.mode,
-            "witness": witness,
+            "witness": certificate_to_json(self.graph6, self.k, self.witness),
             "nodes": self.nodes,
             "elapsed_ms": self.elapsed_ms,
         }
 
     @staticmethod
     def from_json(data: dict) -> ArResult:
-        """Read `to_json` output.  A missing or wrongly typed field, a
-        witness for another graph or k, and a value or mode that the
+        """Read `to_json` output.  A missing or wrongly typed field (a
+        null witness included), a witness for another graph or k, an
+        upper below the witness's colors, and a value or mode that the
         witness and upper do not give are ValueErrors."""
         if not isinstance(data, dict):
             raise ValueError("result must be a JSON object")
@@ -174,15 +178,12 @@ class ArResult:
         )
         upper = read("upper", lambda v: v is None or is_int(v),
                      "an integer or null")
-        witness = None
-        cert = read("witness", lambda v: v is None or isinstance(v, dict),
-                    "a certificate or null")
-        if cert is not None:
-            named, named_k, witness = certificate_from_json(cert)
-            if (named, named_k) != (graph6, k):
-                raise ValueError(
-                    f"witness is for {named!r}, k={named_k}, not the result's"
-                )
+        cert = read("witness", lambda v: isinstance(v, dict), "a certificate")
+        named, named_k, witness = certificate_from_json(cert)
+        if (named, named_k) != (graph6, k):
+            raise ValueError(
+                f"witness is for {named!r}, k={named_k}, not the result's"
+            )
         result = ArResult(graph6, k, upper, witness, nodes, elapsed_ms)
         if (value, mode) != (result.value, result.mode):
             raise ValueError(
@@ -204,9 +205,15 @@ class _Budget(Exception):
     pass
 
 
+def check_k(k: int) -> None:
+    """Raise ValueError unless 2 <= k <= MAX_K.  Every coloring has a
+    rainbow 1-matching, so ar(G, M_1) does not exist."""
+    if not 2 <= k <= MAX_K:
+        raise ValueError(f"matching size k={k} outside 2..{MAX_K}")
+
+
 def _validate(g: Graph, k: int) -> None:
-    if not 1 <= k <= MAX_K:
-        raise ValueError(f"matching size {k} outside 1..{MAX_K}")
+    check_k(k)
     if g.edge_count < 1:
         raise ValueError("graph has no edges")
 
@@ -272,8 +279,6 @@ def seed_incumbent(
     so a solve enumerates the k-matchings once.
     """
     _validate(g, k)
-    if k == 1:
-        raise ValueError("every coloring has a rainbow 1-matching")
     m = g.edge_count
     matchings, msets = _masks or _matching_masks(g, k)
     if not matchings:
@@ -589,8 +594,6 @@ def ar_exact(
     g6 = graph6_encode(g)
     m = g.edge_count
 
-    if k == 1:
-        return ArResult(g6, k, 0, None, 0, _ms(start))
     matchings, touch = masks = _matching_masks(g, k)
     if not matchings:
         return ArResult(g6, k, m, _all_distinct(m), 0, _ms(start))

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import re
 import shlex
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from mopar.cli import build_parser, main
 from mopar.graphs import canonical_form, graph6_decode, graph6_encode
 from mopar.rainbow import EdgeColoring, certificate_to_json
 from mopar.runner import VIOLATED, ClassResult, ResultCache, ar_class, table_cells
-from mopar.solver import ArResult, ar_exact, seed_incumbent
+from mopar.solver import ArResult, ar_exact, check_k, seed_incumbent
 from oracles import ar_brute_force
 from side_checks import lemma_bipartite_check, tutte_berge_certificate
 
@@ -130,10 +131,11 @@ def test_ar_class_command(capsys, tmp_path):
     # the summary counts the argmax; --out keeps the list
     assert "argmax" not in data and data["argmax_count"] == len(full["argmax"])
     assert data["unsolved_count"] == len(full["unsolved"]) == 0
-    # n + 4k - 9 is not claimed for 1-matchings: at n = 4 it is -1 < 0
-    code, out, _ = run(capsys, "ar-class", "--n", "4", "--k", "1")
+    # n + 4k - 9 is met exactly at (4, 2): ar(O_4, M_2) = 3
+    code, out, _ = run(capsys, "ar-class", "--n", "4", "--k", "2")
     bounds = json.loads(out)["bounds"]
-    assert code == 0 and bounds["upper_verdict"] == "NOT_APPLICABLE"
+    assert code == 0 and bounds["upper"] == 3
+    assert bounds["upper_verdict"] == "HOLDS"
 
 
 def test_ar_class_cache_mismatch_exit_code(capsys, tmp_path):
@@ -348,12 +350,12 @@ def test_matching_size_below_one_fails_before_the_out_file(
     runner._class_members.cache_clear()
     out = tmp_path / "x.json"
     out.write_text('{"old": 1}')
-    # k = 0 alone, in a range, and an order too small to enumerate
+    # k = 0 alone, in a range, and k = 1 at an order too small to enumerate
     for n, k in (("6", "0"), ("6", "0..2"), ("2", "1")):
         code, printed, err = run(capsys, "ar-class", "--n", n, "--k", k,
                                  "--out", str(out))
         assert code == 1 and printed == "" and err.startswith("error: ")
-        assert "k >= 1" in err
+        assert re.search(r"k=[01] outside 2\.\.8", err)
         assert out.read_text() == '{"old": 1}'
 
 
@@ -369,7 +371,27 @@ def test_range_past_the_solver_limit_fails_before_enumerating(
     code = cli.main(["ar-class", "--n", "16..18", "--k", "8..9"])
     out = capsys.readouterr()
     assert code == 1 and out.out == ""
-    assert out.err.startswith("error: ") and "n=18, k=9" in out.err
+    assert out.err == "error: matching size k=9 outside 2..8\n"
+
+
+@pytest.mark.parametrize("k", [0, 1, 9])
+def test_matching_size_outside_two_to_eight_is_refused(capsys, k):
+    # every coloring has a rainbow 1-matching, so ar(G, M_1) does not
+    # exist; every entry point refuses k = 1 as it refuses 0 and 9, with
+    # the one message of check_k
+    with pytest.raises(ValueError) as refused:
+        check_k(k)
+    message = str(refused.value)
+    g = graph6_decode(FAN4)
+    for call in (partial(ar_exact, g, k), partial(seed_incumbent, g, k),
+                 partial(ar_class, max(6, 2 * k), k)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+    for argv in (("ar", "--graph", FAN4, "--k", str(k)),
+                 ("ar-class", "--n", str(max(6, 2 * k)), "--k", str(k))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n"), argv
 
 
 def test_bad_cache_leaves_an_existing_out_file(capsys, tmp_path):

@@ -123,7 +123,7 @@ def test_rainbow_matchings_agree_with_brute_force():
         m = g.edge_count
         for k in range(1, 5):
             colorings = [_random_coloring(rng, m, rng.randint(1, m)) for _ in range(4)]
-            if k >= 2:  # ar(G, M_1) = 0 has no witness
+            if k >= 2:  # ar_exact refuses k = 1
                 colorings.append(ar_exact(g, k).witness)
             for col in colorings:
                 expected = next(

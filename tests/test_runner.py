@@ -42,8 +42,9 @@ def test_class_refuses_small_n():
         ar_class(5, 3)  # n < 2k
     with pytest.raises(ValueError):
         ar_class(19, 2)
-    with pytest.raises(ValueError, match="k >= 1"):
-        ar_class(6, 0)
+    for k in (0, 1):
+        with pytest.raises(ValueError, match=rf"k={k} outside 2\.\.8"):
+            ar_class(6, k)
 
 
 def test_verify_class_result_checks_value_and_argmax():
@@ -160,7 +161,7 @@ def test_negative_limits_are_an_error(monkeypatch):
 
 def test_sweep_refuses_k_past_the_solver_limit():
     # order 18 holds a 9-matching, but the solver stops at MAX_K = 8
-    with pytest.raises(ValueError, match="k <= 8"):
+    with pytest.raises(ValueError, match=r"k=9 outside 2\.\.8"):
         check_sweep([(18, 9)], max_nodes=None, jobs=1)
 
 
@@ -372,17 +373,22 @@ def test_result_from_json_rejects_malformed_lines():
             ArResult.from_json(broken)
     for key, bad in (("k", "3"), ("value", True), ("nodes", None),
                      ("elapsed_ms", "1"), ("mode", "AT_MOST"),
-                     ("witness", [0, 1]), ("upper", 7.0)):
+                     ("witness", [0, 1]), ("witness", None),
+                     ("upper", 7.0)):
         with pytest.raises(ValueError, match=repr(key)):
             ArResult.from_json({**data, key: bad})
-    # a value with no witness, and a mode the bounds do not give
-    for change in ({"witness": None}, {"mode": "LOWER_BOUND"}):
-        with pytest.raises(ValueError, match="disagree"):
-            ArResult.from_json({**data, **change})
+    # a mode the bounds do not give
+    with pytest.raises(ValueError, match="disagree"):
+        ArResult.from_json({**data, "mode": "LOWER_BOUND"})
+    # an upper bound below the witness, even with the mode that upper gives
+    below = {**data, "upper": data["value"] - 1, "mode": "LOWER_BOUND"}
+    with pytest.raises(ValueError, match="below the witness"):
+        ArResult.from_json(below)
 
 
 # lines a cache held before the witness was the only record of a result's
-# value: (6,3) and (4,1) swept at floor 0, and one (9,4) member at floor 11
+# value: (6,3) and (4,1) swept at floor 0, and one (9,4) member at floor 11.
+# The k = 1 line, value 0 with no witness, is corrupt since k = 1 is refused
 OLD_CACHE_LINES = """\
 {"elapsed_ms": 0.118, "graph": "EElw", "k": 3, "mode": "EXACT", "nodes": 2, "upper": 7, "value": 7, "witness": {"colors": [0, 1, 1, 0, 2, 3, 4, 5, 6], "graph": "EElw", "k": 3, "num_colors": 7}}
 {"elapsed_ms": 0.12, "graph": "EQNw", "k": 3, "mode": "EXACT", "nodes": 7, "upper": 6, "value": 6, "witness": {"colors": [0, 0, 0, 0, 1, 2, 3, 4, 5], "graph": "EQNw", "k": 3, "num_colors": 6}}
@@ -395,10 +401,14 @@ OLD_CACHE_LINES = """\
 def test_cache_reads_lines_written_before_value_was_derived(tmp_path):
     path = tmp_path / "cache.jsonl"
     path.write_text(OLD_CACHE_LINES)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         cache = ResultCache(path)
+    assert [str(w.message) for w in caught] == [
+        f"{path}:4: skipping corrupt cache line"
+    ]
     lines = OLD_CACHE_LINES.splitlines()
+    del lines[3]
     assert [held[0].dumps() for held in cache.entries.values()] == lines
     # and they are what the solver gives today, up to the solve time and
     # the node count, which a search that cuts more can only lower
@@ -448,10 +458,35 @@ def test_cache_prefers_exact_line_in_either_order(tmp_path):
         assert cache.get(g6, 4) == exact
 
 
-def test_cache_keeps_k1_lines_without_witness(tmp_path):
+def test_cache_skips_a_line_whose_upper_is_below_its_value(
+    tmp_path, monkeypatch
+):
+    # a line claiming upper 6 under a witness of 8 colors ranks first by
+    # its upper; were it kept, it would shadow the member's EXACT line and
+    # every resume would solve the member again and append it
+    g6 = enumerate_mops(8)[0]
+    good = ar_exact(graph6_decode(g6), 3)
+    assert good.mode == EXACT and good.value == 8
+    bad = {**good.to_json(), "upper": 6, "mode": "LOWER_BOUND"}
+    others = [r for r in ar_class(8, 3).results if r.graph6 != g6]
     path = tmp_path / "cache.jsonl"
-    ar_class(4, 1, cache=ResultCache(path))
-    assert len(ResultCache(path).entries) == 1
+    path.write_text("".join(
+        line + "\n"
+        for line in [json.dumps(bad), good.dumps(), *map(ArResult.dumps, others)]
+    ))
+    before = path.read_text()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cache = ResultCache(path)
+    assert [str(w.message) for w in caught] == [
+        f"{path}:1: skipping corrupt cache line"
+    ]
+    assert cache.get(g6, 3) == good
+    calls = _count_solves(monkeypatch)
+    monkeypatch.setattr(runner, "AUDIT_FRACTION", 0.0)
+    again = ar_class(8, 3, cache=cache)
+    assert calls == [] and again.value == 8 and again.complete
+    assert path.read_text() == before
 
 
 def test_jobs_below_one_is_an_error():
@@ -565,12 +600,14 @@ def test_verified_memo_does_not_vouch_for_a_changed_result():
     assert verify_result(result)
     m = len(result.witness.colors)
     distinct = EdgeColoring(tuple(range(m)), m)
-    # the new witness has a rainbow 3-matching; without the upper bound
-    # only the rainbow check can refuse it
-    for changes in ({"witness": distinct}, {"witness": distinct, "upper": None}):
-        copy = dataclasses.replace(result, **changes)
-        assert not verify_result(copy)
-        assert not verify_class_result(ClassResult(6, 3, [result, copy]))
+    # the new witness has more colors than the proved upper bound, which
+    # the copy refuses; without the upper bound only the rainbow check
+    # can refuse its rainbow 3-matching
+    with pytest.raises(ValueError, match="below the witness"):
+        dataclasses.replace(result, witness=distinct)
+    copy = dataclasses.replace(result, witness=distinct, upper=None)
+    assert not verify_result(copy)
+    assert not verify_class_result(ClassResult(6, 3, [result, copy]))
     assert verify_result(result)
 
 
@@ -617,10 +654,7 @@ def test_bound_check_examples():
 
     # the general lower bound is not a claim about 2-matchings
     assert evaluate_bounds(8, 2, 1, True).lower_verdict == NOT_APPLICABLE
-    # nor the upper bound about 1-matchings, where n + 4k - 9 = -1 < 0 at
-    # n = 4; at k = 2 it is n - 1 and ar(O_4, M_2) = 3 meets it
-    one = evaluate_bounds(4, 1, 0, True)
-    assert one.upper == -1 and one.upper_verdict == NOT_APPLICABLE
+    # at k = 2 the upper bound is n - 1, and ar(O_4, M_2) = 3 meets it
     assert evaluate_bounds(4, 2, 3, True).upper_verdict == HOLDS
 
 

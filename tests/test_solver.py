@@ -75,9 +75,11 @@ def test_k_guards():
 
 
 def test_k1_has_no_rainbow_free_coloring():
-    result = ar_exact(K3, 1)
-    assert result.value == 0 and result.witness is None and result.mode == EXACT
+    # every coloring has a rainbow 1-matching, so ar(G, M_1) does not
+    # exist and the solver refuses k = 1
     assert ar_brute_force(K3, 1) == 0
+    with pytest.raises(ValueError, match=r"k=1 outside 2\.\.8"):
+        ar_exact(K3, 1)
 
 
 def _oracle_corpus():
