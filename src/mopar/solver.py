@@ -42,7 +42,8 @@ b of the top matching, the first packed one, keeps packed matchings
 2..p violated and class-disjoint, and its budget is at most need - 1 (a
 bound raised by an earlier sibling only lowers it).  So the rest of
 `only`, `only ^ (only & msets[a] & msets[b])`, is met by at most `slack`
-classes of the child, the merged class reading msets[a] | msets[b]; a
+classes of the child.  At slack 1 the merged class, msets[a] | msets[b],
+is tried first, then the child's other classes with a and b banned; a
 child that fails is marked apart without being built, settled or
 searched.  Both rules drop only subtrees that would be searched and
 found empty, and keep the order of the rest, so every answer and
@@ -224,10 +225,6 @@ def check_budget(max_nodes: int | None) -> None:
         raise ValueError(f"max_nodes must not be negative; got {max_nodes}")
 
 
-def _all_distinct(m: int) -> EdgeColoring:
-    return EdgeColoring(tuple(range(m)), m)
-
-
 def _matching_masks(g: Graph, k: int) -> tuple[list[tuple[int, ...]], list[int]]:
     """The k-matchings of g by id, and for each edge the mask of the
     matching ids that contain it.  Ids run in reverse lexicographic order,
@@ -281,8 +278,6 @@ def seed_incumbent(
     _validate(g, k)
     m = g.edge_count
     matchings, msets = _masks or _matching_masks(g, k)
-    if not matchings:
-        return _all_distinct(m)
     cls = list(range(m))
     msets = list(msets)
     live = list(range(m))
@@ -389,18 +384,14 @@ class _Search:
 
     def _one_meets(
         self, cls: list[int], msets: list[int], rest: int, banned: int,
-        a: int, b: int,
     ) -> bool:
         """Whether one class outside `banned` meets every matching in
-        `rest`, with class b read as a and a's mask as msets[a] | msets[b]
-        (the child of that merge; a == b for no merge).  Such a class
-        meets the top matching of `rest`, so only its classes are tried."""
+        `rest`.  Such a class meets the top matching of `rest`, so only its
+        classes are tried.  For the child merging a and b the caller tests
+        the merged class itself and bans a and b here."""
         for e in self.matchings[rest.bit_length() - 1]:
             x = cls[e]
-            if x == a or x == b:
-                if rest & (msets[a] | msets[b]) == rest:
-                    return True
-            elif not banned >> x & 1 and rest & msets[x] == rest:
+            if not banned >> x & 1 and rest & msets[x] == rest:
                 return True
         return False
 
@@ -439,9 +430,7 @@ class _Search:
                 continue
             mc = msets[c]
             rest = only ^ (only & mc)
-            if not rest or slack and self._one_meets(
-                cls, msets, rest, banned, c, c
-            ):
+            if not rest or slack and self._one_meets(cls, msets, rest, banned):
                 found = self._meets(
                     cls, msets, unmet ^ (unmet & mc), budget - 1, banned
                 )
@@ -532,7 +521,10 @@ class _Search:
                     self.bound = count - 1
                     self.best_coloring = _renamed(cls, b, a)
             elif count - 2 <= self.bound or rest and not (
-                slack and self._one_meets(cls, msets, rest, 0, a, b)
+                slack and (
+                    rest & (msets[a] | msets[b]) == rest
+                    or self._one_meets(cls, msets, rest, 1 << a | 1 << b)
+                )
             ):
                 # the bound, or the child's transversal cut, would end it
                 pass
@@ -584,9 +576,11 @@ def ar_exact(
     more than `floor` colors whenever one exists, and the best of them is
     the value.  When none exists the seed's coloring is returned with
     upper = floor, which is EXACT only if the seed reaches the floor; so a
-    completed search gives upper = max(value, floor).  Only the node
-    budget `max_nodes` ends the search early; it leaves upper = None,
-    never a wrong answer.  A negative budget is a ValueError.
+    completed search gives upper = max(value, floor).  No coloring has
+    more colors than the graph has edges, so a floor above the edge count
+    is read as the edge count.  Only the node budget `max_nodes` ends the
+    search early; it leaves upper = None, never a wrong answer.  A
+    negative budget is a ValueError.
     """
     _validate(g, k)
     check_budget(max_nodes)
@@ -595,11 +589,8 @@ def ar_exact(
     m = g.edge_count
 
     matchings, touch = masks = _matching_masks(g, k)
-    if not matchings:
-        return ArResult(g6, k, m, _all_distinct(m), 0, _ms(start))
-
     search = _Search(
-        matchings, max_nodes, floor, seed_incumbent(g, k, _masks=masks)
+        matchings, max_nodes, min(floor, m), seed_incumbent(g, k, _masks=masks)
     )
     upper = None
     try:

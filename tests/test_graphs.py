@@ -42,6 +42,14 @@ def test_rejects_self_loops_and_bad_sizes():
         Graph(0, [])
     with pytest.raises(ValueError):
         Graph(2, [2, 0])  # asymmetric
+    with pytest.raises(ValueError, match="adjacency has 1 rows"):
+        Graph(2, [0])
+    with pytest.raises(ValueError, match="row 0 references vertices >= 2"):
+        Graph(2, [4, 0])
+    with pytest.raises(ValueError, match="self-loop at vertex 0"):
+        Graph(2, [1, 0])
+    with pytest.raises(ValueError, match="out of range"):
+        Graph.from_edges(3, [(0, 5)])
 
 
 def test_degree_stats_examples():
@@ -224,4 +232,13 @@ def test_graph6_errors_carry_offsets():
         graph6_decode("~??")  # multi-byte order
     with pytest.raises(Graph6Error) as err:
         graph6_decode("B" + chr(40))  # below alphabet
+    assert err.value.offset == 1
+    with pytest.raises(Graph6Error, match="bad vertex count byte") as err:
+        graph6_decode(">")
+    assert err.value.offset == 0
+    with pytest.raises(Graph6Error, match="exceeds the 32 limit") as err:
+        graph6_decode(chr(96))  # a 33-vertex header
+    assert err.value.offset == 0
+    with pytest.raises(Graph6Error, match="nonzero padding bits") as err:
+        graph6_decode("A@")
     assert err.value.offset == 1

@@ -232,6 +232,29 @@ def test_fully_cached_resume_starts_no_pool(tmp_path, monkeypatch):
     assert half.value == cold.value
 
 
+def test_node_budget_writes_no_cache_line(tmp_path, monkeypatch):
+    path = tmp_path / "cache.jsonl"
+    capped = ar_class(9, 4, max_nodes=50, cache=ResultCache(path))
+    assert (len(capped.results), len(capped.unsolved)) == (27, 17)
+    # only the 10 members the budget let finish are written
+    written = [json.loads(line)["graph"] for line in path.open()]
+    assert len(written) == 10
+    assert not set(written) & set(capped.unsolved)
+    # a resume solves exactly the members left unsolved
+    solved = []
+    solve = runner.ar_exact
+
+    def recorded(g, k, **kwargs):
+        solved.append(graph6_encode(g))
+        return solve(g, k, **kwargs)
+
+    monkeypatch.setattr(runner, "ar_exact", recorded)
+    monkeypatch.setattr(runner, "AUDIT_FRACTION", 0.0)
+    resumed = ar_class(9, 4, cache=ResultCache(path))
+    assert sorted(solved) == sorted(capped.unsolved)
+    assert resumed.complete and resumed.value == 11
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records the pool asked for and
     solves its items in this process, so no worker starts."""

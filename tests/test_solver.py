@@ -10,7 +10,7 @@ from graph_helpers import spanning_subgraph
 from mopar import solver
 from mopar.graphs import Graph, graph6_decode, graph6_encode, iter_bits
 from mopar.matchings import iterate_k_matchings, matching_number
-from mopar.rainbow import verify_certificate
+from mopar.rainbow import EdgeColoring, verify_certificate
 from mopar.runner import _class_members
 from mopar.solver import (
     EXACT,
@@ -33,6 +33,11 @@ HUNT_MEMBER = "N?AA??o`P@?PQ`BSaLw"
 # polygon fans: every diagonal ends at vertex 0
 FAN6, FAN7, FAN9 = "E|eG", "F|eKG", "H|eKKE@"
 MEMBER_VALUES = Path(__file__).resolve().parent / "member_values.json"
+STAR = "Cs"  # K_{1,3}: every two edges share the centre
+
+
+def _all_distinct(m: int) -> EdgeColoring:
+    return EdgeColoring(tuple(range(m)), m)
 
 
 def test_unique_mop4_value_three():
@@ -49,11 +54,30 @@ def test_unique_mop5_value_one():
 
 
 def test_vacuous_when_no_k_matching_exists():
-    for g in mop_graphs(6):
-        result = ar_exact(g, 4)  # beta = 3 < 4
-        assert result.value == g.edge_count == 9
-        assert result.mode == EXACT
-        assert result.witness.num_colors == 9
+    # no special path: the seed is the all-distinct coloring, and the
+    # search's root has nothing violated, so it returns at once
+    cases = [(graph6_decode(STAR), 2)]
+    cases += [(g, 4) for g in mop_graphs(6)]  # beta = 3 < 4
+    for g, k in cases:
+        m = g.edge_count
+        assert not list(iterate_k_matchings(g, k))
+        assert seed_incumbent(g, k) == _all_distinct(m)
+        for floor in (0, m, m + 2):
+            result = ar_exact(g, k, floor=floor)
+            assert (result.value, result.upper, result.mode, result.nodes) == (
+                m, m, EXACT, 1
+            )
+            assert result.witness == _all_distinct(m)
+
+
+def test_floor_above_edge_count_is_read_as_edge_count():
+    # no coloring has more colors than edges, so the search proves upper m
+    g = mop_graphs(8)[0]
+    m = g.edge_count
+    result = ar_exact(g, 3, floor=m + 2)
+    assert result.upper == m
+    assert result.value == seed_incumbent(g, 3).num_colors < m
+    assert result.mode == LOWER_BOUND
 
 
 def test_brute_force_examples():
@@ -229,7 +253,7 @@ def test_prunable_is_the_exact_class_transversal_bound(monkeypatch):
         for g in mop_graphs(n):
             m = g.edge_count
             matchings, touch = solver._matching_masks(g, k)
-            search = solver._Search(matchings, None, 0, solver._all_distinct(m))
+            search = solver._Search(matchings, None, 0, _all_distinct(m))
             for _ in range(3):
                 cls = _random_partition(rng, m, rng.randrange(m - 1))
                 msets = [0] * m
@@ -349,7 +373,7 @@ def test_meets_skips_only_classes_whose_child_fails(monkeypatch):
     for n, k in ((8, 3), (9, 4)):
         for g, matchings, cls, msets, violated in _random_cases(rng, n, k, 3):
             search = solver._Search(
-                matchings, None, 0, solver._all_distinct(g.edge_count)
+                matchings, None, 0, _all_distinct(g.edge_count)
             )
             mask = sum(1 << mid for mid in violated)
             classes = sorted(set(cls))
@@ -411,7 +435,7 @@ def test_run_cuts_only_children_beyond_the_budget(monkeypatch):
             tau = min_class_transversal(
                 cls, [matchings[mid] for mid in violated]
             )
-            search = solver._Search(matchings, None, 0, solver._all_distinct(m))
+            search = solver._Search(matchings, None, 0, _all_distinct(m))
             for bound in range(count - 2):
                 need = count - bound - 1
                 if not violated or tau > need:
@@ -460,7 +484,7 @@ def test_last_merge_is_the_first_feasible_pair_of_the_child():
         for g in mop_graphs(n):
             m = g.edge_count
             matchings, touch = solver._matching_masks(g, k)
-            search = solver._Search(matchings, None, 0, solver._all_distinct(m))
+            search = solver._Search(matchings, None, 0, _all_distinct(m))
             for _ in range(20):
                 cls = _random_partition(rng, m, rng.randrange(m // 2, m - 2))
                 classes = sorted(set(cls))
