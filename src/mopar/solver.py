@@ -33,11 +33,20 @@ of its top matching must meet all of it.  A branch class that fails is
 skipped and banned like a failed sibling.  At the root nothing is banned
 and tau is the k-matching transversal number, so the first cut is
 ar(G, M_k) <= ex(G, M_k) = m - tau.  Nodes of both searches count
-against the budget.
+against the budget, and so do two kinds of hitting-set node that are
+settled without building a packing.  At budget 1 the packing ends the
+node unless it holds only the top matching, so the node's answer is the
+first unbanned class of that matching that meets every unmet matching;
+and a child with nothing unmet, which would return the empty set at
+once, is settled in its parent without a call.  Each settled node adds
+1 to the count where it is reached, so a budget stops the search on the
+same node as it would if every node were a call.
 
 The partition search applies the same rule to its children.  Each node
-builds the packing of its violated matchings with nothing banned, once,
-and hands it to its hitting-set search.  A child merging classes a and
+builds the packing of its violated matchings in `run`, with nothing
+banned and so with no ban test, once, and hands its slack and `only` to
+its hitting-set search; every deeper hitting-set node builds its own
+packing in `_meets`, under its bans.  A child merging classes a and
 b of the top matching, the first packed one, keeps packed matchings
 2..p violated and class-disjoint, and its budget is at most need - 1 (a
 bound raised by an earlier sibling only lowers it).  So the rest of
@@ -94,7 +103,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
 
-from .graphs import Graph, graph6_encode, iter_bits
+from .graphs import Graph, graph6_encode
 # not called here; the benchmark tracer patches solver.matching_number by name
 from .matchings import iterate_k_matchings, matching_number  # noqa: F401
 from .rainbow import (
@@ -159,9 +168,10 @@ class ArResult:
     @staticmethod
     def from_json(data: dict) -> ArResult:
         """Read `to_json` output.  A missing or wrongly typed field (a
-        null witness included), a witness for another graph or k, an
-        upper below the witness's colors, and a value or mode that the
-        witness and upper do not give are ValueErrors."""
+        null witness included), a k outside 2..MAX_K, a negative node
+        count or time, a witness for another graph or k, an upper below
+        the witness's colors, and a value or mode that the witness and
+        upper do not give are ValueErrors: no solve produces them."""
         if not isinstance(data, dict):
             raise ValueError("result must be a JSON object")
 
@@ -170,12 +180,15 @@ class ArResult:
 
         graph6 = read("graph", lambda v: isinstance(v, str), "a graph6 string")
         k = read("k", is_int, "an integer")
+        check_k(k)
         value = read("value", is_int, "an integer")
         mode = read("mode", lambda v: v in (EXACT, LOWER_BOUND), "a mode")
-        nodes = read("nodes", is_int, "an integer")
+        nodes = read("nodes", lambda v: is_int(v) and v >= 0,
+                     "a non-negative integer")
         elapsed_ms = read(
-            "elapsed_ms", lambda v: is_int(v) or isinstance(v, float),
-            "a number",
+            "elapsed_ms",
+            lambda v: (is_int(v) or isinstance(v, float)) and v >= 0,
+            "a non-negative number",
         )
         upper = read("upper", lambda v: v is None or is_int(v),
                      "an integer or null")
@@ -314,11 +327,6 @@ def seed_incumbent(
     return EdgeColoring.from_sequence(cls)
 
 
-def _renamed(cls: list[int], b: int, a: int) -> list[int]:
-    """A copy of the class labels with class b put in class a."""
-    return [a if c == b else c for c in cls]
-
-
 class _Search:
     def __init__(
         self,
@@ -328,25 +336,39 @@ class _Search:
         seed: EdgeColoring,
     ):
         self.matchings = matchings
-        self.max_nodes = max_nodes
         self.nodes = 0
+        # each node adds 1 to `nodes`, and the search stops on the node
+        # that passes `limit`; no search runs to 2**63 nodes
+        self.limit = (1 << 63) if max_nodes is None else max_nodes
         # the color count a coloring must beat: the floor, or the best
         # coloring recorded so far when that has more colors
         self.bound = max(seed.num_colors, floor)
         self.best_coloring: Sequence[int] = seed.colors
 
-    def _tick(self) -> None:
-        self.nodes += 1
-        if self.max_nodes is not None and self.nodes > self.max_nodes:
-            raise _Budget
+    def _one_meets(
+        self, cls: list[int], msets: list[int], rest: int, banned: int,
+    ) -> int:
+        """The mask of the first class outside `banned` that meets every
+        matching in `rest`, or 0 when none does.  Such a class meets the
+        top matching of `rest`, so only its classes are tried, in the order
+        of its edges.  For the child merging a and b the caller tests the
+        merged class itself and bans a and b here."""
+        for e in self.matchings[rest.bit_length() - 1]:
+            x = cls[e]
+            if not banned >> x & 1 and rest & msets[x] == rest:
+                return 1 << x
+        return 0
 
-    def _pack(
+    def _meets(
         self, cls: list[int], msets: list[int], unmet: int, budget: int,
-        banned: int,
-    ) -> tuple[int, int] | None:
-        """The slack of the greedy packing that bounds a hitting set of
-        `unmet` within `budget` classes outside `banned`, and its `only`
-        mask; None when the packing alone shows that no such set exists.
+        banned: int, slack: int | None = None, only: int = 0,
+    ) -> int | None:
+        """The mask of at most `budget` class labels outside the mask
+        `banned` that meet every matching in `unmet`, or None when no such
+        set exists.  The empty set, 0, is a valid answer (an empty
+        `unmet`), so callers test `is None`.  `slack` and `only` are the
+        packing's for these arguments when the caller has built it
+        already.
 
         The packing takes unmet matchings in lexicographic order
         (descending id, each the top id of what is left) whose unbanned
@@ -359,51 +381,6 @@ class _Search:
         less the packing's size; at slack 0 or 1, `only` is the unmet
         matchings that share no unbanned class with packed matchings
         2..p, and at a larger slack it is 0, which prunes nothing.
-        """
-        matchings = self.matchings
-        packed = 0
-        cand = unmet
-        other = 0
-        while cand:
-            packed += 1
-            if packed > budget:
-                return None
-            hit = 0
-            for e in matchings[cand.bit_length() - 1]:
-                c = cls[e]
-                if not banned >> c & 1:
-                    hit |= msets[c]
-            if not hit:
-                # every class of the matching is banned
-                return None
-            cand ^= cand & hit
-            if packed > 1:
-                other |= hit
-        slack = budget - packed
-        return slack, unmet ^ (unmet & other) if slack < 2 else 0
-
-    def _one_meets(
-        self, cls: list[int], msets: list[int], rest: int, banned: int,
-    ) -> bool:
-        """Whether one class outside `banned` meets every matching in
-        `rest`.  Such a class meets the top matching of `rest`, so only its
-        classes are tried.  For the child merging a and b the caller tests
-        the merged class itself and bans a and b here."""
-        for e in self.matchings[rest.bit_length() - 1]:
-            x = cls[e]
-            if not banned >> x & 1 and rest & msets[x] == rest:
-                return True
-        return False
-
-    def _meets(
-        self, cls: list[int], msets: list[int], unmet: int, budget: int,
-        banned: int, packing: tuple[int, int] | None = None,
-    ) -> int | None:
-        """The mask of at most `budget` class labels outside the mask
-        `banned` that meet every matching in `unmet`, or None when no such
-        set exists.  The empty set, 0, is a valid answer (an empty
-        `unmet`), so callers test `is None`.  `packing` is `_pack`'s
-        answer for these arguments when the caller has it already.
 
         Branches on the classes of the first unmet matching (the top id),
         banning each in the later siblings, so subtrees are disjoint.  That
@@ -413,27 +390,62 @@ class _Search:
         matching of `only`.  So the rest of `only` once class c is chosen,
         `only ^ (only & msets[c])`, must be met by at most `slack` other
         classes: none at slack 0, one at slack 1.  A class that fails is
-        skipped and banned like a failed sibling.  At budget 1 `only` is
-        all of `unmet`, so no child is left to fail at budget 0.
+        skipped and banned like a failed sibling.
+
+        A node at budget 1 is settled by `_one_meets` without a packing,
+        and a child with nothing unmet without a call (module docstring).
         """
-        self._tick()
+        self.nodes += 1
+        if self.nodes > self.limit:
+            raise _Budget
         if not unmet:
             return 0
-        if packing is None:
-            packing = self._pack(cls, msets, unmet, budget, banned)
-            if packing is None:
+        if budget == 1:
+            found = self._one_meets(cls, msets, unmet, banned)
+            if not found:
                 return None
-        slack, only = packing
-        for e in self.matchings[unmet.bit_length() - 1]:
+            # its child, with nothing unmet
+            self.nodes += 1
+            if self.nodes > self.limit:
+                raise _Budget
+            return found
+        matchings = self.matchings
+        if slack is None:
+            packed = 0
+            cand = unmet
+            other = 0
+            while cand:
+                packed += 1
+                if packed > budget:
+                    return None
+                hit = 0
+                for e in matchings[cand.bit_length() - 1]:
+                    c = cls[e]
+                    if not banned >> c & 1:
+                        hit |= msets[c]
+                if not hit:
+                    # every class of the matching is banned
+                    return None
+                cand ^= cand & hit
+                if packed > 1:
+                    other |= hit
+            slack = budget - packed
+            if slack < 2:
+                only = unmet ^ (unmet & other)
+        for e in matchings[unmet.bit_length() - 1]:
             c = cls[e]
             if banned >> c & 1:
                 continue
             mc = msets[c]
             rest = only ^ (only & mc)
             if not rest or slack and self._one_meets(cls, msets, rest, banned):
-                found = self._meets(
-                    cls, msets, unmet ^ (unmet & mc), budget - 1, banned
-                )
+                child = unmet ^ (unmet & mc)
+                if not child:
+                    self.nodes += 1
+                    if self.nodes > self.limit:
+                        raise _Budget
+                    return 1 << c
+                found = self._meets(cls, msets, child, budget - 1, banned)
                 if found is not None:
                     return found | 1 << c
             banned |= 1 << c
@@ -491,24 +503,38 @@ class _Search:
         # hitting set with the merged class renamed: it meets every
         # violated matching here, so when it fits the budget the cut's
         # search would succeed and is skipped.
-        self._tick()
+        self.nodes += 1
+        if self.nodes > self.limit:
+            raise _Budget
         if count - 1 <= self.bound:
             return
         need = count - self.bound - 1
-        packing = self._pack(cls, msets, violated, need, 0)
-        if packing is None:
-            return
+        # the greedy packing of `_meets`, built here with nothing banned
+        matchings = self.matchings
+        packed = 0
+        cand = violated
+        other = 0
+        while cand:
+            packed += 1
+            if packed > need:
+                return
+            hit = 0
+            for e in matchings[cand.bit_length() - 1]:
+                hit |= msets[cls[e]]
+            cand ^= cand & hit
+            if packed > 1:
+                other |= hit
+        slack = need - packed
+        only = violated ^ (violated & other) if slack < 2 else 0
         if hitting is None or hitting.bit_count() > need:
-            hitting = self._meets(cls, msets, violated, need, 0, packing)
+            hitting = self._meets(cls, msets, violated, need, 0, slack, only)
             if hitting is None:
                 return
 
         # a child merging a and b keeps packed matchings 2..p violated at a
         # budget of need - 1 or less, so it must meet the rest of `only`
         # with at most `slack` classes (the module docstring has the rule)
-        slack, only = packing
-        mid = violated.bit_length() - 1
-        roots = sorted(cls[e] for e in self.matchings[mid])
+        roots = sorted([cls[e] for e in matchings[violated.bit_length() - 1]])
         for a, b in combinations(roots, 2):
             if apart[a] >> b & 1:
                 continue
@@ -519,7 +545,7 @@ class _Search:
                 # feasible one merge away: record without building the child
                 if count - 1 > self.bound:
                     self.bound = count - 1
-                    self.best_coloring = _renamed(cls, b, a)
+                    self.best_coloring = [a if c == b else c for c in cls]
             elif count - 2 <= self.bound or rest and not (
                 slack and (
                     rest & (msets[a] | msets[b]) == rest
@@ -531,30 +557,34 @@ class _Search:
             elif count - 3 == self.bound:
                 # the child is one merge above the bound: only its first
                 # feasible merge can count, so find it without the child
-                self._tick()
+                self.nodes += 1
+                if self.nodes > self.limit:
+                    raise _Budget
                 pair = self._last_merge(cls, msets, apart, child_violated, a, b)
                 if pair is not None:
                     x, y = pair
                     self.bound = count - 2
-                    self.best_coloring = [
-                        x if c == y else c for c in _renamed(cls, b, a)
-                    ]
+                    child_cls = [a if c == b else c for c in cls]
+                    self.best_coloring = [x if c == y else c for c in child_cls]
             else:
-                child_msets = list(msets)
+                child_msets = msets.copy()
                 child_msets[a] = msets[a] | msets[b]
                 child_msets[b] = 0
                 # b's apart partners become a's, and a takes b's row
                 row = apart[b]
-                child_apart = list(apart)
+                child_apart = apart.copy()
                 child_apart[a] |= row
                 child_apart[b] = 0
-                for x in iter_bits(row):
+                while row:
+                    low = row & -row
+                    x = low.bit_length() - 1
                     child_apart[x] = child_apart[x] & ~(1 << b) | 1 << a
+                    row ^= low
                 child_hitting = hitting
                 if hitting >> b & 1:
                     child_hitting = hitting ^ 1 << b | 1 << a
                 self.run(
-                    _renamed(cls, b, a), child_msets, child_apart,
+                    [a if c == b else c for c in cls], child_msets, child_apart,
                     child_violated, count - 1, child_hitting,
                 )
             # later siblings keep this pair apart, whether its child was

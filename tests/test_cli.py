@@ -564,6 +564,13 @@ def test_verify_command(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--cert", str(cert))
     assert code == 1
     assert json.loads(out)["reason"] == "RAINBOW_FOUND"
+    # results refuse k = 1, but a k = 1 certificate is checked: every
+    # coloring has a rainbow 1-matching
+    one = EdgeColoring((0,) * m, 1)
+    cert.write_text(json.dumps(certificate_to_json(FAN6, 1, one)))
+    code, out, _ = run(capsys, "verify", "--cert", str(cert))
+    assert code == 1
+    assert json.loads(out)["reason"] == "RAINBOW_FOUND"
     # an undecodable graph is a graph6 error, not a traceback
     cert.write_text(json.dumps(certificate_to_json("~~~", 3, bad)))
     code, out, err = run(capsys, "verify", "--cert", str(cert))

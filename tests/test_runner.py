@@ -366,7 +366,14 @@ def test_cache_skips_lines_whose_witness_fails(tmp_path, monkeypatch):
     def low_upper(data):
         data["upper"] -= 1  # an upper bound below the witnessed value
 
-    tampers = (more_value, low_upper, other_graph, other_k, non_integer_color)
+    def negative_nodes(data):
+        data["nodes"] = -1
+
+    def negative_time(data):
+        data["elapsed_ms"] = -0.5  # `mop ar-class` sums cached times
+
+    tampers = (more_value, low_upper, other_graph, other_k, non_integer_color,
+               negative_nodes, negative_time)
     for tamper, data in zip(tampers, lines):
         tamper(data)
     path.write_text("\n".join(json.dumps(d) for d in lines) + "\n")
@@ -400,6 +407,15 @@ def test_result_from_json_rejects_malformed_lines():
                      ("upper", 7.0)):
         with pytest.raises(ValueError, match=repr(key)):
             ArResult.from_json({**data, key: bad})
+    # what no solve produces: k outside 2..8 (even with a witness for that
+    # k), a negative node count and a negative time
+    for k in (1, 9):
+        witness = {**data["witness"], "k": k}
+        with pytest.raises(ValueError, match=rf"k={k} outside 2\.\.8"):
+            ArResult.from_json({**data, "k": k, "witness": witness})
+    for key in ("nodes", "elapsed_ms"):
+        with pytest.raises(ValueError, match=rf"{key!r} must be a non-negative"):
+            ArResult.from_json({**data, key: -1})
     # a mode the bounds do not give
     with pytest.raises(ValueError, match="disagree"):
         ArResult.from_json({**data, "mode": "LOWER_BOUND"})

@@ -320,9 +320,9 @@ def _random_cases(rng, n, k, per_member):
 
 def _skipped_classes(calls, i, cls, matchings, msets):
     """The classes that the i-th recorded _meets node skipped, read off
-    the children it did call: (slack, child's unmet ids, child's bans)
-    for each.  `calls` lists [depth, unmet, budget, bans, answer] in call
-    order."""
+    the children it did call and the class its answer took: (slack,
+    child's unmet ids, child's bans) for each.  `calls` lists [depth,
+    unmet, budget, bans, answer] in call order."""
     level, unmet, budget, bans, found = calls[i]
     ids = set(iter_bits(unmet))
     packed = _packing(cls, matchings, ids, set(iter_bits(bans)))
@@ -339,8 +339,14 @@ def _skipped_classes(calls, i, cls, matchings, msets):
             break
         if later[0] == level + 1:
             children.append(prefix.index(later[3]))
-    # a node that finds a set stops at that child
-    tried = len(order) if found is None else children[-1] + 1
+    # a node that finds a set stops at its branch class, the first class of
+    # `order` in its answer: its child bans the earlier ones and never
+    # needs its own.  A child with nothing unmet is settled without a
+    # call, so it shows only in the answer
+    tried = len(order)
+    if found is not None:
+        tried = min(j for j, c in enumerate(order) if found >> c & 1) + 1
+        children.append(tried - 1)
     for j in sorted(set(range(tried)) - set(children)):
         mc = msets[order[j]]
         child = [mid for mid in ids if not mc >> mid & 1]
@@ -712,6 +718,28 @@ def test_budget_degrades_to_lower_bound():
     full = ar_exact(g, 4)
     assert full.nodes > 5
     assert result.value <= full.value
+
+
+def test_node_budget_stops_at_exactly_its_count():
+    # every node counts where it is reached, called or settled (a
+    # hitting-set node at budget 1 and a child with nothing unmet): each
+    # budget B below the full count N stops the search on node B + 1,
+    # wherever that node lies, and B = N is the unlimited solve
+    cases = [(graph6_decode(HUNT_MEMBER), 5, 19)]
+    cases += [(g, 3, 0) for g in mop_graphs(8)]
+    cases += [(g, 4, 0) for g in mop_graphs(9)[:4]]
+    for g, k, floor in cases:
+        full = ar_exact(g, k, floor=floor)
+        for budget in range(full.nodes):
+            cut = ar_exact(g, k, floor=floor, max_nodes=budget)
+            assert (cut.upper, cut.nodes) == (None, budget + 1), (
+                graph6_encode(g), budget
+            )
+            assert verify_certificate(g, cut.witness, k, cut.value).ok
+        same = ar_exact(g, k, floor=floor, max_nodes=full.nodes)
+        assert (same.value, same.upper, same.nodes, same.witness) == (
+            full.value, full.upper, full.nodes, full.witness
+        )
 
 
 def test_negative_budget_is_an_error():
