@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
 
@@ -78,6 +79,14 @@ def _cmd_ar(args: argparse.Namespace) -> int:
     return _exit_code(verify_result(result), result.mode == EXACT)
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether two paths name one file, by any spelling or link."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # a path that does not exist yet
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
 def _cmd_ar_class(args: argparse.Namespace) -> int:
     cells = table_cells(args.n, args.k)
     # a bad option, then an unwritable --out, fails before a large cache
@@ -85,6 +94,8 @@ def _cmd_ar_class(args: argparse.Namespace) -> int:
     # opened for appending and emptied only once the cache has opened, so
     # a bad --cache leaves an existing file as it was
     check_sweep(cells, max_nodes=args.budget_nodes, jobs=args.jobs)
+    if args.out and args.cache and _same_file(args.out, args.cache):
+        raise ValueError(f"--out and --cache name the same file, {args.cache}")
     ok = complete = True
     with open(args.out, "a") if args.out else nullcontext() as out:
         cache = ResultCache(args.cache) if args.cache else None

@@ -9,7 +9,9 @@ the bound.  Branching is merge-or-apart: child i merges the i-th class pair
 of the matching that is not yet kept apart, and keeps every earlier pair
 apart, in that child and in all later siblings.  Any coarsening that fixes
 the matching merges some first pair, so the children cover it; they are
-disjoint, so no partition is visited twice.
+disjoint, so no partition is visited twice.  A child whose merge leaves
+nothing violated is recorded without being built when its class count
+beats the bound: the one place an incumbent is recorded.
 
 The bound is exact over class transversals.  Let a coarsening of a node's
 partition have c classes and no rainbow k-matching, and pick one
@@ -66,14 +68,6 @@ child whose inherited set fits its own budget therefore skips its
 search, which would succeed; only transversal nodes disappear, so the
 partition tree, the incumbents and the witnesses are unchanged.
 
-A child one merge above the bound can beat the incumbent only by a single
-merge to a feasible partition, so its parent settles it without building
-it (leaf fusion).  The child's cut at need 2 keeps the classes of its
-first violated matching that meet every violated matching, and merging
-two classes is feasible exactly when both are kept; the first kept pair
-not apart in the child is the one the child itself would record.  The
-settled child counts as one node.
-
 Search state is Python ints over matching ids: each class keeps the mask
 of matchings that touch it, and the violated matchings form one mask.  Ids
 run in reverse lexicographic order (the i-th of N k-matchings from
@@ -93,6 +87,11 @@ counts the violated matchings that hold both classes a and b as
 each class's best count as a bound, so it recounts only the classes
 whose bound could still win.  The apart pairs are one mask per class over
 class labels, merged like `msets`; a pair marked apart is never a child.
+A class map is `bytes` with one label per edge, so `cls[e]` reads an int
+as a list would, and a child renames class b to a in one C call,
+`cls.replace(_BYTE[b], _BYTE[a])`, as the seed does after each merge.
+Labels are one byte, so the solver refuses a graph of more than
+MAX_EDGES = 255 edges; a MOP of order 18 has 33.
 """
 
 from __future__ import annotations
@@ -114,6 +113,9 @@ EXACT = "EXACT"
 LOWER_BOUND = "LOWER_BOUND"
 
 MAX_K = 8
+# class labels are edge ids, one byte each; _BYTE[x] is label x's byte
+MAX_EDGES = 255
+_BYTE = tuple(bytes((x,)) for x in range(256))
 
 
 @dataclass
@@ -228,8 +230,8 @@ def check_k(k: int) -> None:
 
 def _validate(g: Graph, k: int) -> None:
     check_k(k)
-    if g.edge_count < 1:
-        raise ValueError("graph has no edges")
+    if not 1 <= g.edge_count <= MAX_EDGES:
+        raise ValueError(f"graph has {g.edge_count} edges, outside 1..{MAX_EDGES}")
 
 
 def check_budget(max_nodes: int | None) -> None:
@@ -291,7 +293,7 @@ def seed_incumbent(
     _validate(g, k)
     m = g.edge_count
     matchings, msets = _masks or _matching_masks(g, k)
-    cls = list(range(m))
+    cls = bytes(range(m))
     msets = list(msets)
     live = list(range(m))
     violated = (1 << len(matchings)) - 1
@@ -316,9 +318,7 @@ def seed_incumbent(
         live.remove(b)
         violated ^= violated & msets[a] & msets[b]
         msets[a] |= msets[b]
-        for e in range(m):
-            if cls[e] == b:
-                cls[e] = a
+        cls = cls.replace(_BYTE[b], _BYTE[a])
         # only a's pairs can count more than before
         sa = violated & msets[a]
         top[a] = sa.bit_count()
@@ -346,7 +346,7 @@ class _Search:
         self.best_coloring: Sequence[int] = seed.colors
 
     def _one_meets(
-        self, cls: list[int], msets: list[int], rest: int, banned: int,
+        self, cls: bytes, msets: list[int], rest: int, banned: int,
     ) -> int:
         """The mask of the first class outside `banned` that meets every
         matching in `rest`, or 0 when none does.  Such a class meets the
@@ -360,7 +360,7 @@ class _Search:
         return 0
 
     def _meets(
-        self, cls: list[int], msets: list[int], unmet: int, budget: int,
+        self, cls: bytes, msets: list[int], unmet: int, budget: int,
         banned: int, slack: int | None = None, only: int = 0,
     ) -> int | None:
         """The mask of at most `budget` class labels outside the mask
@@ -451,45 +451,9 @@ class _Search:
             banned |= 1 << c
         return None
 
-    def _last_merge(
-        self, cls: list[int], msets: list[int], apart: list[int],
-        violated: int, a: int, b: int,
-    ) -> tuple[int, int] | None:
-        """The first merge that the child merging classes a < b would find
-        feasible, as its pair of class labels, or None; `violated` is the
-        child's violated mask.
-
-        In the child class b reads as a, with mask msets[a] | msets[b] and
-        the apart rows of a and b OR-ed.  Its transversal cut at need 2
-        keeps the classes of its first violated matching (the top id of
-        `violated`) whose mask covers `violated`, and merging two classes
-        satisfies exactly the intersection of their masks, so a pair is
-        feasible iff both of its classes are kept.  The child tries pairs
-        in ascending order and skips the ones kept apart, so its first is
-        the first such pair.
-        """
-        mab = msets[a] | msets[b]
-        keep = []
-        for e in self.matchings[violated.bit_length() - 1]:
-            x = cls[e]
-            if x == b:
-                x = a
-            if violated & (mab if x == a else msets[x]) == violated:
-                keep.append(x)
-        if len(keep) < 2:
-            return None
-        keep.sort()
-        ab = 1 << a | 1 << b
-        for i, x in enumerate(keep):
-            row = apart[a] | apart[b] if x == a else apart[x]
-            for y in keep[i + 1:]:
-                if not row & (ab if y == a else 1 << y):
-                    return x, y
-        return None
-
     def run(
         self,
-        cls: list[int],
+        cls: bytes,
         msets: list[int],
         apart: list[int],
         violated: int,
@@ -498,11 +462,9 @@ class _Search:
     ) -> None:
         # class labels are canonical (each class is named by its least edge);
         # this node owns `apart` and marks each finished sibling pair in it.
-        # A child one merge above the bound is settled here by _last_merge
-        # (leaf fusion) instead of being run.  `hitting` is the parent's
-        # hitting set with the merged class renamed: it meets every
-        # violated matching here, so when it fits the budget the cut's
-        # search would succeed and is skipped.
+        # `hitting` is the parent's hitting set with the merged class
+        # renamed: it meets every violated matching here, so when it fits
+        # the budget the cut's search would succeed and is skipped.
         self.nodes += 1
         if self.nodes > self.limit:
             raise _Budget
@@ -541,11 +503,10 @@ class _Search:
             both = msets[a] & msets[b]
             child_violated = violated ^ (violated & both)
             rest = only ^ (only & both)
-            if not child_violated:
+            if not child_violated and count - 1 > self.bound:
                 # feasible one merge away: record without building the child
-                if count - 1 > self.bound:
-                    self.bound = count - 1
-                    self.best_coloring = [a if c == b else c for c in cls]
+                self.bound = count - 1
+                self.best_coloring = cls.replace(_BYTE[b], _BYTE[a])
             elif count - 2 <= self.bound or rest and not (
                 slack and (
                     rest & (msets[a] | msets[b]) == rest
@@ -554,18 +515,6 @@ class _Search:
             ):
                 # the bound, or the child's transversal cut, would end it
                 pass
-            elif count - 3 == self.bound:
-                # the child is one merge above the bound: only its first
-                # feasible merge can count, so find it without the child
-                self.nodes += 1
-                if self.nodes > self.limit:
-                    raise _Budget
-                pair = self._last_merge(cls, msets, apart, child_violated, a, b)
-                if pair is not None:
-                    x, y = pair
-                    self.bound = count - 2
-                    child_cls = [a if c == b else c for c in cls]
-                    self.best_coloring = [x if c == y else c for c in child_cls]
             else:
                 child_msets = msets.copy()
                 child_msets[a] = msets[a] | msets[b]
@@ -584,11 +533,11 @@ class _Search:
                 if hitting >> b & 1:
                     child_hitting = hitting ^ 1 << b | 1 << a
                 self.run(
-                    [a if c == b else c for c in cls], child_msets, child_apart,
+                    cls.replace(_BYTE[b], _BYTE[a]), child_msets, child_apart,
                     child_violated, count - 1, child_hitting,
                 )
             # later siblings keep this pair apart, whether its child was
-            # searched, recorded as a leaf or cut
+            # searched, recorded or cut
             apart[a] |= 1 << b
             apart[b] |= 1 << a
 
@@ -610,7 +559,7 @@ def ar_exact(
     more colors than the graph has edges, so a floor above the edge count
     is read as the edge count.  Only the node budget `max_nodes` ends the
     search early; it leaves upper = None, never a wrong answer.  A
-    negative budget is a ValueError.
+    negative budget or more than MAX_EDGES edges is a ValueError.
     """
     _validate(g, k)
     check_budget(max_nodes)
@@ -625,7 +574,7 @@ def ar_exact(
     upper = None
     try:
         search.run(
-            list(range(m)), touch, [0] * m, (1 << len(matchings)) - 1, m
+            bytes(range(m)), touch, [0] * m, (1 << len(matchings)) - 1, m
         )
         upper = search.bound
     except _Budget:

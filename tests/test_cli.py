@@ -9,7 +9,7 @@ import pytest
 
 from mopar import cli, runner
 from mopar.cli import build_parser, main
-from mopar.graphs import canonical_form, graph6_decode, graph6_encode
+from mopar.graphs import Graph, canonical_form, graph6_decode, graph6_encode
 from mopar.rainbow import EdgeColoring, certificate_to_json
 from mopar.runner import VIOLATED, ClassResult, ResultCache, ar_class, table_cells
 from mopar.solver import ArResult, ar_exact, check_k, seed_incumbent
@@ -394,6 +394,18 @@ def test_matching_size_outside_two_to_eight_is_refused(capsys, k):
         assert (code, out, err) == (1, "", f"error: {message}\n"), argv
 
 
+def test_graph_past_the_edge_limit_is_refused(capsys):
+    # class labels are one byte: K_24, at 276 edges, is refused with
+    # nothing printed
+    n = 24
+    k24 = graph6_encode(Graph.from_edges(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n)]
+    ))
+    code, out, err = run(capsys, "ar", "--graph", k24, "--k", "5")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "outside 1..255" in err
+
+
 def test_bad_cache_leaves_an_existing_out_file(capsys, tmp_path):
     out = tmp_path / "x.json"
     out.write_text('{"old": 1}')
@@ -407,6 +419,26 @@ def test_bad_cache_leaves_an_existing_out_file(capsys, tmp_path):
                      "--out", str(out))
     assert code == 0
     assert json.loads(out.read_text())["n"] == 6
+
+
+def test_out_naming_the_cache_is_refused(capsys, tmp_path):
+    # --out is emptied once the cache has loaded, so an --out that names
+    # the cache file, however spelled or linked, would destroy it
+    cache = tmp_path / "c.jsonl"
+    code, _, _ = run(capsys, "ar-class", "--n", "7", "--k", "3",
+                     "--cache", str(cache))
+    assert code == 0
+    before = cache.read_bytes()
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.jsonl").symlink_to(cache)
+    (tmp_path / "hard.jsonl").hardlink_to(cache)
+    for out in (cache, tmp_path / "sub" / ".." / "c.jsonl",
+                tmp_path / "link.jsonl", tmp_path / "hard.jsonl"):
+        code, printed, err = run(capsys, "ar-class", "--n", "7", "--k", "3",
+                                 "--cache", str(cache), "--out", str(out))
+        assert (code, printed) == (1, ""), out
+        assert err.startswith("error: ") and "same file" in err, out
+        assert cache.read_bytes() == before, out
 
 
 def test_cache_line_whose_witness_misfits_its_graph_is_solved_again(
