@@ -34,15 +34,9 @@ classes: at slack 0 it must be empty, and at slack 1 one unbanned class
 of its top matching must meet all of it.  A branch class that fails is
 skipped and banned like a failed sibling.  At the root nothing is banned
 and tau is the k-matching transversal number, so the first cut is
-ar(G, M_k) <= ex(G, M_k) = m - tau.  Nodes of both searches count
-against the budget, and so do two kinds of hitting-set node that are
-settled without building a packing.  At budget 1 the packing ends the
-node unless it holds only the top matching, so the node's answer is the
-first unbanned class of that matching that meets every unmet matching;
-and a child with nothing unmet, which would return the empty set at
-once, is settled in its parent without a call.  Each settled node adds
-1 to the count where it is reached, so a budget stops the search on the
-same node as it would if every node were a call.
+ar(G, M_k) <= ex(G, M_k) = m - tau.  Every node of both searches is
+one call and counts against the budget, so a budget B stops on node
+B + 1; a budget-1 node builds no packing and branches at slack 0.
 
 The partition search applies the same rule to its children.  Each node
 builds the packing of its violated matchings in `run`, with nothing
@@ -392,25 +386,19 @@ class _Search:
         classes: none at slack 0, one at slack 1.  A class that fails is
         skipped and banned like a failed sibling.
 
-        A node at budget 1 is settled by `_one_meets` without a packing,
-        and a child with nothing unmet without a call (module docstring).
+        A node at budget 1 builds no packing: it would end the node unless
+        it held only the top matching, so the node branches at slack 0
+        with `only` = `unmet`, and a class must meet every unmet matching.
         """
         self.nodes += 1
         if self.nodes > self.limit:
             raise _Budget
         if not unmet:
             return 0
-        if budget == 1:
-            found = self._one_meets(cls, msets, unmet, banned)
-            if not found:
-                return None
-            # its child, with nothing unmet
-            self.nodes += 1
-            if self.nodes > self.limit:
-                raise _Budget
-            return found
         matchings = self.matchings
-        if slack is None:
+        if budget == 1:
+            slack, only = 0, unmet
+        elif slack is None:
             packed = 0
             cand = unmet
             other = 0
@@ -439,13 +427,9 @@ class _Search:
             mc = msets[c]
             rest = only ^ (only & mc)
             if not rest or slack and self._one_meets(cls, msets, rest, banned):
-                child = unmet ^ (unmet & mc)
-                if not child:
-                    self.nodes += 1
-                    if self.nodes > self.limit:
-                        raise _Budget
-                    return 1 << c
-                found = self._meets(cls, msets, child, budget - 1, banned)
+                found = self._meets(
+                    cls, msets, unmet ^ (unmet & mc), budget - 1, banned
+                )
                 if found is not None:
                     return found | 1 << c
             banned |= 1 << c

@@ -27,7 +27,7 @@ from mopar.graphs import Graph, graph6_decode, iter_bits
 from mopar.matchings import iterate_k_matchings
 from mopar.mops import enumerate_mops
 from mopar.rainbow import EdgeColoring
-from side_checks import components, formula_value
+from side_checks import formula_value
 
 BRUTE_FORCE_MAX_EDGES = 10
 
@@ -241,21 +241,6 @@ def merge_classes(col: EdgeColoring, a: int, b: int) -> EdgeColoring:
     if a == b:
         raise ValueError("cannot merge a class with itself")
     return EdgeColoring.from_sequence(a if c == b else c for c in col.colors)
-
-
-def greedy_maximal_matching_lower_bound(g: Graph) -> int:
-    used = 0
-    size = 0
-    for u, v in g.edges:
-        if used >> u & 1 or used >> v & 1:
-            continue
-        used |= (1 << u) | (1 << v)
-        size += 1
-    return size
-
-
-def component_count(g: Graph) -> int:
-    return len(components(g, g.vertex_mask))
 
 
 def random_connected_graph(rng: random.Random, n: int) -> Graph:

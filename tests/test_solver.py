@@ -337,9 +337,9 @@ def _random_cases(rng, n, k, per_member):
 
 def _skipped_classes(calls, i, cls, matchings, msets):
     """The classes that the i-th recorded _meets node skipped, read off
-    the children it did call and the class its answer took: (slack,
-    child's unmet ids, child's bans) for each.  `calls` lists [depth,
-    unmet, budget, bans, answer] in call order."""
+    the children it did call: (slack, child's unmet ids, child's bans)
+    for each.  `calls` lists [depth, unmet, budget, bans, answer] in call
+    order."""
     level, unmet, budget, bans, found = calls[i]
     ids = set(iter_bits(unmet))
     packed = _packing(cls, matchings, ids, set(iter_bits(bans)))
@@ -356,14 +356,9 @@ def _skipped_classes(calls, i, cls, matchings, msets):
             break
         if later[0] == level + 1:
             children.append(prefix.index(later[3]))
-    # a node that finds a set stops at its branch class, the first class of
-    # `order` in its answer: its child bans the earlier ones and never
-    # needs its own.  A child with nothing unmet is settled without a
-    # call, so it shows only in the answer
-    tried = len(order)
-    if found is not None:
-        tried = min(j for j, c in enumerate(order) if found >> c & 1) + 1
-        children.append(tried - 1)
+    # a node that finds a set stops at its branch class, whose child is
+    # the last one it called; it tries no later class
+    tried = len(order) if found is None else max(children) + 1
     for j in sorted(set(range(tried)) - set(children)):
         mc = msets[order[j]]
         child = [mid for mid in ids if not mc >> mid & 1]
@@ -668,9 +663,8 @@ def test_budget_degrades_to_lower_bound():
 
 
 def test_node_budget_stops_at_exactly_its_count():
-    # every node counts where it is reached, called or settled (a
-    # hitting-set node at budget 1 and a child with nothing unmet): each
-    # budget B below the full count N stops the search on node B + 1,
+    # every node is one call of run or _meets and counts at its entry:
+    # each budget B below the full count N stops the search on node B + 1,
     # wherever that node lies, and B = N is the unlimited solve
     cases = [(graph6_decode(HUNT_MEMBER), 5, 19)]
     cases += [(g, 3, 0) for g in mop_graphs(8)]
@@ -770,6 +764,48 @@ def test_order_15_members_match_pinned_solves():
             [[r.value, r.upper, list(r.witness.colors)] for r in solved]
         )
         assert hashlib.sha256(witnesses.encode()).hexdigest() == digest, k
+
+
+def test_every_node_is_one_call(monkeypatch):
+    # a node is counted only at the entries of run and _meets, so a solve
+    # makes exactly `nodes` calls of the two, and a budget B below that
+    # makes B + 1, the last of which ends the search
+    calls = 0
+    run, meets = solver._Search.run, solver._Search._meets
+
+    def counting_run(self, *args):
+        nonlocal calls
+        calls += 1
+        return run(self, *args)
+
+    def counting_meets(self, *args):
+        nonlocal calls
+        calls += 1
+        return meets(self, *args)
+
+    monkeypatch.setattr(solver._Search, "run", counting_run)
+    monkeypatch.setattr(solver._Search, "_meets", counting_meets)
+
+    def solve(g, k, floor, budget=None):
+        nonlocal calls
+        calls = 0
+        result = ar_exact(g, k, floor=floor, max_nodes=budget)
+        return result.nodes, calls
+
+    small = [(g, 3, 0) for g in mop_graphs(8)]
+    small.append((graph6_decode(HUNT_MEMBER), 5, 19))
+    # ORDER_15_PINNED's members at floor 19 include the benchmark hunt's two
+    cases = small + [(g, 4, 0) for g in mop_graphs(9)] + [
+        (graph6_decode(g6), k, floor)
+        for k, floor in ORDER_15_PINNED for g6 in ORDER_15_MEMBERS
+    ]
+    for i, (g, k, floor) in enumerate(cases):
+        nodes, made = solve(g, k, floor)
+        assert made == nodes, (graph6_encode(g), k, floor)
+        for budget in range(nodes if i < len(small) else 0):
+            assert solve(g, k, floor, budget) == (budget + 1, budget + 1), (
+                graph6_encode(g), k, budget
+            )
 
 
 def test_seed_equals_counting_oracle():
