@@ -51,33 +51,30 @@ def _extend_matchings(
 ) -> None:
     # append every extension of `picked` by `left` >= 2 edges from the mask
     # cand; the last two edges are picked in one flat loop, not a call each
-    unused = ~used
     if left == 2:
-        while cand & cand - 1:  # at least two candidates
+        while cand:
             low = cand & -cand
             cand ^= low
             i = low.bit_length() - 1
-            if (free[i] & unused).bit_count() < 4:
-                return
             rest = cand & later[i]
             while rest:
                 low = rest & -rest
                 out.append(picked + (i, low.bit_length() - 1))
                 rest ^= low
         return
-    need = left - 1
+    unused = ~used
     cover = 2 * left
-    while cand.bit_count() > need:
+    while cand:
         low = cand & -cand
         cand ^= low
         i = low.bit_length() - 1
         if (free[i] & unused).bit_count() < cover:
             return
         rest = cand & later[i]
-        if rest.bit_count() >= need:
+        if rest:
             _extend_matchings(
                 out, vmask, free, later, rest, used | vmask[i],
-                picked + (i,), need,
+                picked + (i,), left - 1,
             )
 
 
@@ -88,15 +85,15 @@ def iterate_k_matchings(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
     A partial matching keeps the mask of its candidate edges: those after
     its last edge that share no vertex with any of its edges.  Taking edge
     i narrows the mask by `later[i]`, the edges after i disjoint from it.
-    A partial matching that still needs `left` edges stops once fewer than
-    `left` candidates remain, or once the edges from the next candidate on
-    cover fewer than 2 * left unused vertices; neither subtree holds a
-    matching of size k, so nothing yielded changes.  The recursion stops
-    two edges short: one loop takes each candidate i as the next-to-last
-    edge and appends a matching for every bit of `cand & later[i]`, so no
-    call is made per last-edge block.  k = 1 is the edge list itself.  The
-    list is built by plain recursion and then yielded, so no chain of
-    nested generators passes each tuple up.
+    The walk keeps one stop rule: a partial matching that still needs
+    `left` >= 3 edges stops once the edges from the next candidate on cover
+    fewer than 2 * left unused vertices; that subtree holds no matching of
+    size k, so nothing yielded changes.  The recursion stops two edges
+    short: one loop takes each candidate i as the next-to-last edge and
+    appends a matching for every bit of `cand & later[i]`, so no call is
+    made per last-edge block.  k = 1 is the edge list itself.  The list is
+    built by plain recursion and then yielded, so no chain of nested
+    generators passes each tuple up.
     """
     if k < 1:
         raise ValueError("matching size must be >= 1")

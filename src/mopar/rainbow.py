@@ -72,9 +72,8 @@ def _check_lengths(g: Graph, coloring: EdgeColoring) -> None:
 
 
 def _walk(
-    vmask: list[int], cbit: list[int], free: list[int], hues: list[int],
-    later: list[int], cand: int, used: int, seen: int,
-    picked: tuple[int, ...], left: int,
+    vmask: list[int], free: list[int], later: list[int], cand: int,
+    used: int, picked: tuple[int, ...], left: int,
 ) -> tuple[int, ...] | None:
     # the first extension of `picked` by `left` edges from the mask cand,
     # which is never empty
@@ -83,17 +82,14 @@ def _walk(
     while cand:
         low = cand & -cand
         i = low.bit_length() - 1
-        if (
-            (free[i] & ~used).bit_count() < 2 * left
-            or (hues[i] & ~seen).bit_count() < left
-        ):
+        if (free[i] & ~used).bit_count() < 2 * left:
             return None
         cand ^= low
         rest = cand & later[i]
         if rest:
             found = _walk(
-                vmask, cbit, free, hues, later, rest,
-                used | vmask[i], seen | cbit[i], picked + (i,), left - 1,
+                vmask, free, later, rest, used | vmask[i], picked + (i,),
+                left - 1,
             )
             if found is not None:
                 return found
@@ -107,10 +103,10 @@ def find_rainbow_matching(
     or None.
 
     `later[i]` holds the edges after edge i that share neither a vertex nor
-    a color with it.  A partial matching that still needs `left` edges
-    stops at the first candidate i from which the edges i..m-1 cover fewer
-    than 2 * left unused vertices or carry fewer than `left` unseen colors:
-    no rainbow k-matching lies in the rest of its subtree.
+    a color with it.  The walk keeps one stop rule: a partial matching
+    that still needs `left` edges stops at the first candidate i from
+    which the edges i..m-1 cover fewer than 2 * left unused vertices, since
+    no k-matching lies in the rest of its subtree.
     """
     _check_lengths(g, coloring)
     if k < 1:
@@ -119,10 +115,8 @@ def find_rainbow_matching(
     edges = g.edges
     m = len(edges)
     vmask = [0] * m
-    cbit = [0] * m
-    # free[i], hues[i]: the vertices covered and colors used by edges i..m-1
+    # free[i]: the vertices covered by edges i..m-1
     free = [0] * (m + 1)
-    hues = [0] * (m + 1)
     later = [0] * m
     # built from the last edge down, so that at edge i they hold the edges
     # after i: all of them, those at vertex v and those colored c
@@ -139,12 +133,8 @@ def find_rainbow_matching(
         incident[v] |= bit
         hued[c] |= bit
         vmask[i] = 1 << u | 1 << v
-        cbit[i] = 1 << c
         free[i] = free[i + 1] | vmask[i]
-        hues[i] = hues[i + 1] | cbit[i]
-    matching = _walk(
-        vmask, cbit, free, hues, later, (1 << m) - 1, 0, 0, (), k
-    )
+    matching = _walk(vmask, free, later, (1 << m) - 1, 0, (), k)
     if matching is None:
         return None
     return RainbowWitness(matching, tuple(colors[i] for i in matching))

@@ -72,7 +72,6 @@ def test_criterion_03_matchings_of_size_three():
     _report(3, "(6,3) -> 7 and (n,3) -> n for n=7..10")
 
 
-@pytest.mark.slow
 def test_criterion_04_matchings_of_size_four():
     assert ar_class(8, 4).value == 11
     for n in range(9, 12):

@@ -6,7 +6,13 @@ from pathlib import Path
 import pytest
 
 from graph_helpers import triangulation_graph
-from mopar.graphs import Graph, canonical_form, graph6_encode, iter_bits
+from mopar.graphs import (
+    Graph,
+    canonical_form,
+    graph6_decode,
+    graph6_encode,
+    iter_bits,
+)
 from mopar.mops import (
     TRIANGULATION_FORMAT_HEADER,
     Triangulation,
@@ -81,6 +87,34 @@ def test_mop_isomorphism_class_counts(n, expected):
     names = enumerate_mops(n)
     assert len(names) == expected
     assert len(set(names)) == expected
+
+
+@pytest.mark.parametrize(
+    "n",
+    [12, 13, 14, 15,
+     pytest.param(16, marks=pytest.mark.extended),
+     pytest.param(17, marks=pytest.mark.extended),
+     pytest.param(18, marks=pytest.mark.extended)],
+)
+def test_member_names_are_distinct_polygon_triangulations(n):
+    # each name is a triangulation of the polygon 0..n-1: its sides are
+    # edges and the other n - 3 edges are pairwise non-crossing diagonals;
+    # with distinct canonical forms and the A000207 count of
+    # test_mop_isomorphism_class_counts, the list holds exactly one name
+    # per class without trusting how the enumerator built it
+    names = enumerate_mops(n)
+    forms = set()
+    for name in names:
+        g = graph6_decode(name)
+        assert g.n == n and g.edge_count == 2 * n - 3, name
+        assert all(g.adj[i] >> (i + 1) % n & 1 for i in range(n)), name
+        diagonals = _diagonals(g)
+        assert not any(
+            a < c < b < d or c < a < d < b
+            for (a, b), (c, d) in combinations(diagonals, 2)
+        ), name
+        forms.add(canonical_form(g).graph6)
+    assert len(forms) == len(names)
 
 
 def test_mop_range_checks():

@@ -150,9 +150,9 @@ def _split_largest_class(col: EdgeColoring) -> EdgeColoring:
 
 def test_rainbow_walk_agrees_with_combinations_oracle():
     # random colorings of order 8..12 members, and the greedy seed colorings
-    # of order-15 and order-16 members, which admit no rainbow 5-matching,
-    # each also with its largest class split up so that a rainbow matching
-    # appears
+    # of order-15 and order-16 members at k = 5 and of order-12 and order-13
+    # members at k = 6, which admit no rainbow k-matching, each also with
+    # its largest class split up so that a rainbow matching appears
     rng = random.Random(2022)
     cases = []
     for n in range(8, 13):
@@ -162,11 +162,12 @@ def test_rainbow_walk_agrees_with_combinations_oracle():
                 for _ in range(2):
                     col = _random_coloring(rng, m, rng.randint(k, m))
                     cases.append((g, k, col))
-    for g6 in LARGE_MEMBERS:
-        g = graph6_decode(g6)
-        seed = seed_incumbent(g, 5)
-        cases.append((g, 5, seed))
-        cases.append((g, 5, _split_largest_class(seed)))
+    seeded = [(graph6_decode(g6), 5) for g6 in LARGE_MEMBERS]
+    seeded += [(g, 6) for n in (12, 13) for g in rng.sample(mop_graphs(n), 2)]
+    for g, k in seeded:
+        seed = seed_incumbent(g, k)
+        cases.append((g, k, seed))
+        cases.append((g, k, _split_largest_class(seed)))
     reasons = []
     for g, k, col in cases:
         expected = next(iter_k_matchings_by_filter(g, k, col.colors), None)
@@ -175,8 +176,8 @@ def test_rainbow_walk_agrees_with_combinations_oracle():
         outcome = verify_certificate(g, col, k, col.num_colors)
         assert outcome.reason == (OK if expected is None else RAINBOW_FOUND)
         reasons.append(outcome.reason)
-    assert reasons.count(OK) >= len(LARGE_MEMBERS)
-    assert reasons.count(RAINBOW_FOUND) >= len(LARGE_MEMBERS)
+    assert reasons.count(OK) >= len(seeded)
+    assert reasons.count(RAINBOW_FOUND) >= len(seeded)
 
 
 def test_rainbow_imports_nothing_from_mopar_but_graphs():
