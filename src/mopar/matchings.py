@@ -13,6 +13,11 @@ from typing import Iterator
 
 from .graphs import Graph, iter_bits
 
+# a longer list is refused rather than built: the largest MOP lists seen
+# hold about 20,000 matchings (order 18, k = 5 and 6), while a dense graph
+# inside the solver's 255-edge limit, K_23 at k = 5, has about 10^9
+MAX_MATCHINGS = 1_000_000
+
 
 def _matching_number_masked(g: Graph, avail: int, memo: dict[int, int]) -> int:
     """Maximum matching size within the masked vertex set."""
@@ -61,6 +66,10 @@ def _extend_matchings(
                 low = rest & -rest
                 out.append(picked + (i, low.bit_length() - 1))
                 rest ^= low
+        if len(out) > MAX_MATCHINGS:
+            raise ValueError(
+                f"more than MAX_MATCHINGS = {MAX_MATCHINGS} k-matchings"
+            )
         return
     unused = ~used
     cover = 2 * left
@@ -93,7 +102,9 @@ def iterate_k_matchings(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
     appends a matching for every bit of `cand & later[i]`, so no call is
     made per last-edge block.  k = 1 is the edge list itself.  The list is
     built by plain recursion and then yielded, so no chain of nested
-    generators passes each tuple up.
+    generators passes each tuple up.  A graph with more than
+    MAX_MATCHINGS k-matchings is a ValueError, raised once the list passes
+    that length, before the first matching is yielded.
     """
     if k < 1:
         raise ValueError("matching size must be >= 1")

@@ -543,7 +543,9 @@ def ar_exact(
     more colors than the graph has edges, so a floor above the edge count
     is read as the edge count.  Only the node budget `max_nodes` ends the
     search early; it leaves upper = None, never a wrong answer.  A
-    negative budget or more than MAX_EDGES edges is a ValueError.
+    negative budget, more than MAX_EDGES edges or more than
+    `matchings.MAX_MATCHINGS` k-matchings is a ValueError; the last is
+    raised while the list is built, before any node is searched.
     """
     _validate(g, k)
     check_budget(max_nodes)

@@ -1,7 +1,10 @@
 import dataclasses
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from functools import partial
 from pathlib import Path
 
@@ -16,7 +19,9 @@ from mopar.solver import ArResult, ar_exact, check_k, seed_incumbent
 from oracles import ar_brute_force
 from side_checks import lemma_bipartite_check, tutte_berge_certificate
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+COMMANDS = ["enumerate", "ar", "ar-class", "verify"]
 # the first order-15 member of the benchmark hunt (sample seed 1)
 HUNT_MEMBER = "N?AA??o`P@?PQ`BSaLw"
 # polygon fans: every diagonal ends at vertex 0
@@ -40,6 +45,12 @@ def test_enumerate_counts(capsys):
     assert code == 0 and out.strip() == "3"
     code, out, _ = run(capsys, "enumerate", "--n", "6", "--labeled", "--count-only")
     assert code == 0 and out.strip() == "14"
+
+
+def test_enumerate_past_the_class_limit_is_refused(capsys):
+    code, out, err = run(capsys, "enumerate", "--n", "19")
+    assert (code, out) == (1, "")
+    assert err == "error: polygon size 19 outside 3..18\n"
 
 
 def test_enumerate_graph6_lines(capsys):
@@ -96,7 +107,9 @@ def test_ar_budget_exit_code(capsys):
                        "--budget-nodes", "4")
     assert code == 2
     assert ar_exact(graph6_decode(FAN9), 4).nodes > 4
-    assert json.loads(out)["mode"] == "LOWER_BOUND"
+    # the search stops on node budget + 1 and proves no upper bound
+    data = json.loads(out)
+    assert (data["mode"], data["upper"], data["nodes"]) == ("LOWER_BOUND", None, 5)
 
 
 def _rainbow(result):
@@ -406,6 +419,19 @@ def test_graph_past_the_edge_limit_is_refused(capsys):
     assert err.startswith("error: ") and "outside 1..255" in err
 
 
+def test_graph_past_the_matching_limit_is_refused(capsys):
+    # K_23 is inside the edge limit, but its 5-matchings are past
+    # MAX_MATCHINGS: refused, under a one-node budget, with nothing printed
+    n = 23
+    k23 = graph6_encode(Graph.from_edges(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n)]
+    ))
+    code, out, err = run(capsys, "ar", "--graph", k23, "--k", "5",
+                         "--budget-nodes", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: more than MAX_MATCHINGS = 1000000 k-matchings\n"
+
+
 def test_bad_cache_leaves_an_existing_out_file(capsys, tmp_path):
     out = tmp_path / "x.json"
     out.write_text('{"old": 1}')
@@ -583,9 +609,21 @@ def test_readme_commands_parse():
             parser.parse_args(argv)
         except SystemExit:
             raise AssertionError(f"README: mop {shlex.join(argv)} does not parse")
-    # every subcommand is shown at least once
+    # the parser has exactly the four subcommands, each shown at least once
     subcommands = parser._subparsers._group_actions[0].choices
+    assert list(subcommands) == COMMANDS
     assert {argv[0] for argv in commands} == set(subcommands)
+
+
+def test_module_entry_lists_the_commands():
+    # `python -m mopar` runs cli.main as the installed `mop` does
+    done = subprocess.run(
+        [sys.executable, "-m", "mopar", "--help"], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        timeout=60,
+    )
+    assert done.returncode == 0
+    assert "{" + ",".join(COMMANDS) + "}" in done.stdout
 
 
 def test_verify_command(capsys, tmp_path):

@@ -222,12 +222,16 @@ def test_fully_cached_resume_starts_no_pool(tmp_path, monkeypatch):
 
     monkeypatch.setattr(runner, "ProcessPoolExecutor", counted)
     monkeypatch.setattr(runner, "AUDIT_FRACTION", 1.0)
-    resumed = ar_class(8, 4, cache=ResultCache(path), jobs=2)
-    assert not pools
-    assert resumed.to_json() == cold.to_json()
-    # with half the members left to solve, they and the audit share a pool
-    path.write_text("\n".join(lines[: len(lines) // 2]) + "\n")
-    half = ar_class(8, 4, cache=ResultCache(path), jobs=2)
+    # neither resume warns: no good line is flagged corrupt
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        resumed = ar_class(8, 4, cache=ResultCache(path), jobs=2)
+        assert not pools
+        assert resumed.to_json() == cold.to_json()
+        # with half the members left to solve, they and the audit share a
+        # pool
+        path.write_text("\n".join(lines[: len(lines) // 2]) + "\n")
+        half = ar_class(8, 4, cache=ResultCache(path), jobs=2)
     assert pools == [(2,)]
     assert half.value == cold.value
 

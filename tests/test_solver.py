@@ -120,6 +120,18 @@ def test_graph_past_the_edge_limit_is_refused():
             call(k24, 5)
 
 
+def test_graph_past_the_matching_limit_is_refused():
+    # K_23 passes the edge check, but its 5-matchings, about 1.08 * 10^9,
+    # are past MAX_MATCHINGS: the list is refused while it is built, so
+    # even a one-node budget returns
+    k23 = Graph.from_edges(23, list(combinations(range(23), 2)))
+    limit = r"more than MAX_MATCHINGS = 1000000 k-matchings"
+    with pytest.raises(ValueError, match=limit):
+        list(iterate_k_matchings(k23, 5))
+    with pytest.raises(ValueError, match=limit):
+        ar_exact(k23, 5, max_nodes=1)
+
+
 def _oracle_corpus():
     graphs = []
     for n in range(3, 7):
@@ -748,8 +760,15 @@ ORDER_15_PINNED = {
 }
 
 
+def test_order_15_member_matches_pinned_floor_0_solve():
+    # the one search pinned above order 11 at floor 0, where no seeded
+    # floor cuts the tree short: a member with 2,091 5-matchings
+    result = ar_exact(graph6_decode("N??cA?CE?COTOQCSdfw"), 5)
+    assert (result.value, result.mode, result.nodes) == (18, EXACT, 16593)
+
+
 def test_order_15_members_match_pinned_solves():
-    # the only pinned searches above order 11: members with thousands of
+    # the pinned seeded searches above order 11: members with thousands of
     # k-matchings, so a change to how their lists or masks are built, or
     # to the search over them, shows in the nodes or the witnesses
     for (k, floor), (nodes, values, uppers, digest) in ORDER_15_PINNED.items():
