@@ -57,11 +57,13 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.labeled:
+        tris = enumerate_triangulations(args.n)
+        first = next(tris)  # a refused order raises here, before any output
         if args.count_only:
-            print(sum(1 for _ in enumerate_triangulations(args.n)))
+            print(1 + sum(1 for _ in tris))
             return PASS
-        print(TRIANGULATION_FORMAT_HEADER)
-        for tri in enumerate_triangulations(args.n):
+        print(TRIANGULATION_FORMAT_HEADER, first.text(), sep="\n")
+        for tri in tris:
             print(tri.text())
         return PASS
     names = enumerate_mops(args.n)
@@ -94,6 +96,9 @@ def _cmd_ar_class(args: argparse.Namespace) -> int:
     # opened for appending and emptied only once the cache has opened, so
     # a bad --cache leaves an existing file as it was
     check_sweep(cells, max_nodes=args.budget_nodes, jobs=args.jobs)
+    # a pool forks one process per job
+    if args.jobs > (cpus := os.cpu_count() or 1):
+        raise ValueError(f"--jobs {args.jobs} exceeds the CPU count, {cpus}")
     if args.out and args.cache and _same_file(args.out, args.cache):
         raise ValueError(f"--out and --cache name the same file, {args.cache}")
     ok = complete = True

@@ -10,7 +10,6 @@ prints it (see `_class_members`).
 
 from __future__ import annotations
 
-import bisect
 import json
 import random
 import warnings
@@ -105,28 +104,28 @@ class ResultCache:
     bound.
 
     Keyed by (polygon name, k), as `ar_class` names members; each key
-    keeps every line of it in rank order: lowest upper, then highest
-    value, then the earliest line.  Results a budget ended (upper None)
-    are never written.  Lines that `ArResult.from_json` rejects are
-    skipped with a warning on load.  A line's witness is checked by
+    holds its best line: lowest upper, then highest value, then the
+    earliest.  Results a budget ended (upper None) are never written.
+    Lines that `ArResult.from_json` rejects, undecodable bytes included,
+    are skipped with a warning on load.  A line's witness is checked by
     `verify_result` only when `get` is about to serve it, so lines for
     cells a sweep never reads and lines a better one supersedes cost
-    nothing; a line that fails is dropped with a warning and the key's
-    next line is tried.  The path is opened for appending when the cache
-    is made, so an unwritable one fails before any sweep.  Appends are one
+    nothing; a line that fails is dropped with a warning and its member
+    is solved again.  The path is opened for appending when the cache is
+    made, so an unwritable one fails before any sweep.  Appends are one
     line per result so concurrent readers always see whole records.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.entries: dict[tuple[str, int], list[ArResult]] = {}
+        self.entries: dict[tuple[str, int], ArResult] = {}
         self.hits = 0
         with self.path.open("a"):
             pass
         self._load()
 
     def _load(self) -> None:
-        with self.path.open() as handle:
+        with self.path.open("rb") as handle:
             for lineno, line in enumerate(handle, start=1):
                 line = line.strip()
                 if not line:
@@ -134,7 +133,7 @@ class ResultCache:
                 try:
                     result = ArResult.from_json(json.loads(line))
                 except ValueError:
-                    # also json.JSONDecodeError and Graph6Error
+                    # also json.JSONDecodeError and UnicodeDecodeError
                     warnings.warn(
                         f"{self.path}:{lineno}: skipping corrupt cache line"
                     )
@@ -143,29 +142,27 @@ class ResultCache:
                     self._keep(result)
 
     def _keep(self, result: ArResult) -> None:
-        lines = self.entries.setdefault((result.graph6, result.k), [])
-        bisect.insort(lines, result, key=_rank)
+        # the held line gives way only to one that ranks strictly better:
+        # lower upper, then higher value, so a tie keeps the earlier line
+        held = self.entries.setdefault((result.graph6, result.k), result)
+        if (result.upper, -result.value) < (held.upper, -held.value):
+            self.entries[result.graph6, result.k] = result
 
     def get(self, graph6: str, k: int, floor: int = 0) -> ArResult | None:
-        """The first line of the member that verifies, if it settles the
-        member above `floor`: it is EXACT, or proves ar <= floor.  When a
-        line does not settle it no later line of the key can, so only
-        lines about to be served are checked."""
+        """The member's line, if it settles the member above `floor` (it
+        is EXACT, or proves ar <= floor) and its witness verifies.  A line
+        that fails is dropped, so the member is solved again."""
         key = (graph6, k)
-        lines = self.entries.get(key, [])
-        while lines:
-            found = lines[0]
-            if not (found.mode == EXACT or found.upper <= floor):
-                return None
-            if verify_result(found):
-                self.hits += 1
-                return found
-            warnings.warn(
-                f"{self.path}: {graph6!r}, k={k}: skipping corrupt cache line"
-            )
-            del lines[0]
-            if not lines:
-                del self.entries[key]
+        found = self.entries.get(key)
+        if found is None or not (found.mode == EXACT or found.upper <= floor):
+            return None
+        if verify_result(found):
+            self.hits += 1
+            return found
+        warnings.warn(
+            f"{self.path}: {graph6!r}, k={k}: skipping corrupt cache line"
+        )
+        del self.entries[key]
         return None
 
     def put(self, result: ArResult) -> None:
@@ -174,11 +171,6 @@ class ResultCache:
         self._keep(result)
         with self.path.open("a") as handle:
             handle.write(result.dumps() + "\n")
-
-
-def _rank(result: ArResult) -> tuple[int, int]:
-    # the cache's order of lines for one key: lowest upper, then highest value
-    return result.upper, -result.value
 
 
 def verify_result(result: ArResult) -> bool:

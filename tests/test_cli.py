@@ -51,6 +51,13 @@ def test_enumerate_past_the_class_limit_is_refused(capsys):
     code, out, err = run(capsys, "enumerate", "--n", "19")
     assert (code, out) == (1, "")
     assert err == "error: polygon size 19 outside 3..18\n"
+    # the labeled listing refuses with nothing printed, header included
+    for n in ("2", "17"):
+        for count_only in ((), ("--count-only",)):
+            code, out, err = run(capsys, "enumerate", "--n", n, "--labeled",
+                                 *count_only)
+            assert (code, out) == (1, "")
+            assert err == f"error: polygon size {n} outside 3..16\n"
 
 
 def test_enumerate_graph6_lines(capsys):
@@ -268,6 +275,28 @@ def test_jobs_below_one_is_an_error(capsys, tmp_path):
         assert code == 1 and out == ""
         assert "jobs=0" in err and "Traceback" not in err
     assert not (tmp_path / "t.jsonl").exists()
+
+
+def test_jobs_above_the_cpu_count_is_refused(capsys, monkeypatch, tmp_path):
+    def refused(*args, **kwargs):
+        raise AssertionError("started a pool or enumerated despite --jobs 3")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", refused)
+    monkeypatch.setattr(runner, "enumerate_mops", refused)
+    runner._class_members.cache_clear()
+    out, cache = tmp_path / "t.jsonl", tmp_path / "c.jsonl"
+    code, printed, err = run(capsys, "ar-class", "--n", "8", "--k", "3",
+                             "--jobs", "3", "--out", str(out),
+                             "--cache", str(cache))
+    assert (code, printed) == (1, "")
+    assert err == "error: --jobs 3 exceeds the CPU count, 2\n"
+    assert not out.exists() and not cache.exists()
+    # a machine that reports no count is taken to have one CPU
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    code, _, err = run(capsys, "ar-class", "--n", "8", "--k", "3",
+                       "--jobs", "2")
+    assert code == 1 and err.endswith("CPU count, 1\n")
 
 
 def test_negative_budget_is_an_error(capsys, tmp_path):

@@ -119,9 +119,9 @@ def test_floor_sweep_argmax_is_exact_and_cached(tmp_path):
     # exact or proved to admit at most 13 colors, and the cache keeps both
     for r in sweep.results:
         assert r.upper == max(r.value, 13)
-        assert cache.entries[(r.graph6, 5)][0] == r
+        assert cache.entries[(r.graph6, 5)] == r
     for g6 in sweep.argmax:
-        hit = cache.entries[(g6, 5)][0]
+        hit = cache.entries[(g6, 5)]
         assert hit.mode == EXACT
         assert hit.value == ar_exact(graph6_decode(g6), 5).value == 15
 
@@ -175,13 +175,16 @@ def test_cache_round_trip_and_corruption(tmp_path):
     first = ar_class(6, 3, cache=cache)
     assert (path.exists()) and first.complete
 
-    # corrupt line plus junk are skipped with a warning, then hits are served
-    with path.open("a") as handle:
-        handle.write("{not json\n")
+    # a corrupt line, a stray byte order mark and a byte that no UTF-8
+    # text holds are each skipped with a warning, then hits are served
+    with path.open("ab") as handle:
+        handle.write(b'{not json\n\xff\xfe garbage\n{"graph": "\xff"}\n')
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         cache2 = ResultCache(path)
-        assert any("corrupt" in str(w.message) for w in caught)
+    assert [str(w.message) for w in caught] == [
+        f"{path}:{line}: skipping corrupt cache line" for line in (4, 5, 6)
+    ]
     second = ar_class(6, 3, cache=cache2)
     assert cache2.hits >= 3
     assert second.value == first.value
@@ -344,9 +347,9 @@ def test_audit_searches_above_each_cached_value(tmp_path, monkeypatch):
     # every member is a cache hit, and each is re-solved above its upper
     # bound: its value when EXACT, the sweep's floor otherwise
     assert len(floors) == len(cache.entries)
-    assert all(floor == cache.entries[(g6, 4)][0].upper for g6, floor in floors)
+    assert all(floor == cache.entries[(g6, 4)].upper for g6, floor in floors)
     assert any(
-        floor > cache.entries[(g6, 4)][0].value for g6, floor in floors
+        floor > cache.entries[(g6, 4)].value for g6, floor in floors
     )
 
 
@@ -452,7 +455,7 @@ def test_cache_reads_lines_written_before_value_was_derived(tmp_path):
     ]
     lines = OLD_CACHE_LINES.splitlines()
     del lines[3]
-    assert [held[0].dumps() for held in cache.entries.values()] == lines
+    assert [held.dumps() for held in cache.entries.values()] == lines
     # and they are what the solver gives today, up to the solve time and
     # the node count, which a search that cuts more can only lower
     for line in lines:
@@ -497,7 +500,7 @@ def test_cache_prefers_exact_line_in_either_order(tmp_path):
         path = tmp_path / "cache.jsonl"
         path.write_text("".join(r.dumps() + "\n" for r in lines))
         cache = ResultCache(path)
-        assert cache.entries[(g6, 4)][0] == exact
+        assert cache.entries[(g6, 4)] == exact
         assert cache.get(g6, 4) == exact
 
 
@@ -605,7 +608,7 @@ def test_cache_checks_only_the_lines_it_serves(tmp_path, monkeypatch):
     assert sorted(calls) == sorted(members)
 
 
-def test_cache_falls_back_when_a_served_witness_fails(tmp_path):
+def test_cache_solves_again_when_a_served_witness_fails(tmp_path):
     good = ar_class(8, 3).results[0]
     g = graph6_decode(good.graph6)
     v, m = good.value, g.edge_count
@@ -617,18 +620,23 @@ def test_cache_falls_back_when_a_served_witness_fails(tmp_path):
     assert not verify_certificate(g, bad.witness, 3, v).ok
     key = (good.graph6, 3)
     path = tmp_path / "cache.jsonl"
-    # the bad line ties with the good one and comes first, so it wins
+    # the bad line ties with the good one and comes first, so it is held
     path.write_text(bad.dumps() + "\n" + good.dumps() + "\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         cache = ResultCache(path)
-    assert cache.entries[key][0] == bad
+    assert cache.entries[key] == bad
+    # it fails when served: the member is solved again, not served the
+    # good line
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert cache.get(*key) == good
+        assert cache.get(*key) is None
     assert [str(w.message).endswith("skipping corrupt cache line")
             for w in caught] == [True]
-    assert cache.entries[key][0] == good and cache.hits == 1
+    assert key not in cache.entries and cache.hits == 0
+    # the sweep solves it again and holds the fresh line
+    again = ar_class(8, 3, cache=cache)
+    assert verify_class_result(again) and cache.entries[key] == again.results[0]
     # with no good line left the member is solved again
     path.write_text(bad.dumps() + "\n")
     cache = ResultCache(path)
