@@ -13,13 +13,10 @@ import json
 import os
 import sys
 from contextlib import nullcontext
+from itertools import chain
 
 from .graphs import Graph6Error, graph6_decode
-from .mops import (
-    TRIANGULATION_FORMAT_HEADER,
-    enumerate_mops,
-    enumerate_triangulations,
-)
+from .mops import enumerate_mops, enumerate_triangulations
 from .rainbow import certificate_from_json, verify_certificate
 from .runner import (
     VIOLATED,
@@ -35,6 +32,8 @@ from .runner import (
 from .solver import EXACT, ar_exact
 
 PASS, FAIL, INCOMPLETE = 0, 1, 2
+
+TRIANGULATION_FORMAT_HEADER = "# polygon-triangulation-format 1"
 
 
 def _exit_code(ok: bool, complete: bool) -> int:
@@ -62,9 +61,11 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         if args.count_only:
             print(1 + sum(1 for _ in tris))
             return PASS
-        print(TRIANGULATION_FORMAT_HEADER, first.text(), sep="\n")
-        for tri in tris:
-            print(tri.text())
+        print(TRIANGULATION_FORMAT_HEADER)
+        # one line "n: a-b,c-d,...", or "n:" for the triangle
+        for diagonals in chain((first,), tris):
+            body = ",".join(f"{a}-{b}" for a, b in diagonals)
+            print(f"{args.n}: {body}" if body else f"{args.n}:")
         return PASS
     names = enumerate_mops(args.n)
     if args.count_only:
@@ -81,30 +82,27 @@ def _cmd_ar(args: argparse.Namespace) -> int:
     return _exit_code(verify_result(result), result.mode == EXACT)
 
 
-def _same_file(a: str, b: str) -> bool:
-    """Whether two paths name one file, by any spelling or link."""
-    try:
-        return os.path.samefile(a, b)
-    except OSError:  # a path that does not exist yet
-        return os.path.realpath(a) == os.path.realpath(b)
-
-
 def _cmd_ar_class(args: argparse.Namespace) -> int:
     cells = table_cells(args.n, args.k)
     # a bad option, then an unwritable --out, fails before a large cache
     # is read and verified; open's OSError names the path.  --out is
-    # opened for appending and emptied only once the cache has opened, so
-    # a bad --cache leaves an existing file as it was
+    # opened once, for appending, and emptied only once the cache has
+    # opened, so a bad --cache leaves an existing file as it was; a pipe
+    # or a device is written as it is
     check_sweep(cells, max_nodes=args.budget_nodes, jobs=args.jobs)
     # a pool forks one process per job
     if args.jobs > (cpus := os.cpu_count() or 1):
         raise ValueError(f"--jobs {args.jobs} exceeds the CPU count, {cpus}")
-    if args.out and args.cache and _same_file(args.out, args.cache):
-        raise ValueError(f"--out and --cache name the same file, {args.cache}")
+    for option, path in (("--out", args.out), ("--cache", args.cache)):
+        if path == "":
+            raise ValueError(f"{option} names no file: its path is empty")
     ok = complete = True
     with open(args.out, "a") if args.out else nullcontext() as out:
         cache = ResultCache(args.cache) if args.cache else None
-        if out:
+        # both files now exist, so any spelling or link of one is caught
+        if out and cache and os.path.samefile(args.out, args.cache):
+            raise ValueError(f"--out and --cache name the same file, {args.cache}")
+        if out and os.path.isfile(args.out):
             out.truncate(0)
         for n, k in cells:
             result = ar_class(

@@ -7,12 +7,12 @@ Hamiltonian cycle is unique for n >= 4).  A triangulation is fixed by its
 quiddity sequence, so the classes are grown directly as sequences by ear
 insertion, one per least rotation or reversal, and each is named by the
 graph6 of its polygon labeling, read off the sequence without building a
-graph.
+graph.  A labeled triangulation is plain data: its sorted tuple of
+diagonals (a, b), a < b.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .graphs import _graph6_of_key
@@ -22,24 +22,10 @@ MAX_ENUM_N = 18
 # the labeled limit: Catalan(n - 2) triangulations, 2,674,440 at order 16
 MAX_LABELED_N = 16
 
-TRIANGULATION_FORMAT_HEADER = "# polygon-triangulation-format 1"
 
-
-@dataclass(frozen=True)
-class Triangulation:
-    """Triangulation of the convex polygon 0..n-1, stored as its diagonal set."""
-
-    n: int
-    diagonals: tuple[tuple[int, int], ...]
-
-    def text(self) -> str:
-        """One-line text form "n: i-j,i-j,..." (no diagonals for n=3)."""
-        body = ",".join(f"{a}-{b}" for a, b in self.diagonals)
-        return f"{self.n}: {body}" if body else f"{self.n}:"
-
-
-def enumerate_triangulations(n: int) -> Iterator[Triangulation]:
-    """Every triangulation of the convex n-gon exactly once (Catalan(n-2) total).
+def enumerate_triangulations(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Every triangulation of the convex polygon 0..n-1 exactly once
+    (Catalan(n-2) total), as its sorted tuple of diagonals (a, b), a < b.
 
     Recursion roots at polygon edge {0,1}: choose the apex of the triangle
     on that edge, then triangulate the two sub-chains.  No deduplication is
@@ -69,7 +55,7 @@ def enumerate_triangulations(n: int) -> Iterator[Triangulation]:
 
     base_chain = tuple(range(1, n)) + (0,)
     for diag in chords(base_chain):
-        yield Triangulation(n, tuple(sorted(diag)))
+        yield tuple(sorted(diag))
 
 
 _EAR = b"\x01"

@@ -91,6 +91,7 @@ MAX_EDGES = 255 edges; a MOP of order 18 has 33.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -165,9 +166,10 @@ class ArResult:
     def from_json(data: dict) -> ArResult:
         """Read `to_json` output.  A missing or wrongly typed field (a
         null witness included), a k outside 2..MAX_K, a negative node
-        count or time, a witness for another graph or k, an upper below
-        the witness's colors, and a value or mode that the witness and
-        upper do not give are ValueErrors: no solve produces them."""
+        count, a negative or infinite time, a witness for another graph or
+        k, an upper below the witness's colors, and a value or mode that
+        the witness and upper do not give are ValueErrors: no solve
+        produces them."""
         if not isinstance(data, dict):
             raise ValueError("result must be a JSON object")
 
@@ -183,8 +185,9 @@ class ArResult:
                      "a non-negative integer")
         elapsed_ms = read(
             "elapsed_ms",
-            lambda v: (is_int(v) or isinstance(v, float)) and v >= 0,
-            "a non-negative number",
+            lambda v: (is_int(v) or isinstance(v, float) and math.isfinite(v))
+            and v >= 0,
+            "a non-negative finite number",
         )
         upper = read("upper", lambda v: v is None or is_int(v),
                      "an integer or null")

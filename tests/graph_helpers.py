@@ -9,7 +9,6 @@ from __future__ import annotations
 from typing import Iterable
 
 from mopar.graphs import Graph
-from mopar.mops import Triangulation
 
 
 def spanning_subgraph(g: Graph, edge_indices: Iterable[int]) -> Graph:
@@ -17,7 +16,7 @@ def spanning_subgraph(g: Graph, edge_indices: Iterable[int]) -> Graph:
     return Graph.from_edges(g.n, [g.edges[i] for i in edge_indices])
 
 
-def triangulation_graph(tri: Triangulation) -> Graph:
-    """The polygon's outer cycle plus the triangulation's diagonals."""
-    cycle = [(i, (i + 1) % tri.n) for i in range(tri.n)]
-    return Graph.from_edges(tri.n, cycle + list(tri.diagonals))
+def triangulation_graph(n: int, diagonals: Iterable[tuple[int, int]]) -> Graph:
+    """The n-gon's outer cycle plus a triangulation's diagonals."""
+    cycle = [(i, (i + 1) % n) for i in range(n)]
+    return Graph.from_edges(n, cycle + list(diagonals))

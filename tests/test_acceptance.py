@@ -49,7 +49,7 @@ def test_criterion_01_enumeration_counts():
         assert len(mops) == expected, f"class count at n={n}"
         # dedup oracle: canonical forms of every labeled triangulation
         oracle = {
-            canonical_form(triangulation_graph(t)).graph6
+            canonical_form(triangulation_graph(n, t)).graph6
             for t in enumerate_triangulations(n)
         }
         assert len(oracle) == expected, f"canonical dedup oracle at n={n}"

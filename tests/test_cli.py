@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import threading
 from functools import partial
 from pathlib import Path
 
@@ -75,6 +76,11 @@ def test_enumerate_labeled_format(capsys):
     assert lines[0].startswith("#")  # versioned header
     assert len(lines) == 3  # header + Catalan(2) triangulations
     assert all(line.startswith("4: ") for line in lines[1:])
+    # the triangle has no diagonals: its line is the order alone
+    code, out, _ = run(capsys, "enumerate", "--n", "3", "--labeled")
+    assert code == 0 and out == cli.TRIANGULATION_FORMAT_HEADER + "\n3:\n"
+    code, out, _ = run(capsys, "enumerate", "--n", "5", "--labeled")
+    assert code == 0 and "5: 0-2,2-4" in out.splitlines()
 
 
 @pytest.mark.parametrize("n", range(3, 12))
@@ -478,7 +484,8 @@ def test_bad_cache_leaves_an_existing_out_file(capsys, tmp_path):
 
 def test_out_naming_the_cache_is_refused(capsys, tmp_path):
     # --out is emptied once the cache has loaded, so an --out that names
-    # the cache file, however spelled or linked, would destroy it
+    # the cache file, however spelled or linked, would destroy it; it is
+    # refused once the cache has been read, with the cache left as it was
     cache = tmp_path / "c.jsonl"
     code, _, _ = run(capsys, "ar-class", "--n", "7", "--k", "3",
                      "--cache", str(cache))
@@ -494,6 +501,52 @@ def test_out_naming_the_cache_is_refused(capsys, tmp_path):
         assert (code, printed) == (1, ""), out
         assert err.startswith("error: ") and "same file" in err, out
         assert cache.read_bytes() == before, out
+
+
+def test_empty_out_or_cache_is_refused(capsys, monkeypatch, tmp_path):
+    # an empty path would otherwise read as no option at all, and a sweep
+    # would run with nothing written or cached
+    def no_load(self):
+        raise AssertionError("read a cache despite an empty option")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(ResultCache, "_load", no_load)
+    for option in ("--out", "--cache"):
+        code, out, err = run(capsys, "ar-class", "--n", "6", "--k", "3",
+                             option, "")
+        assert (code, out) == (1, ""), option
+        assert err.startswith("error: ") and option in err, option
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_may_be_a_device_or_a_pipe(capsys, tmp_path):
+    # only a regular file is emptied before the sweep writes to it
+    code, out, _ = run(capsys, "ar-class", "--n", "6", "--k", "3",
+                       "--out", os.devnull)
+    assert code == 0 and json.loads(out)["out"] == os.devnull
+    # standard output into a pipe holds the class line and the summary
+    done = subprocess.run(
+        [sys.executable, "-m", "mopar", "ar-class", "--n", "6", "--k", "3",
+         "--out", "/dev/stdout"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert done.returncode == 0, done.stderr
+    lines = [json.loads(line) for line in done.stdout.splitlines()]
+    summary, = [line for line in lines if "out" in line]
+    full, = [line for line in lines if "results" in line]
+    assert len(lines) == 2 and (summary["out"], full["n"]) == ("/dev/stdout", 6)
+    # and a named pipe, read as the sweep writes it
+    fifo = tmp_path / "class.fifo"
+    os.mkfifo(fifo)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(fifo.read_text()),
+                              daemon=True)
+    reader.start()
+    code, _, _ = run(capsys, "ar-class", "--n", "6", "--k", "3",
+                     "--out", str(fifo))
+    reader.join(timeout=60)
+    assert code == 0 and json.loads(read[0])["n"] == 6
 
 
 def test_cache_line_whose_witness_misfits_its_graph_is_solved_again(

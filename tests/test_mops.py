@@ -13,12 +13,7 @@ from mopar.graphs import (
     graph6_encode,
     iter_bits,
 )
-from mopar.mops import (
-    TRIANGULATION_FORMAT_HEADER,
-    Triangulation,
-    enumerate_mops,
-    enumerate_triangulations,
-)
+from mopar.mops import enumerate_mops, enumerate_triangulations
 from mopar.runner import _class_members
 from oracles import (
     K4,
@@ -49,14 +44,16 @@ def test_labeled_triangulation_counts_match_catalan(n):
 def test_triangulations_are_valid_and_distinct():
     for n in range(3, 9):
         seen = set()
-        for tri in enumerate_triangulations(n):
-            assert tri.diagonals not in seen
-            seen.add(tri.diagonals)
-            assert len(tri.diagonals) == n - 3
-            g = triangulation_graph(tri)
+        for diagonals in enumerate_triangulations(n):
+            assert diagonals not in seen
+            seen.add(diagonals)
+            assert len(diagonals) == n - 3
+            assert diagonals == tuple(sorted(diagonals))
+            assert all(a < b for a, b in diagonals)
+            g = triangulation_graph(n, diagonals)
             assert g.edge_count == 2 * n - 3
             # no two diagonals cross
-            for (a, b), (c, d) in combinations(tri.diagonals, 2):
+            for (a, b), (c, d) in combinations(diagonals, 2):
                 assert not (a < c < b < d or c < a < d < b)
 
 
@@ -65,13 +62,6 @@ def test_triangulation_range_checks():
         list(enumerate_triangulations(2))
     with pytest.raises(ValueError):
         list(enumerate_triangulations(17))
-
-
-def test_triangulation_text_format():
-    tri = Triangulation(5, ((0, 2), (2, 4)))
-    assert tri.text() == "5: 0-2,2-4"
-    assert Triangulation(3, ()).text() == "3:"
-    assert TRIANGULATION_FORMAT_HEADER.startswith("#")
 
 
 @pytest.mark.parametrize(
@@ -135,9 +125,9 @@ def test_names_are_polygon_graphs_of_the_least_keys(n):
     # triangulation's quiddity sequence, least of its 2n images, is one
     # class's key, and the class's name is that key's polygon graph
     keys = set()
-    for tri in enumerate_triangulations(n):
+    for diagonals in enumerate_triangulations(n):
         quiddity = [1] * n
-        for a, b in tri.diagonals:
+        for a, b in diagonals:
             quiddity[a] += 1
             quiddity[b] += 1
         keys.add(_least_dihedral_image(bytes(quiddity)))
@@ -158,9 +148,9 @@ def test_dihedral_dedup_agrees_with_canonical_form(n):
     # one representative per dihedral class of labeled triangulations
     keys = [diagonal_dihedral_key(n, _diagonals(g)) for g in mops]
     assert len(set(keys)) == len(mops)
-    assert set(keys) == {diagonal_dihedral_key(n, t.diagonals) for t in triangulations}
+    assert set(keys) == {diagonal_dihedral_key(n, t) for t in triangulations}
     by_canon = {
-        canonical_form(triangulation_graph(t)).graph6 for t in triangulations
+        canonical_form(triangulation_graph(n, t)).graph6 for t in triangulations
     }
     assert len(by_canon) == len(mops)
     assert {canonical_form(g).graph6 for g in mops} == by_canon

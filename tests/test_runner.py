@@ -244,7 +244,7 @@ def test_node_budget_writes_no_cache_line(tmp_path, monkeypatch):
     capped = ar_class(9, 4, max_nodes=50, cache=ResultCache(path))
     assert (len(capped.results), len(capped.unsolved)) == (27, 19)
     # only the 8 members the budget let finish are written
-    written = [json.loads(line)["graph"] for line in path.open()]
+    written = [json.loads(line)["graph"] for line in path.read_text().splitlines()]
     assert len(written) == 8
     assert not set(written) & set(capped.unsolved)
     # a resume solves exactly the members left unsolved
@@ -379,8 +379,11 @@ def test_cache_skips_lines_whose_witness_fails(tmp_path, monkeypatch):
     def negative_time(data):
         data["elapsed_ms"] = -0.5  # `mop ar-class` sums cached times
 
+    def infinite_time(data):
+        data["elapsed_ms"] = float("inf")  # written as Infinity: not JSON
+
     tampers = (more_value, low_upper, other_graph, other_k, non_integer_color,
-               negative_nodes, negative_time)
+               negative_nodes, negative_time, infinite_time)
     for tamper, data in zip(tampers, lines):
         tamper(data)
     path.write_text("\n".join(json.dumps(d) for d in lines) + "\n")
@@ -411,7 +414,7 @@ def test_result_from_json_rejects_malformed_lines():
     for key, bad in (("k", "3"), ("value", True), ("nodes", None),
                      ("elapsed_ms", "1"), ("mode", "AT_MOST"),
                      ("witness", [0, 1]), ("witness", None),
-                     ("upper", 7.0)):
+                     ("upper", 7.0), ("elapsed_ms", float("inf"))):
         with pytest.raises(ValueError, match=repr(key)):
             ArResult.from_json({**data, key: bad})
     # what no solve produces: k outside 2..8 (even with a witness for that
