@@ -36,6 +36,12 @@ PASS, FAIL, INCOMPLETE = 0, 1, 2
 TRIANGULATION_FORMAT_HEADER = "# polygon-triangulation-format 1"
 
 
+def triangulation_text(n: int, diagonals: tuple[tuple[int, int], ...]) -> str:
+    """One line "n: a-b,c-d,...", or "n:" for the triangle."""
+    body = ",".join(f"{a}-{b}" for a, b in diagonals)
+    return f"{n}: {body}" if body else f"{n}:"
+
+
 def _exit_code(ok: bool, complete: bool) -> int:
     if not ok:
         return FAIL
@@ -62,10 +68,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             print(1 + sum(1 for _ in tris))
             return PASS
         print(TRIANGULATION_FORMAT_HEADER)
-        # one line "n: a-b,c-d,...", or "n:" for the triangle
         for diagonals in chain((first,), tris):
-            body = ",".join(f"{a}-{b}" for a, b in diagonals)
-            print(f"{args.n}: {body}" if body else f"{args.n}:")
+            print(triangulation_text(args.n, diagonals))
         return PASS
     names = enumerate_mops(args.n)
     if args.count_only:

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from graph_helpers import triangulation_graph
+from mopar.cli import TRIANGULATION_FORMAT_HEADER, triangulation_text
 from mopar.graphs import (
     Graph,
     canonical_form,
@@ -62,6 +63,12 @@ def test_triangulation_range_checks():
         list(enumerate_triangulations(2))
     with pytest.raises(ValueError):
         list(enumerate_triangulations(17))
+
+
+def test_triangulation_text_format():
+    assert triangulation_text(5, ((0, 2), (2, 4))) == "5: 0-2,2-4"
+    assert triangulation_text(3, ()) == "3:"
+    assert TRIANGULATION_FORMAT_HEADER.startswith("#")
 
 
 @pytest.mark.parametrize(
