@@ -64,7 +64,9 @@ class RainbowWitness:
     colors: tuple[int, ...]
 
 
-def _check_lengths(g: Graph, coloring: EdgeColoring) -> None:
+def _check_inputs(g: Graph, coloring: EdgeColoring, k: int) -> None:
+    if k < 1:
+        raise ValueError(f"matching size k={k} is below 1")
     if len(coloring.colors) != g.edge_count:
         raise ValueError(
             f"coloring covers {len(coloring.colors)} edges, graph has {g.edge_count}"
@@ -108,9 +110,7 @@ def find_rainbow_matching(
     which the edges i..m-1 cover fewer than 2 * left unused vertices, since
     no k-matching lies in the rest of its subtree.
     """
-    _check_lengths(g, coloring)
-    if k < 1:
-        return RainbowWitness((), ()) if k == 0 else None
+    _check_inputs(g, coloring, k)
     colors = coloring.colors
     edges = g.edges
     m = len(edges)
@@ -154,8 +154,9 @@ def verify_certificate(
     g: Graph, coloring: EdgeColoring, k: int, claimed_colors: int
 ) -> VerifyResult:
     """Check that the coloring uses exactly the claimed number of colors and
-    admits no rainbow k-matching."""
-    _check_lengths(g, coloring)
+    admits no rainbow k-matching.  A k below 1, or a coloring of another
+    edge count, is a ValueError."""
+    _check_inputs(g, coloring, k)
     used = set(coloring.colors)
     if used != set(range(coloring.num_colors)):
         return VerifyResult(False, NOT_SURJECTIVE)

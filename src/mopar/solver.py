@@ -9,9 +9,9 @@ the bound.  Branching is merge-or-apart: child i merges the i-th class pair
 of the matching that is not yet kept apart, and keeps every earlier pair
 apart, in that child and in all later siblings.  Any coarsening that fixes
 the matching merges some first pair, so the children cover it; they are
-disjoint, so no partition is visited twice.  A child whose merge leaves
-nothing violated is recorded without being built when its class count
-beats the bound: the one place an incumbent is recorded.
+disjoint, so no partition is visited twice.  A node with nothing
+violated is a coloring, recorded at its entry when its class count beats
+the bound: the one place an incumbent is recorded.
 
 The bound is exact over class transversals.  Let a coarsening of a node's
 partition have c classes and no rainbow k-matching, and pick one
@@ -49,10 +49,10 @@ bound raised by an earlier sibling only lowers it).  So the rest of
 `only`, `only ^ (only & msets[a] & msets[b])`, is met by at most `slack`
 classes of the child.  At slack 1 the merged class, msets[a] | msets[b],
 is tried first, then the child's other classes with a and b banned; a
-child that fails is marked apart without being built, settled or
-searched.  Both rules drop only subtrees that would be searched and
-found empty, and keep the order of the rest, so every answer and
-witness is as it was without them; only node counts fall.
+child that fails is marked apart without being built or searched.
+Both rules drop only subtrees that would be searched and found empty,
+and keep the order of the rest, so every answer and witness is as it
+was without them; only node counts fall.
 
 The hitting-set search returns the set it found, and every child the
 node builds inherits that set with class b renamed to a.  A child's
@@ -91,7 +91,7 @@ MAX_EDGES = 255 edges; a MOP of order 18 has 33.
 from __future__ import annotations
 
 import json
-import math
+import sys
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -166,10 +166,10 @@ class ArResult:
     def from_json(data: dict) -> ArResult:
         """Read `to_json` output.  A missing or wrongly typed field (a
         null witness included), a k outside 2..MAX_K, a negative node
-        count, a negative or infinite time, a witness for another graph or
-        k, an upper below the witness's colors, and a value or mode that
-        the witness and upper do not give are ValueErrors: no solve
-        produces them."""
+        count, a time below 0 or past the float range, a witness for
+        another graph or k, an upper below the witness's colors, and a
+        value or mode that the witness and upper do not give are
+        ValueErrors: no solve produces them."""
         if not isinstance(data, dict):
             raise ValueError("result must be a JSON object")
 
@@ -185,8 +185,8 @@ class ArResult:
                      "a non-negative integer")
         elapsed_ms = read(
             "elapsed_ms",
-            lambda v: (is_int(v) or isinstance(v, float) and math.isfinite(v))
-            and v >= 0,
+            lambda v: (is_int(v) or isinstance(v, float))
+            and 0 <= v <= sys.float_info.max,
             "a non-negative finite number",
         )
         upper = read("upper", lambda v: v is None or is_int(v),
@@ -455,6 +455,11 @@ class _Search:
         self.nodes += 1
         if self.nodes > self.limit:
             raise _Budget
+        if not violated:
+            if count > self.bound:
+                self.bound = count
+                self.best_coloring = cls
+            return
         if count - 1 <= self.bound:
             return
         need = count - self.bound - 1
@@ -488,21 +493,11 @@ class _Search:
             if apart[a] >> b & 1:
                 continue
             both = msets[a] & msets[b]
-            child_violated = violated ^ (violated & both)
             rest = only ^ (only & both)
-            if not child_violated and count - 1 > self.bound:
-                # feasible one merge away: record without building the child
-                self.bound = count - 1
-                self.best_coloring = cls.replace(_BYTE[b], _BYTE[a])
-            elif count - 2 <= self.bound or rest and not (
-                slack and (
-                    rest & (msets[a] | msets[b]) == rest
-                    or self._one_meets(cls, msets, rest, 1 << a | 1 << b)
-                )
+            if not rest or slack and (
+                rest & (msets[a] | msets[b]) == rest
+                or self._one_meets(cls, msets, rest, 1 << a | 1 << b)
             ):
-                # the bound, or the child's transversal cut, would end it
-                pass
-            else:
                 child_msets = msets.copy()
                 child_msets[a] = msets[a] | msets[b]
                 child_msets[b] = 0
@@ -521,10 +516,10 @@ class _Search:
                     child_hitting = hitting ^ 1 << b | 1 << a
                 self.run(
                     cls.replace(_BYTE[b], _BYTE[a]), child_msets, child_apart,
-                    child_violated, count - 1, child_hitting,
+                    violated ^ (violated & both), count - 1, child_hitting,
                 )
             # later siblings keep this pair apart, whether its child was
-            # searched, recorded or cut
+            # searched or cut
             apart[a] |= 1 << b
             apart[b] |= 1 << a
 

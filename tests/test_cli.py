@@ -583,6 +583,28 @@ def test_cache_line_whose_witness_misfits_its_graph_is_solved_again(
     assert code == 0 and summaries[0] == summaries[1]
 
 
+def test_cache_line_with_a_time_past_the_float_range_is_skipped(
+    capsys, tmp_path
+):
+    # the summary sums the members' times as floats, so an integer time
+    # too large for a float is a corrupt line, not a crash
+    cache = tmp_path / "c.jsonl"
+    argv = ("ar-class", "--n", "6", "--k", "3", "--cache", str(cache))
+    code, first, _ = run(capsys, *argv)
+    assert code == 0
+    lines = cache.read_text().splitlines()
+    data = json.loads(lines[0])
+    data["elapsed_ms"] = 10**400
+    cache.write_text("\n".join([json.dumps(data), *lines[1:]]) + "\n")
+    with pytest.warns(UserWarning) as caught:
+        code, again, _ = run(capsys, *argv)
+    assert [str(w.message).endswith("skipping corrupt cache line")
+            for w in caught] == [True]
+    summaries = [json.loads(out) for out in (first, again)]
+    for summary in summaries:
+        del summary["elapsed_ms"]
+    assert code == 0 and summaries[0] == summaries[1]
+
 def test_table_contents_and_determinism(capsys, tmp_path):
     # a range sweep prints one summary per cell of `table_cells`, in order
     argv = ("ar-class", "--n", "4..6", "--k", "2..3",

@@ -80,6 +80,17 @@ def test_length_mismatch_rejected():
         find_rainbow_matching(P4, EdgeColoring.from_sequence([0, 1]), 2)
 
 
+def test_k_below_one_is_refused():
+    # no verdict at all: not an empty rainbow matching at k = 0, and not
+    # OK for every coloring at a negative k
+    col = EdgeColoring.from_sequence([0, 1, 2])
+    for k in (0, -1):
+        with pytest.raises(ValueError, match=rf"k={k} is below 1"):
+            find_rainbow_matching(P4, col, k)
+        with pytest.raises(ValueError, match=rf"k={k} is below 1"):
+            verify_certificate(P4, col, k, col.num_colors)
+
+
 def test_verify_certificate_reasons():
     g = graph6_decode(FAN6)
     m = g.edge_count

@@ -414,7 +414,8 @@ def test_result_from_json_rejects_malformed_lines():
     for key, bad in (("k", "3"), ("value", True), ("nodes", None),
                      ("elapsed_ms", "1"), ("mode", "AT_MOST"),
                      ("witness", [0, 1]), ("witness", None),
-                     ("upper", 7.0), ("elapsed_ms", float("inf"))):
+                     ("upper", 7.0), ("elapsed_ms", float("inf")),
+                     ("elapsed_ms", 10**400)):
         with pytest.raises(ValueError, match=repr(key)):
             ArResult.from_json({**data, key: bad})
     # what no solve produces: k outside 2..8 (even with a witness for that

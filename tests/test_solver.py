@@ -188,6 +188,30 @@ def test_search_never_revisits_a_partition(monkeypatch):
             assert verify_certificate(g, result.witness, k, result.value).ok
 
 
+def test_incumbents_are_recorded_only_at_leaf_nodes(monkeypatch):
+    # a node with nothing violated is a coloring, recorded at its own
+    # entry, so every witness that beats the seed is the class map of a
+    # call of run whose violated mask is 0
+    run = solver._Search.run
+    leaves: set[EdgeColoring] = set()
+
+    def recording_run(self, cls, msets, apart, violated, *args):
+        if not violated:
+            leaves.add(EdgeColoring.from_sequence(cls))
+        return run(self, cls, msets, apart, violated, *args)
+
+    monkeypatch.setattr(solver._Search, "run", recording_run)
+    improved = 0
+    for n, k in ((8, 3), (8, 4), (9, 4), (10, 5)):
+        for g in mop_graphs(n):
+            leaves.clear()
+            result = ar_exact(g, k)
+            if result.value > seed_incumbent(g, k).num_colors:
+                improved += 1
+                assert result.witness in leaves, (graph6_encode(g), k)
+    assert improved
+
+
 def test_apart_rows_are_symmetric_over_live_classes(monkeypatch):
     run = solver._Search.run
     calls = 0
@@ -430,8 +454,9 @@ def test_run_cuts_only_children_beyond_the_budget(monkeypatch):
     # run cuts a child that merges two classes of its top matching when the
     # rest of the root packing's `only` cannot be met within the child's
     # budget, need - 1.  Each such child must have a class transversal of
-    # at least need.  The node's children are recorded, not searched, and
-    # every pair after the first that raises the bound is left out.
+    # at least need.  The node's children are collected, not searched, so
+    # the bound stays; a merge that leaves nothing violated is a coloring,
+    # which the node always builds, to be recorded at the child's entry.
     rng = random.Random(17)
     built: list[tuple[int, ...]] = []
     depth = 0
@@ -478,11 +503,10 @@ def test_run_cuts_only_children_beyond_the_budget(monkeypatch):
                     child_violated = [
                         v for v in violated if not both >> v & 1
                     ]
-                    if not child_violated:
-                        break  # recorded: the bound rises to count - 1
                     child = [a if c == b else c for c in cls]
                     if tuple(child) in built:
                         continue
+                    assert child_violated, (graph6_encode(g), cls, bound, a, b)
                     least = min_class_transversal(
                         child, [matchings[v] for v in child_violated]
                     )
