@@ -22,6 +22,7 @@ from .runner import (
     VIOLATED,
     CacheMismatch,
     ResultCache,
+    UnverifiedColoring,
     ar_class,
     check_sweep,
     evaluate_bounds,
@@ -212,6 +213,9 @@ def main(argv: list[str] | None = None) -> int:
         return FAIL
     except CacheMismatch as exc:
         print(f"cache mismatch: {exc}", file=sys.stderr)
+        return FAIL
+    except UnverifiedColoring as exc:
+        print(f"witness failure: {exc}", file=sys.stderr)
         return FAIL
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -96,7 +96,12 @@ class ClassResult:
 
 
 class CacheMismatch(RuntimeError):
-    """A cached value disagreed with a fresh recomputation."""
+    """A fresh coloring that verifies has more colors than a cached upper
+    bound allows."""
+
+
+class UnverifiedColoring(RuntimeError):
+    """A fresh solve returned a coloring that fails its witness check."""
 
 
 class ResultCache:
@@ -278,10 +283,11 @@ def ar_class(
     every member's upper bound is at most the class value, so a floor at
     or above the class value leaves it incomplete.  A seeded
     AUDIT_FRACTION of the results read from the cache is re-solved above
-    its cached upper bound, after the members and in the same way
-    (raising CacheMismatch if a coloring with more colors exists); results
-    solved by this call are not.  When the sweep raises, a pool cancels
-    the chunks it has not started.
+    its cached upper bound, after the members and in the same way; a
+    coloring with more colors raises CacheMismatch if it verifies and
+    UnverifiedColoring if it does not.  Results solved by this call are
+    not audited.  When the sweep raises, a pool cancels the chunks it has
+    not started.
     """
     check_sweep([(n, k)], max_nodes=max_nodes, jobs=jobs)
     members = _class_members(n)
@@ -325,11 +331,17 @@ def ar_class(
             # the rest are the audit's results, neither cached nor returned
             for hit, result in zip(audit, fresh):
                 if result.value > hit.upper:
-                    raise CacheMismatch(
-                        f"cache says ar<={hit.upper} but recomputation "
-                        f"finds {result.value} colors for {hit.graph6!r}, "
-                        f"k={k}"
+                    found = (
+                        f"recomputation finds {result.value} colors for "
+                        f"{hit.graph6!r}, k={k}, above the cache's "
+                        f"ar<={hit.upper}"
                     )
+                    if not verify_result(result):
+                        raise UnverifiedColoring(
+                            f"{found}, but that coloring fails its check: "
+                            "the solver is at fault, not the cache"
+                        )
+                    raise CacheMismatch(found)
         except BaseException:
             # map queued every chunk, and leaving the block would wait
             # for them all; the ones not started are dropped

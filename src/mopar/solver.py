@@ -67,10 +67,13 @@ of matchings that touch it, and the violated matchings form one mask.  Ids
 run in reverse lexicographic order (the i-th of N k-matchings from
 `iterate_k_matchings` has id N - 1 - i), so the first violated matching,
 which every node branches on, is the top bit, `mask.bit_length() - 1`,
-read without building a new int.  Each edge's mask is parsed from one row
-of "0"/"1" bytes over the matchings instead of being OR-ed together one
-bit at a time.  Merging classes a and b satisfies exactly
-`msets[a] & msets[b]`, so the child's violated mask is
+read without building a new int.  The walk that lists the matchings also
+records each one's edge mask, and the edge masks are transposed in C:
+packed into 64-bit words, each byte column of the words is sliced out
+and mapped to a row of "0"/"1" bytes, one row per edge, which parses as
+that edge's mask.  No mask is OR-ed together one bit at a time, and no
+Python statement runs per (matching, edge).  Merging classes a and b
+satisfies exactly `msets[a] & msets[b]`, so the child's violated mask is
 `violated ^ (violated & msets[a] & msets[b])`: a difference written this
 way, and a subset test written `x & y == x`, cost the width of the
 narrower operand, where `x & ~y` costs the width of y.  Masks lose their
@@ -93,6 +96,7 @@ from __future__ import annotations
 import json
 import sys
 import time
+from array import array
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
@@ -108,9 +112,14 @@ EXACT = "EXACT"
 LOWER_BOUND = "LOWER_BOUND"
 
 MAX_K = 8
+# a longer solve time is corrupt: it is about 31,700 years, and the sum
+# over the largest class, 983,244 members at order 18, stays finite
+MAX_ELAPSED_MS = 1e15
 # class labels are edge ids, one byte each; _BYTE[x] is label x's byte
 MAX_EDGES = 255
 _BYTE = tuple(bytes((x,)) for x in range(256))
+# _DIGITS[b] maps each byte to b"1" when its bit b is set, else to b"0"
+_DIGITS = tuple(bytes(48 + (x >> b & 1) for x in range(256)) for b in range(8))
 
 
 @dataclass
@@ -166,7 +175,7 @@ class ArResult:
     def from_json(data: dict) -> ArResult:
         """Read `to_json` output.  A missing or wrongly typed field (a
         null witness included), a k outside 2..MAX_K, a negative node
-        count, a time below 0 or past the float range, a witness for
+        count, a time below 0 or above MAX_ELAPSED_MS, a witness for
         another graph or k, an upper below the witness's colors, and a
         value or mode that the witness and upper do not give are
         ValueErrors: no solve produces them."""
@@ -186,8 +195,8 @@ class ArResult:
         elapsed_ms = read(
             "elapsed_ms",
             lambda v: (is_int(v) or isinstance(v, float))
-            and 0 <= v <= sys.float_info.max,
-            "a non-negative finite number",
+            and 0 <= v <= MAX_ELAPSED_MS,
+            f"a non-negative number of at most {MAX_ELAPSED_MS:g}",
         )
         upper = read("upper", lambda v: v is None or is_int(v),
                      "an integer or null")
@@ -242,23 +251,37 @@ def _matching_masks(g: Graph, k: int) -> tuple[list[tuple[int, ...]], list[int]]
     matching ids that contain it.  Ids run in reverse lexicographic order,
     so the lexicographically first matching in a mask is its top bit.
 
-    The matchings come from `iterate_k_matchings` (called by name, so a
-    tracer that wraps it sees the build).  Each edge's mask is read from a
-    row of ASCII digits, one per matching in lexicographic order, with a
-    "1" where the matching holds the edge: the j-th of N matchings has id
-    N - 1 - j, so the row read as a binary numeral is the mask, and no int
-    is built per (matching, edge)."""
-    matchings = list(iterate_k_matchings(g, k))
-    touch = [0] * g.edge_count
-    if matchings:
-        rows = [bytearray(b"0") * len(matchings) for _ in touch]
-        j = 0
-        for matching in matchings:
-            for e in matching:
-                rows[e][j] = 49  # ord("1")
-            j += 1
-        touch = [int(row, 2) for row in rows]
-        matchings.reverse()
+    The matchings and their edge masks come from one walk of
+    `iterate_k_matchings` (called by name, so a tracer that wraps it sees
+    the walk).  The edge masks are then transposed in C.  Packed as
+    little-endian 64-bit words, byte b of every word is the byte column
+    `data[b::8]`, one byte per matching in lexicographic order, and
+    `column.translate(_DIGITS[e % 8])` turns the column of edge e into a
+    row of ASCII digits with a "1" where the matching holds e.  The j-th
+    of N matchings has id N - 1 - j, so the row read as a binary numeral
+    is e's mask, and no Python statement runs per (matching, edge).  A
+    graph of more than 64 edges is packed and transposed one lane of 64
+    edges at a time."""
+    edge_masks: list[int] = []
+    matchings = list(iterate_k_matchings(g, k, _edge_masks=edge_masks))
+    m = g.edge_count
+    if not matchings:
+        return matchings, [0] * m
+    touch: list[int] = []
+    for lane in range(0, m, 64):
+        words = array("Q", edge_masks if m <= 64 else [
+            x >> lane & 0xFFFF_FFFF_FFFF_FFFF for x in edge_masks
+        ])
+        if sys.byteorder == "big":
+            words.byteswap()
+        data = words.tobytes()
+        # edges e..e+7 share one byte column of their lane
+        for e in range(lane, min(lane + 64, m), 8):
+            column = data[e - lane >> 3::8]
+            touch += [
+                int(column.translate(digits), 2) for digits in _DIGITS[:m - e]
+            ]
+    matchings.reverse()
     return matchings, touch
 
 

@@ -605,6 +605,61 @@ def test_cache_line_with_a_time_past_the_float_range_is_skipped(
         del summary["elapsed_ms"]
     assert code == 0 and summaries[0] == summaries[1]
 
+def _strict_json(line):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(line, parse_constant=refuse)
+
+
+def test_times_that_overflow_their_sum_are_skipped(capsys, tmp_path):
+    # each time fits a float, but two of them sum past it, and the summary
+    # would print Infinity; the time bound refuses both lines, so the
+    # summary stays strict JSON
+    cache = tmp_path / "c.jsonl"
+    argv = ("ar-class", "--n", "6", "--k", "3", "--cache", str(cache))
+    code, first, _ = run(capsys, *argv)
+    assert code == 0
+    lines = cache.read_text().splitlines()
+    assert len(lines) >= 2
+    edited = []
+    for line in lines[:2]:
+        data = json.loads(line)
+        data["elapsed_ms"] = 1.7e308
+        edited.append(json.dumps(data))
+    cache.write_text("\n".join([*edited, *lines[2:]]) + "\n")
+    with pytest.warns(UserWarning) as caught:
+        code, again, _ = run(capsys, *argv)
+    assert [str(w.message).endswith("skipping corrupt cache line")
+            for w in caught] == [True, True]
+    summaries = [_strict_json(out) for out in (first, again)]
+    for summary in summaries:
+        del summary["elapsed_ms"]
+    assert code == 0 and summaries[0] == summaries[1]
+
+
+def test_audit_coloring_that_fails_its_check_is_no_cache_mismatch(
+    capsys, tmp_path, monkeypatch
+):
+    # a re-solve above the cached upper bound whose coloring has a rainbow
+    # k-matching blames the solver, not the cache
+    cache = tmp_path / "c.jsonl"
+    argv = ("ar-class", "--n", "6", "--k", "3", "--cache", str(cache))
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+
+    def faulty(g, k, **kw):
+        m = g.edge_count
+        return ArResult(graph6_encode(g), k, None,
+                        EdgeColoring(tuple(range(m)), m), 0, 0.0)
+
+    monkeypatch.setattr(runner, "ar_exact", faulty)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("witness failure: ") and "Traceback" not in err
+    assert "fails its check" in err and "cache mismatch" not in err
+
+
 def test_table_contents_and_determinism(capsys, tmp_path):
     # a range sweep prints one summary per cell of `table_cells`, in order
     argv = ("ar-class", "--n", "4..6", "--k", "2..3",

@@ -76,6 +76,22 @@ def test_k_matchings_agree_with_combination_filter():
             assert list(iterate_k_matchings(g, k)) == k_matchings_by_filter(g, k)
 
 
+def test_edge_masks_are_each_matchings_edge_bits():
+    # `_edge_masks` gets one entry per yielded tuple, the OR of its edge
+    # bits, for every k the walk takes (k = 1 and lists without a
+    # matching included), appended after what the list already holds
+    rng = random.Random(43)
+    graphs = [g for n in range(3, 10) for g in mop_graphs(n)]
+    graphs += [scattered_graph(rng) for _ in range(20)]
+    for g in graphs:
+        for k in range(1, matching_number(g) + 2):
+            masks = [-1]
+            out = list(iterate_k_matchings(g, k, _edge_masks=masks))
+            assert masks == [-1] + [
+                sum(1 << e for e in matching) for matching in out
+            ], (g.edges, k)
+
+
 def test_iteration_empty_beyond_matching_number():
     for g in (K3, P4, C6, STAR4):
         beta = matching_number(g)

@@ -537,8 +537,9 @@ def test_matching_masks_match_an_oracle():
     # (a filter over `combinations`, not the solver's own enumeration): the
     # j-th of N matchings has id N - 1 - j.  Members of orders 6-12 (a
     # seeded sample past order 9), with k up to one past the matching
-    # number, so some graphs have no k-matching at all, and the benchmark
-    # hunt's two order-15 members at k = 5
+    # number, so some graphs have no k-matching at all, the benchmark
+    # hunt's two order-15 members at k = 5, and K_12 at k = 2 and 3: its
+    # 66 edges take two 64-edge lanes
     rng = random.Random(6)
     cases = []
     for n in range(6, 13):
@@ -547,6 +548,8 @@ def test_matching_masks_match_an_oracle():
             members = rng.sample(members, 6)
         cases += [(g6, k) for g6 in members for k in range(2, n // 2 + 2)]
     cases += [(g6, 5) for g6 in ORDER_15_MEMBERS[:2]]
+    k12 = graph6_encode(Graph.from_edges(12, list(combinations(range(12), 2))))
+    cases += [(k12, 2), (k12, 3)]
     empty = missed = 0
     for g6, k in cases:
         g = graph6_decode(g6)
@@ -563,6 +566,25 @@ def test_matching_masks_match_an_oracle():
         missed += bool(size) and 0 in touch
     # graphs with no k-matching, and edges in none of a graph's k-matchings
     assert empty and missed, (empty, missed)
+
+
+def test_matching_masks_walk_through_the_traced_name(monkeypatch):
+    # the benchmark tracer wraps solver.iterate_k_matchings, so a solve
+    # must build its list through that name, once, with the edge masks
+    # filled by the same walk
+    walk = solver.iterate_k_matchings
+    calls = []
+
+    def counting(g, k, **kwargs):
+        calls.append(sorted(kwargs))
+        return walk(g, k, **kwargs)
+
+    monkeypatch.setattr(solver, "iterate_k_matchings", counting)
+    g = graph6_decode(HUNT_MEMBER)
+    solver._matching_masks(g, 5)
+    assert calls == [["_edge_masks"]]
+    ar_exact(g, 5, floor=19)
+    assert len(calls) == 2
 
 
 def test_brute_force_never_exceeds_edges_less_transversal():
