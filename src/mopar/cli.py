@@ -84,7 +84,7 @@ def _cmd_ar(args: argparse.Namespace) -> int:
     g = graph6_decode(args.graph)
     result = ar_exact(g, args.k, max_nodes=args.budget_nodes)
     print(result.dumps())
-    return _exit_code(verify_result(result), result.mode == EXACT)
+    return _exit_code(verify_result(result, g), result.mode == EXACT)
 
 
 def _cmd_ar_class(args: argparse.Namespace) -> int:

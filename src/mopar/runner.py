@@ -5,22 +5,28 @@ every isomorphism class representative, caches results keyed by
 (polygon name, k), and reduces in member order so output never depends
 on worker scheduling.  A member's polygon name is the graph6 of its
 polygon labeling, as `enumerate_mops` returns it and `mop enumerate`
-prints it (see `_class_members`).
+prints it (see `_class_members`).  A fresh member's witness is checked
+where it was solved, in that process and on the graph it was solved on,
+so a pooled sweep's checks run in its workers and the parent's
+`verify_class_result` repeats none of them.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import random
 import warnings
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 from pathlib import Path
 
-# not called here; the benchmark tracer patches runner.canonical_form by name
-from .graphs import canonical_form, graph6_decode  # noqa: F401
+# canonical_form is not called here; the benchmark tracer patches
+# runner.canonical_form by name
+from .graphs import Graph, canonical_form, graph6_decode  # noqa: F401
 from .mops import MAX_ENUM_N, enumerate_mops
 from .rainbow import verify_certificate
 from .solver import EXACT, ArResult, ar_exact, check_budget, check_k
@@ -116,17 +122,22 @@ class ResultCache:
     `verify_result` only when `get` is about to serve it, so lines for
     cells a sweep never reads and lines a better one supersedes cost
     nothing; a line that fails is dropped with a warning and its member
-    is solved again.  The path is opened for appending when the cache is
-    made, so an unwritable one fails before any sweep.  Appends are one
-    line per result so concurrent readers always see whole records.
+    is solved again.  The path is opened for appending once, when the
+    cache is made, so an unwritable one fails before any sweep; that
+    descriptor is held for every `put` and closed when the cache is
+    collected.  Each result is one line, written whole by `os.write` in
+    append mode, so concurrent readers and other caches on the same file
+    always see whole records.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.entries: dict[tuple[str, int], ArResult] = {}
         self.hits = 0
-        with self.path.open("a"):
-            pass
+        self._fd = os.open(
+            self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666
+        )
+        weakref.finalize(self, os.close, self._fd)
         self._load()
 
     def _load(self) -> None:
@@ -174,22 +185,27 @@ class ResultCache:
         if result.upper is None:
             return
         self._keep(result)
-        with self.path.open("a") as handle:
-            handle.write(result.dumps() + "\n")
+        line = memoryview((result.dumps() + "\n").encode())
+        while line:
+            line = line[os.write(self._fd, line):]
 
 
-def verify_result(result: ArResult) -> bool:
+def verify_result(result: ArResult, g: Graph | None = None) -> bool:
     """The result's witness verifies at exactly its value, without trusting
     the solver.  A witness that colors a different number of edges than
     the graph has fails; `ArResult` itself refuses an upper bound below
-    the value.
+    the value.  `g` is the graph `result.graph6` names, when the caller
+    has it decoded already; it is decoded here otherwise.
 
     A pass is recorded on the result, so each result is checked once: a
-    cache line checked when it was served is not checked again by
-    `verify_class_result`.  A failure is not recorded."""
+    fresh member checked where it was solved (in a pool worker too, as the
+    record is pickled with the result) and a cache line checked when it
+    was served are not checked again by `verify_class_result`.  A failure
+    is not recorded."""
     if result._verified:
         return True
-    g = graph6_decode(result.graph6)
+    if g is None:
+        g = graph6_decode(result.graph6)
     ok = (
         len(result.witness.colors) == g.edge_count
         and verify_certificate(g, result.witness, result.k, result.value).ok
@@ -203,9 +219,14 @@ def verify_class_result(result: ClassResult) -> bool:
     return all(map(verify_result, result.results))
 
 
-def _solve(item: tuple[str, int, int | None], k: int) -> ArResult:
-    graph6, floor, max_nodes = item
-    return ar_exact(graph6_decode(graph6), k, max_nodes=max_nodes, floor=floor)
+def _solve(item: tuple[str, int, int | None, bool], k: int) -> ArResult:
+    """Solve one item, checking its witness on the same graph if it asks."""
+    graph6, floor, max_nodes, check = item
+    g = graph6_decode(graph6)
+    result = ar_exact(g, k, max_nodes=max_nodes, floor=floor)
+    if check:
+        verify_result(result, g)
+    return result
 
 
 @lru_cache(maxsize=1)
@@ -281,13 +302,16 @@ def ar_class(
     (jobs=1) or in chunks by a pool of `jobs` processes, which starts only
     when some member is not a cache hit.  The sweep is complete when
     every member's upper bound is at most the class value, so a floor at
-    or above the class value leaves it incomplete.  A seeded
-    AUDIT_FRACTION of the results read from the cache is re-solved above
-    its cached upper bound, after the members and in the same way; a
-    coloring with more colors raises CacheMismatch if it verifies and
-    UnverifiedColoring if it does not.  Results solved by this call are
-    not audited.  When the sweep raises, a pool cancels the chunks it has
-    not started.
+    or above the class value leaves it incomplete.  Each member solved
+    here has its witness checked by `verify_result` in the process that
+    solved it, so `verify_class_result` repeats none of those checks and
+    fails on a member whose witness failed.  A seeded AUDIT_FRACTION of
+    the results read from the cache is re-solved above its cached upper
+    bound, after the members and in the same way, but its witness is
+    checked only if it has more colors: then it raises CacheMismatch if
+    it verifies and UnverifiedColoring if it does not.  Results solved by
+    this call are not audited.  When the sweep raises, a pool cancels the
+    chunks it has not started.
     """
     check_sweep([(n, k)], max_nodes=max_nodes, jobs=jobs)
     members = _class_members(n)
@@ -299,7 +323,7 @@ def ar_class(
     # the members the cache does not settle, then the audit sample: the
     # witness checked when the cache served a hit proves its lower
     # direction, and a search above its upper bound must find nothing
-    items = [(g6, floor, max_nodes) for g6 in members if g6 not in cached]
+    items = [(g6, floor, max_nodes, True) for g6 in members if g6 not in cached]
     # a pool starts only for members to solve, not for the audit alone
     pooled = jobs > 1 and bool(items)
     audit: list[ArResult] = []
@@ -307,7 +331,8 @@ def ar_class(
         rng = random.Random(f"audit:{k}:{len(members)}")
         size = min(len(cached), max(1, int(len(cached) * AUDIT_FRACTION)))
         audit = rng.sample(list(cached.values()), size)
-        items += [(hit.graph6, hit.upper, None) for hit in audit]
+        # checked only if it beats the cached upper bound
+        items += [(hit.graph6, hit.upper, None, False) for hit in audit]
     solve = partial(_solve, k=k)
 
     ordered: list[ArResult] = []

@@ -141,8 +141,9 @@ class ArResult:
     witness: EdgeColoring
     nodes: int
     elapsed_ms: float
-    # runner.verify_result's memo of a passed check; `dataclasses.replace`
-    # and `from_json` start unchecked
+    # runner.verify_result's memo of a passed check, kept when the result
+    # is pickled (a pool worker's check reaches the parent); a
+    # `dataclasses.replace` copy and `from_json` start unchecked
     _verified: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

@@ -245,6 +245,27 @@ def test_range_witness_failure_exit_code(capsys, monkeypatch):
     assert not any("VIOLATED" in s["bounds"].values() for s in summaries)
 
 
+def test_pool_worker_never_vouches_for_a_failing_witness(capsys, monkeypatch):
+    # patched before the pool forks, so its workers return the bad witness
+    bad = runner._class_members(8)[0]
+    solve = runner.ar_exact
+
+    def rainbow(g, k, **kwargs):
+        result = solve(g, k, **kwargs)
+        if graph6_encode(g) != bad:
+            return result
+        return dataclasses.replace(_rainbow(result), upper=None)
+
+    monkeypatch.setattr(runner, "ar_exact", rainbow)
+    swept = ar_class(8, 3, jobs=2)
+    assert {r.graph6: r._verified for r in swept.results} == {
+        g6: g6 != bad for g6 in runner._class_members(8)
+    }
+    assert not runner.verify_class_result(swept)
+    code, out, _ = run(capsys, "ar-class", "--n", "8", "--k", "3", "--jobs", "2")
+    assert code == 1 and json.loads(out)["verified"] is False
+
+
 def test_ar_class_floor(capsys):
     code, out, _ = run(capsys, "ar-class", "--n", "10", "--k", "5",
                        "--floor", "13")

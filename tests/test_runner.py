@@ -1,7 +1,12 @@
+import builtins
 import dataclasses
+import gc
 import json
+import os
+import pickle
 import warnings
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -565,8 +570,7 @@ def test_cold_sweep_solves_each_member_once(tmp_path, monkeypatch):
     assert result.complete and len(calls) == len(result.results)
 
 
-def test_each_result_is_verified_once(tmp_path, monkeypatch):
-    path = tmp_path / "cache.jsonl"
+def _count_verifies(monkeypatch) -> list:
     calls = []
     verify = runner.verify_certificate
 
@@ -575,11 +579,26 @@ def test_each_result_is_verified_once(tmp_path, monkeypatch):
         return verify(g, coloring, k, claimed)
 
     monkeypatch.setattr(runner, "verify_certificate", counted)
+    return calls
+
+
+def test_each_result_is_verified_once(tmp_path, monkeypatch):
+    path = tmp_path / "cache.jsonl"
+    decoded = []
+    decode = runner.graph6_decode
+
+    def counted_decode(graph6):
+        decoded.append(graph6)
+        return decode(graph6)
+
+    monkeypatch.setattr(runner, "graph6_decode", counted_decode)
+    calls = _count_verifies(monkeypatch)
     monkeypatch.setattr(runner, "AUDIT_FRACTION", 0.0)
+    # a cold sweep decodes each member once, to solve and check it
     cold = ar_class(9, 4, cache=ResultCache(path))
     assert verify_class_result(cold)
     members = [r.graph6 for r in cold.results]
-    assert calls == members
+    assert decoded == calls == members
     # a resumed sweep checks each line when it is served and not again after
     calls.clear()
     cache = ResultCache(path)
@@ -589,19 +608,40 @@ def test_each_result_is_verified_once(tmp_path, monkeypatch):
     assert sorted(calls) == sorted(members)
 
 
+def test_pooled_sweep_is_checked_in_its_workers(monkeypatch):
+    result = ar_class(9, 4, jobs=2)
+    calls = _count_verifies(monkeypatch)
+    assert verify_class_result(result) and calls == []
+
+
+def test_audit_checks_only_results_that_beat_the_cache(tmp_path, monkeypatch):
+    path = tmp_path / "cache.jsonl"
+    ar_class(9, 4, cache=ResultCache(path))
+    monkeypatch.setattr(runner, "AUDIT_FRACTION", 1.0)
+    solves = _count_solves(monkeypatch)
+    calls = _count_verifies(monkeypatch)
+    cache = ResultCache(path)
+    resumed = ar_class(9, 4, cache=cache)
+    # every hit is re-solved, and only its serving is checked
+    assert cache.hits == len(solves) == 27
+    assert sorted(calls) == sorted(r.graph6 for r in resumed.results)
+    assert verify_class_result(resumed) and len(calls) == 27
+
+
+def test_verified_memo_survives_pickling_alone():
+    result = ar_class(6, 3).results[0]
+    assert result._verified
+    assert pickle.loads(pickle.dumps(result))._verified
+    assert not ArResult.from_json(json.loads(result.dumps()))._verified
+    assert not dataclasses.replace(result)._verified
+
+
 def test_cache_checks_only_the_lines_it_serves(tmp_path, monkeypatch):
     # a cache shared by two cells: resuming one checks only its own lines
     path = tmp_path / "cache.jsonl"
     for n in (9, 10):
         ar_class(n, 4, cache=ResultCache(path))
-    calls = []
-    verify = runner.verify_certificate
-
-    def counted(g, coloring, k, claimed):
-        calls.append(graph6_encode(g))
-        return verify(g, coloring, k, claimed)
-
-    monkeypatch.setattr(runner, "verify_certificate", counted)
+    calls = _count_verifies(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         cache = ResultCache(path)
@@ -610,6 +650,53 @@ def test_cache_checks_only_the_lines_it_serves(tmp_path, monkeypatch):
     members = [r.graph6 for r in resumed.results]
     assert cache.hits == len(members) == 27
     assert sorted(calls) == sorted(members)
+
+
+def _no_open(*args, **kwargs):
+    raise AssertionError("the cache file was opened again")
+
+
+def test_cache_appends_through_one_descriptor(tmp_path, monkeypatch):
+    results = ar_class(8, 3).results
+    path = tmp_path / "cache.jsonl"
+    opened = []
+    os_open = os.open
+
+    def counted(file, *args, **kwargs):
+        opened.append(file)
+        return os_open(file, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "open", counted)
+        cache = ResultCache(path)
+    assert opened == [path]
+    with monkeypatch.context() as patch:
+        for target in (os, Path, builtins):
+            patch.setattr(target, "open", _no_open)
+        for result in results:
+            cache.put(result)
+    assert path.read_text().splitlines() == [r.dumps() for r in results]
+    # two caches on one file append whole lines in put order
+    shared = tmp_path / "shared.jsonl"
+    caches = (ResultCache(shared), ResultCache(shared))
+    for i, result in enumerate(results):
+        caches[i % 2].put(result)
+    assert shared.read_text().splitlines() == [r.dumps() for r in results]
+
+
+def test_cache_fails_at_construction_and_closes_when_collected(tmp_path):
+    for unwritable in (tmp_path / "missing" / "cache.jsonl", tmp_path):
+        with pytest.raises(OSError):
+            ResultCache(unwritable)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        cache = ResultCache(tmp_path / "cache.jsonl")
+        fd = cache._fd
+        os.fstat(fd)
+        del cache
+        gc.collect()
+    with pytest.raises(OSError):
+        os.fstat(fd)
 
 
 def test_cache_solves_again_when_a_served_witness_fails(tmp_path):
