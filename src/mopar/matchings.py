@@ -94,6 +94,7 @@ def _extend_matchings(
 
 def iterate_k_matchings(
     g: Graph, k: int, *, _edge_masks: list[int] | None = None,
+    _order: list[int] | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """All matchings of size exactly k as ascending edge-index tuples, in
     lexicographic order.
@@ -118,6 +119,12 @@ def iterate_k_matchings(
     of every matching is appended to it, in the same order, before the
     first matching is yielded: the solver reads them there instead of
     walking the tuples again (`solver._matching_masks`).
+
+    `_order`, a permutation of the edge indices, walks the edges in that
+    order instead: position p stands for edge `_order[p]`, and the tuples
+    and edge masks name each edge by its position.  Nothing in the walk
+    depends on the edge order, so the list is the k-matchings of the
+    relabeled edge list, in its lexicographic order.
     """
     if k < 1:
         raise ValueError("matching size must be >= 1")
@@ -126,7 +133,7 @@ def iterate_k_matchings(
         masks += [1 << i for i in range(g.edge_count)]
         yield from [(i,) for i in range(g.edge_count)]
         return
-    edges = g.edges
+    edges = g.edges if _order is None else [g.edges[e] for e in _order]
     m = len(edges)
     vmask = [1 << u | 1 << v for u, v in edges]
     # free[i]: the vertices covered by edges i..m-1

@@ -191,22 +191,31 @@ def test_search_never_revisits_a_partition(monkeypatch):
 def test_incumbents_are_recorded_only_at_leaf_nodes(monkeypatch):
     # a node with nothing violated is a coloring, recorded at its own
     # entry, so every witness that beats the seed is the class map of a
-    # call of run whose violated mask is 0
-    run = solver._Search.run
+    # call of run whose violated mask is 0, read in the caller's edge
+    # order: position p of a full solve is edge order[p]
+    run, masks = solver._Search.run, solver._matching_masks
+    orders = []
     leaves: set[EdgeColoring] = set()
+
+    def recording_masks(g, k, order=None):
+        orders.append(order)
+        return masks(g, k, order)
 
     def recording_run(self, cls, msets, apart, violated, *args):
         if not violated:
-            leaves.add(EdgeColoring.from_sequence(cls))
+            back = [c for _, c in sorted(zip(orders[-1], cls))]
+            leaves.add(EdgeColoring.from_sequence(back))
         return run(self, cls, msets, apart, violated, *args)
 
+    monkeypatch.setattr(solver, "_matching_masks", recording_masks)
     monkeypatch.setattr(solver._Search, "run", recording_run)
     improved = 0
     for n, k in ((8, 3), (8, 4), (9, 4), (10, 5)):
         for g in mop_graphs(n):
             leaves.clear()
             result = ar_exact(g, k)
-            if result.value > seed_incumbent(g, k).num_colors:
+            seed = seed_incumbent(g, k, _masks=masks(g, k, orders[-1]))
+            if result.value > seed.num_colors:
                 improved += 1
                 assert result.witness in leaves, (graph6_encode(g), k)
     assert improved
@@ -583,8 +592,39 @@ def test_matching_masks_walk_through_the_traced_name(monkeypatch):
     g = graph6_decode(HUNT_MEMBER)
     solver._matching_masks(g, 5)
     assert calls == [["_edge_masks"]]
+    # a floor search walks in the labeling's order, a full search in its own
     ar_exact(g, 5, floor=19)
-    assert len(calls) == 2
+    assert calls[1:] == [["_edge_masks"]]
+    ar_exact(g, 5)
+    assert calls[2:] == [["_edge_masks", "_order"]]
+
+
+def test_full_solve_witness_is_in_the_callers_edge_order():
+    # a full search solves in its own edge order and maps the witness
+    # back: after a complete solve, after a budget stop (the seed), and
+    # when no k-matching exists (all edges distinct).  Every witness
+    # verifies on the caller's graph, and the value is that of a search
+    # in the labeling's order
+    cases = [(g, 4) for g in mop_graphs(10)]
+    cases.append((graph6_decode(FAN9), 4))
+    for g, k in cases:
+        m = g.edge_count
+        matchings, touch = masks = solver._matching_masks(g, k)
+        labeled = solver._Search(
+            matchings, None, 0, seed_incumbent(g, k, _masks=masks)
+        )
+        labeled.run(
+            bytes(range(m)), touch, [0] * m, (1 << len(matchings)) - 1, m
+        )
+        full = ar_exact(g, k)
+        cut = ar_exact(g, k, max_nodes=0)
+        none = ar_exact(g, g.n // 2 + 1)
+        assert (full.value, full.mode) == (labeled.bound, EXACT)
+        assert cut.upper is None and none.value == m
+        for r in (full, cut, none):
+            assert verify_certificate(g, r.witness, r.k, r.value).ok, (
+                graph6_encode(g), r.k, r.upper
+            )
 
 
 def test_brute_force_never_exceeds_edges_less_transversal():
@@ -658,7 +698,10 @@ def test_every_member_value_matches_fixture():
     # to the search itself.  A change that cuts nodes on purpose
     # regenerates "nodes_at_floor_0"; the SHA-256 of each cell's (value,
     # upper, witness colors) list stays, so a pruning rule must leave
-    # every witness as it was, not only every value.
+    # every witness as it was, not only every value.  An edge-order
+    # change moves both pins: tests/regen_member_values.py regenerates
+    # them only after a member-by-member check of values, uppers and
+    # witnesses.
     pinned = json.loads(MEMBER_VALUES.read_text())
     values, nodes = pinned["values_at_floor_0"], pinned["nodes_at_floor_0"]
     digests = pinned["witness_sha256_at_floor_0"]
@@ -810,7 +853,7 @@ def test_order_15_member_matches_pinned_floor_0_solve():
     # the one search pinned above order 11 at floor 0, where no seeded
     # floor cuts the tree short: a member with 2,091 5-matchings
     result = ar_exact(graph6_decode("N??cA?CE?COTOQCSdfw"), 5)
-    assert (result.value, result.mode, result.nodes) == (18, EXACT, 16593)
+    assert (result.value, result.mode, result.nodes) == (18, EXACT, 20999)
 
 
 def test_order_15_members_match_pinned_solves():
