@@ -94,7 +94,9 @@ def _cmd_ar_class(args: argparse.Namespace) -> int:
     # opened once, for appending, and emptied only once the cache has
     # opened, so a bad --cache leaves an existing file as it was; a pipe
     # or a device is written as it is
-    check_sweep(cells, max_nodes=args.budget_nodes, jobs=args.jobs)
+    check_sweep(
+        cells, max_nodes=args.budget_nodes, jobs=args.jobs, floor=args.floor
+    )
     # a pool forks one process per job
     if args.jobs > (cpus := os.cpu_count() or 1):
         raise ValueError(f"--jobs {args.jobs} exceeds the CPU count, {cpus}")

@@ -29,7 +29,9 @@ from pathlib import Path
 from .graphs import Graph, canonical_form, graph6_decode  # noqa: F401
 from .mops import MAX_ENUM_N, enumerate_mops
 from .rainbow import verify_certificate
-from .solver import EXACT, ArResult, ar_exact, check_budget, check_k
+from .solver import (
+    EXACT, ArResult, ar_exact, check_budget, check_floor, check_k,
+)
 
 # a pool takes a cell's members in chunks, about eight per worker, so that
 # a slow member rarely holds up the tail; capped so that a long sweep still
@@ -258,14 +260,17 @@ def table_cells(
 
 
 def check_sweep(
-    cells: list[tuple[int, int]], *, max_nodes: int | None, jobs: int
+    cells: list[tuple[int, int]], *, max_nodes: int | None, jobs: int,
+    floor: int = 0,
 ) -> None:
-    """Raise ValueError unless a sweep can honour its options: the node
-    budget is not negative, jobs >= 1, there is at least one (n, k) cell
-    and every cell passes `check_k` and has 2k <= n <= MAX_ENUM_N, so the
-    solver takes k, the class is enumerable and each member contains a
-    k-matching.  Every cell is checked before any is swept."""
+    """Raise ValueError unless a sweep can honour its options: neither the
+    node budget nor the floor is negative, jobs >= 1, there is at least
+    one (n, k) cell and every cell passes `check_k` and has 2k <= n <=
+    MAX_ENUM_N, so the solver takes k, the class is enumerable and each
+    member contains a k-matching.  Every cell is checked before any is
+    swept."""
     check_budget(max_nodes)
+    check_floor(floor)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1; got jobs={jobs}")
     if not cells:
@@ -313,7 +318,7 @@ def ar_class(
     this call are not audited.  When the sweep raises, a pool cancels the
     chunks it has not started.
     """
-    check_sweep([(n, k)], max_nodes=max_nodes, jobs=jobs)
+    check_sweep([(n, k)], max_nodes=max_nodes, jobs=jobs, floor=floor)
     members = _class_members(n)
     cached: dict[str, ArResult] = {}
     if cache is not None:

@@ -62,31 +62,22 @@ child whose inherited set fits its own budget therefore skips its
 search, which would succeed; only transversal nodes disappear, so the
 partition tree, the incumbents and the witnesses are unchanged.
 
-A full search (floor 0) solves in its own edge order: edges sorted by
-the larger degree of their two endpoints, ascending, ties in edge-index
-order.  Edges, class labels and matchings are then named by positions in
-that order, so the first violated matching, the one every node branches
-on, is made of edges at low-degree vertices first; the witness is mapped
-back to the caller's edge order before it leaves `ar_exact`.  Values and
-uppers are the same member by member on (8,3), (9,4), (10,3), (10,4),
-(10,5), (11,4), (11,5) and (12,5), and floor-0 node totals fall: (10,4)
-59,727 -> 39,719, (11,5) 53,291 -> 42,559, (10,3) 109,836 -> 80,728,
-(11,4) 503,098 -> 389,000, (12,5) 1,402,968 -> 1,037,735, (8,3) 2,611 ->
-1,635, with (10,5) 868 -> 873.  The rule stops at floor 0 because a
-positive floor is a seeded one (a class sweep's floor near the class
-value, or the audit's cached upper), and there it costs 1.4-4x the
-nodes: the benchmark hunt's two (15,5) members at floor 19 take 2,373
-nodes instead of 1,712, 40 (15,5) members at floor 19 35,941 instead of
-15,058, 30 (16,5) members at floor 20 57,027 instead of 14,168, and the
-(10,4) members at the class value 12 take 3,801 instead of 3,291.  It
-pays while the search is still finding the value: at a floor equal to
-each member's own value, which no caller knows beforehand, it saves less
-than at floor 0, (10,4) 42,028 -> 38,553 and (11,5) 44,719 -> 39,872.  So
-a search above any positive floor keeps the labeling's order and its
-tree.  A floor between 1 and the seed's color count prunes nothing that
-floor 0 does not, since the search must beat the seed anyway, but it
-keeps the labeling's order, so its tree and witness can differ from the
-floor-0 solve's.
+Every solve names edges, class labels and matchings by their positions
+in an edge order, and maps the coloring it found back through that order
+to the caller's edge indices before it leaves `ar_exact`.  A search
+above a positive floor takes the labeling's order, the identity.  A full
+search (floor 0) takes its own: edges sorted by the larger degree of
+their two endpoints, ascending, ties in edge-index order, so the first
+violated matching, the one every node branches on, is made of edges at
+low-degree vertices first.  Values and uppers are the same member by
+member in either order, and floor-0 node totals fall.  The rule stops at
+floor 0 because a positive floor is a seeded one (a class sweep's floor
+near the class value, or the audit's cached upper), and there it costs
+1.4-4x the nodes: it pays only while the search is still finding the
+value.  A floor between 1
+and the seed's color count prunes nothing that floor 0 does not, since
+the search must beat the seed anyway, but it keeps the labeling's
+order, so its tree and witness can differ from the floor-0 solve's.
 
 Search state is Python ints over matching ids: each class keeps the mask
 of matchings that touch it, and the violated matchings form one mask.  Ids
@@ -274,15 +265,22 @@ def check_budget(max_nodes: int | None) -> None:
         raise ValueError(f"max_nodes must not be negative; got {max_nodes}")
 
 
+def check_floor(floor: int) -> None:
+    """Raise ValueError for a negative floor; 0 asks for a full search."""
+    if floor < 0:
+        raise ValueError(f"floor must not be negative; got {floor}")
+
+
 def _matching_masks(
-    g: Graph, k: int, order: list[int] | None = None,
+    g: Graph, k: int, order: Sequence[int] | None = None,
 ) -> tuple[list[tuple[int, ...]], list[int]]:
     """The k-matchings of g by id, and for each edge the mask of the
     matching ids that contain it.  Ids run in reverse lexicographic order,
     so the lexicographically first matching in a mask is its top bit.
-    With `order`, a permutation of the edge indices, edges are named by
-    their positions in it, as `iterate_k_matchings` names them with
-    `_order`, and the order is lexicographic over those positions.
+    Edges are named by their positions in `order`, a permutation of the
+    edge indices that is passed on as `iterate_k_matchings`' `_order`,
+    and the order is lexicographic over those positions; every solve
+    passes its own, and None is the graph's order.
 
     The matchings and their edge masks come from one walk of
     `iterate_k_matchings` (called by name, so a tracer that wraps it sees
@@ -296,9 +294,8 @@ def _matching_masks(
     graph of more than 64 edges is packed and transposed one lane of 64
     edges at a time."""
     edge_masks: list[int] = []
-    reorder = {} if order is None else {"_order": order}
     matchings = list(
-        iterate_k_matchings(g, k, _edge_masks=edge_masks, **reorder)
+        iterate_k_matchings(g, k, _edge_masks=edge_masks, _order=order)
     )
     m = g.edge_count
     if not matchings:
@@ -593,10 +590,11 @@ def ar_exact(
 ) -> ArResult:
     """Exact ar(G, M_k) with a verifying witness coloring.
 
-    The witness is always in the caller's edge order: a full search
-    (floor 0) solves in its own order, as the module docstring says, and
-    maps the coloring it found, or the seed's when a budget stopped it or
-    the graph has no k-matching, back to the graph's edge indices.
+    Every solve runs in an edge order, the labeling's above a positive
+    floor and its own for a full search (floor 0), as the module
+    docstring says, and maps the coloring it found, or the seed's when a
+    budget stopped it or the graph has no k-matching, back through that
+    order, so the witness is always in the caller's edge order.
 
     Every call is a complete search above `floor`: it finds a coloring with
     more than `floor` colors whenever one exists, and the best of them is
@@ -606,19 +604,20 @@ def ar_exact(
     more colors than the graph has edges, so a floor above the edge count
     is read as the edge count.  Only the node budget `max_nodes` ends the
     search early; it leaves upper = None, never a wrong answer.  A
-    negative budget, more than MAX_EDGES edges or more than
+    negative budget or floor, more than MAX_EDGES edges or more than
     `matchings.MAX_MATCHINGS` k-matchings is a ValueError; the last is
     raised while the list is built, before any node is searched.
     """
     _validate(g, k)
     check_budget(max_nodes)
+    check_floor(floor)
     start = time.perf_counter()
     g6 = graph6_encode(g)
     m = g.edge_count
 
-    order = None
+    # the labeling's edge order, or a full search's own (module docstring)
+    order = range(m)
     if floor == 0:
-        # a full search solves in its own edge order (module docstring)
         degree = [row.bit_count() for row in g.adj]
         top = [max(degree[u], degree[v]) for u, v in g.edges]
         order = sorted(range(m), key=top.__getitem__)
@@ -635,9 +634,7 @@ def ar_exact(
     except _Budget:
         pass
 
-    colors = search.best_coloring
-    if order is not None:
-        # position p of the solve is the caller's edge order[p]
-        colors = [c for _, c in sorted(zip(order, colors))]
+    # position p of the solve is the caller's edge order[p]
+    colors = [c for _, c in sorted(zip(order, search.best_coloring))]
     witness = EdgeColoring.from_sequence(colors)
     return ArResult(g6, k, upper, witness, search.nodes, _ms(start))

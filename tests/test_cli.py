@@ -337,11 +337,17 @@ def test_negative_budget_is_an_error(capsys, tmp_path):
         # n < 2k skips every cell, so no sweep ever sees the budget
         ("ar-class", "--n", "4..4", "--k", "3..3", "--budget-nodes", "-1",
          "--out", str(tmp_path / "t.jsonl")),
+        # a negative floor is refused the same way, before the cache opens
+        ("ar-class", "--n", "8", "--k", "3", "--floor", "-1",
+         "--cache", str(tmp_path / "c.jsonl")),
+        ("ar-class", "--n", "8", "--k", "3", "--floor", "-3",
+         "--out", str(tmp_path / "t.jsonl")),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "must not be negative" in err
     assert not (tmp_path / "t.jsonl").exists()
+    assert not (tmp_path / "c.jsonl").exists()
 
 
 def test_usage_errors_exit_one(capsys):
@@ -843,6 +849,7 @@ def test_verify_rejects_malformed_certificate(capsys, tmp_path):
         ({"graph": "Cr", "k": 2, "colors": 5, "num_colors": 1}, "'colors'"),
         ({"graph": FAN4, "k": -1, "colors": [0, 1, 2, 3, 4], "num_colors": 5},
          "'k'"),
+        ([], "certificate must be a JSON object"),
     ):
         cert.write_text(json.dumps(data))
         code, out, err = run(capsys, "verify", "--cert", str(cert))

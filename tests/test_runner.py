@@ -162,6 +162,12 @@ def test_negative_limits_are_an_error(monkeypatch):
         check_sweep(table_cells((4, 4), (3, 3)), max_nodes=-5, jobs=1)
     with pytest.raises(ValueError, match="no \\(n, k\\) cell"):
         check_sweep(table_cells((4, 4), (3, 3)), max_nodes=None, jobs=1)
+    # a negative floor too, before the class is enumerated
+    with pytest.raises(ValueError, match="floor must not be negative"):
+        ar_class(8, 3, floor=-1)
+    with pytest.raises(ValueError, match="floor must not be negative"):
+        check_sweep(table_cells((4, 4), (3, 3)), max_nodes=None, jobs=1,
+                    floor=-1)
 
 
 def test_sweep_refuses_k_past_the_solver_limit():
@@ -180,15 +186,17 @@ def test_cache_round_trip_and_corruption(tmp_path):
     first = ar_class(6, 3, cache=cache)
     assert (path.exists()) and first.complete
 
-    # a corrupt line, a stray byte order mark and a byte that no UTF-8
-    # text holds are each skipped with a warning, then hits are served
+    # a corrupt line, a stray byte order mark, a byte that no UTF-8
+    # text holds and JSON that is not an object are each skipped with a
+    # warning, then hits are served
     with path.open("ab") as handle:
         handle.write(b'{not json\n\xff\xfe garbage\n{"graph": "\xff"}\n')
+        handle.write(b'[]\n3\nnull\n"x"\n')
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         cache2 = ResultCache(path)
     assert [str(w.message) for w in caught] == [
-        f"{path}:{line}: skipping corrupt cache line" for line in (4, 5, 6)
+        f"{path}:{line}: skipping corrupt cache line" for line in range(4, 11)
     ]
     second = ar_class(6, 3, cache=cache2)
     assert cache2.hits >= 3
@@ -423,6 +431,10 @@ def test_result_from_json_rejects_malformed_lines():
                      ("elapsed_ms", 10**400)):
         with pytest.raises(ValueError, match=repr(key)):
             ArResult.from_json({**data, key: bad})
+    # a line whose top-level JSON is not an object
+    for bad in ([], 3, None, "x"):
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            ArResult.from_json(bad)
     # what no solve produces: k outside 2..8 (even with a witness for that
     # k), a negative node count and a negative time
     for k in (1, 9):

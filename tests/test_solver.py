@@ -3,6 +3,7 @@ import json
 import random
 from itertools import combinations
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -580,23 +581,46 @@ def test_matching_masks_match_an_oracle():
 def test_matching_masks_walk_through_the_traced_name(monkeypatch):
     # the benchmark tracer wraps solver.iterate_k_matchings, so a solve
     # must build its list through that name, once, with the edge masks
-    # filled by the same walk
+    # filled by the same walk and the solve's edge order passed along
     walk = solver.iterate_k_matchings
     calls = []
 
     def counting(g, k, **kwargs):
-        calls.append(sorted(kwargs))
+        calls.append(kwargs)
         return walk(g, k, **kwargs)
 
     monkeypatch.setattr(solver, "iterate_k_matchings", counting)
     g = graph6_decode(HUNT_MEMBER)
     solver._matching_masks(g, 5)
-    assert calls == [["_edge_masks"]]
     # a floor search walks in the labeling's order, a full search in its own
     ar_exact(g, 5, floor=19)
-    assert calls[1:] == [["_edge_masks"]]
     ar_exact(g, 5)
-    assert calls[2:] == [["_edge_masks", "_order"]]
+    assert [sorted(c) for c in calls] == [["_edge_masks", "_order"]] * 3
+    assert calls[0]["_order"] is None
+    identity = list(range(g.edge_count))
+    assert list(calls[1]["_order"]) == identity
+    assert sorted(calls[2]["_order"]) == identity
+    assert list(calls[2]["_order"]) != identity
+
+
+def test_matching_masks_on_a_big_endian_host(monkeypatch):
+    # a big-endian host stores each 64-bit word with its bytes reversed,
+    # and `_matching_masks` swaps them back before slicing byte columns.
+    # Simulated here: the masks must equal the native ones on a hunt
+    # member and on K_12 at k = 3, whose 66 edges take two lanes
+    k12 = Graph.from_edges(12, list(combinations(range(12), 2)))
+    cases = [(graph6_decode(HUNT_MEMBER), 5), (k12, 3)]
+    native = [solver._matching_masks(g, k) for g, k in cases]
+    real_array = solver.array
+
+    def big_endian_array(typecode, words):
+        return real_array(typecode, [
+            int.from_bytes(w.to_bytes(8, "little"), "big") for w in words
+        ])
+
+    monkeypatch.setattr(solver, "sys", SimpleNamespace(byteorder="big"))
+    monkeypatch.setattr(solver, "array", big_endian_array)
+    assert [solver._matching_masks(g, k) for g, k in cases] == native
 
 
 def test_full_solve_witness_is_in_the_callers_edge_order():
@@ -788,6 +812,9 @@ def test_negative_budget_is_an_error():
     g = graph6_decode(FAN9)
     with pytest.raises(ValueError, match="must not be negative"):
         ar_exact(g, 4, max_nodes=-1)
+    # a negative floor is no bound a search could honour
+    with pytest.raises(ValueError, match="floor must not be negative"):
+        ar_exact(graph6_decode(HUNT_MEMBER), 5, floor=-1)
     # a zero budget is honoured: it ends the search at once
     assert ar_exact(g, 4, max_nodes=0).upper is None
 
